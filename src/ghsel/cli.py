@@ -79,11 +79,16 @@ def read_dataset(path: str, standardize: bool = True) -> Dataset:
     if X.ndim != 2 or X.shape[1] != len(names):
         raise CliError(f"{path}: no covariate columns found")
     if standardize:
-        mean = X.mean(axis=0)
-        sd = X.std(axis=0)
-        sd[sd == 0.0] = 1.0
-        X = (X - mean) / sd
+        X = _standardized(X)
     return Dataset(t=np.asarray(t), delta=np.asarray(delta), X=X, names=names)
+
+
+def _standardized(X: np.ndarray) -> np.ndarray:
+    """Columns centred and scaled to unit standard deviation (constant
+    columns are only centred)."""
+    mean, sd = X.mean(axis=0), X.std(axis=0)
+    sd[sd == 0.0] = 1.0
+    return (X - mean) / sd
 
 
 def write_dataset(path: str, data: Dataset):
@@ -391,11 +396,10 @@ def _run_replicate(rep_args):
                     baseline=baseline_from_dict(sim_dict["baseline"]),
                     rho=sim_dict["rho"],
                     target_censoring=sim_dict["censoring"], seed=rep_seed)
-    raw, truth = simulate_dataset(cfg)
-    X = raw.X
-    mean, sd = X.mean(axis=0), X.std(axis=0)
-    sd[sd == 0.0] = 1.0
-    data = Dataset(t=raw.t, delta=raw.delta, X=(X - mean) / sd, names=raw.names)
+    data, truth = simulate_dataset(cfg)
+    if not opts["no_standardize"]:
+        data = Dataset(t=data.t, delta=data.delta, X=_standardized(data.X),
+                       names=data.names)
     kernel = Kernel(opts["baseline"])
     scorer_cfg = build_scorer_config(opts)
     chain_cfg = ChainConfig(iterations=opts["iters"], burn_in=opts["burnin"],

@@ -5,6 +5,10 @@ where exp(nu) = 1/sigma, theta0 = mu/sigma, theta = -alpha/sigma and
 eta = -beta.  Tied-effect (code-4) models carry only theta; eta is the
 deterministic function exp(-nu) * theta and derivatives are propagated by the
 chain rule so that a single generic code path serves every hazard class.
+
+A fit builds the model's `Design` once and calls `evaluate` for the value,
+gradient and Hessian in one pass; `loglik`, `grad_loglik` and `hess_loglik`
+are thin calls into the same pass.
 """
 
 from __future__ import annotations
@@ -117,166 +121,112 @@ class Psi:
         return cls(float(vec[0]), float(vec[1]), vec[2:2 + q], vec[2 + q:])
 
 
-def _check_dims(psi: np.ndarray, gamma: Gamma, data: Dataset) -> np.ndarray:
-    psi = np.asarray(psi, dtype=float).reshape(-1)
+@dataclass(frozen=True)
+class Design:
+    """One model's view of a dataset, built once per fit: contiguous copies of
+    its time-level and hazard-level columns.  Tied-effect (AFT) models use
+    their time-level columns at both levels."""
+    data: Dataset
+    kernel: Kernel
+    aft: bool
+    Xt: np.ndarray
+    Xh: np.ndarray
+
+    @property
+    def q(self) -> int:
+        return self.Xt.shape[1]
+
+    @property
+    def dim(self) -> int:
+        return 2 + self.q + (0 if self.aft else self.Xh.shape[1])
+
+
+def design(gamma: Gamma, data: Dataset, kernel: Kernel) -> Design:
     if gamma.p != data.p:
         raise DimensionError(f"model over {gamma.p} variables, data has {data.p}")
-    if psi.shape[0] != dim_psi(gamma):
-        raise DimensionError(
-            f"psi has length {psi.shape[0]}, model {gamma.key} needs {dim_psi(gamma)}"
-        )
-    return psi
+    aft = classify(gamma) is HazardClass.AFT
+    Xt = np.ascontiguousarray(data.X[:, list(time_level_columns(gamma))])
+    Xh = Xt if aft else np.ascontiguousarray(data.X[:, list(hazard_level_columns(gamma))])
+    return Design(data, kernel, aft, Xt, Xh)
 
 
-def _core_terms(nu, theta0, theta, eta, Xt, Xh, data: Dataset, kernel: Kernel):
-    a = Xt @ theta if theta.size else np.zeros(data.n)
-    b = Xh @ eta if eta.size else np.zeros(data.n)
-    e_nu = np.exp(nu)
-    u = e_nu * data.log_t - a - theta0
-    lin = np.exp(-nu) * a - b
-    boundary = bool(np.any(np.abs(lin) > LINPRED_CLAMP))
-    lin = np.clip(lin, -LINPRED_CLAMP, LINPRED_CLAMP)
+def evaluate(des: Design, psi, order: int = 2):
+    """Log-likelihood at psi with its gradient (order >= 1) and Hessian
+    (order 2): returns (value, grad, hess), None past the requested order.
+
+    One pass computes the linear predictors and the kernel functions once and
+    shares them among all three.  Tied-effect models are evaluated in the
+    generic coordinates with eta = exp(-nu) * theta and mapped back by the
+    chain rule.
+    """
+    psi = np.asarray(psi, dtype=float).reshape(-1)
+    if psi.shape[0] != des.dim:
+        raise DimensionError(f"psi has length {psi.shape[0]}, model needs {des.dim}")
+    data, kernel, Xt, Xh, q = des.data, des.kernel, des.Xt, des.Xh, des.q
+    delta, lt = data.delta, data.log_t
+    nu, theta0, theta = float(psi[0]), float(psi[1]), psi[2:2 + q]
+    e_nu, e_mnu = np.exp(nu), np.exp(-nu)
+    eta = e_mnu * theta if des.aft else psi[2 + q:]
+    a = Xt @ theta
+    u = e_nu * lt - a - theta0
+    lin = np.clip(e_mnu * a - Xh @ eta, -LINPRED_CLAMP, LINPRED_CLAMP)
     v = np.exp(lin)
-    return a, u, lin, v, e_nu, boundary
-
-
-def _generic_loglik(nu, theta0, theta, eta, Xt, Xh, data, kernel):
-    delta = data.delta
-    a, u, lin, v, e_nu, _ = _core_terms(nu, theta0, theta, eta, Xt, Xh, data, kernel)
-    lf = baseline.log_f(u, kernel)
     lF = baseline.log_F_neg(u, kernel)
-    val = (
-        data.n_events * nu
-        - float(delta @ data.log_t)
-        + float(delta @ lin)
-        + float(delta @ lf)
-        + float(lF @ (v - delta))
-    )
-    return val if np.isfinite(val) else -np.inf
+    vd = v - delta
+    val = (data.n_events * nu - float(delta @ lt) + float(delta @ lin)
+           + float(delta @ baseline.log_f(u, kernel)) + float(lF @ vd))
+    if not np.isfinite(val):
+        val = -np.inf
+    if order == 0:
+        return val, None, None
 
-
-def _generic_grad(nu, theta0, theta, eta, Xt, Xh, data, kernel):
-    delta = data.delta
-    lt = data.log_t
-    a, u, lin, v, e_nu, _ = _core_terms(nu, theta0, theta, eta, Xt, Xh, data, kernel)
-    e_mnu = np.exp(-nu)
-    lF = baseline.log_F_neg(u, kernel)
     r1 = baseline.ratio_f_over_Fneg(u, kernel)
     rp = baseline.ratio_fprime_over_f(u, kernel)
-    vd = v - delta
-
-    g_nu = (
-        data.n_events
-        - e_mnu * float(delta @ a)
-        + e_nu * float((delta * rp) @ lt)
-        - e_nu * float((r1 * vd) @ lt)
-        - e_mnu * float((lF * v) @ a)
-    )
+    lFv = lF * v
+    g_nu = (data.n_events - e_mnu * float(delta @ a) + e_nu * float((delta * rp) @ lt)
+            - e_nu * float((r1 * vd) @ lt) - e_mnu * float(lFv @ a))
     g_t0 = -float(delta @ rp) + float(r1 @ vd)
-    wt = delta * (e_mnu - rp) + r1 * vd + lF * v * e_mnu
-    g_theta = Xt.T @ wt if theta.size else np.zeros(0)
-    wh = -delta - lF * v
-    g_eta = Xh.T @ wh if eta.size else np.zeros(0)
-    return np.concatenate(([g_nu, g_t0], g_theta, g_eta))
+    g_theta = Xt.T @ (delta * (e_mnu - rp) + r1 * vd + lFv * e_mnu)
+    g_eta = Xh.T @ (-delta - lFv)
+    g = np.concatenate(([g_nu, g_t0], g_theta, g_eta))
+    if order == 1:
+        return val, (_aft_jacobian(nu, theta).T @ g if des.aft else g), None
 
-
-def _generic_hess(nu, theta0, theta, eta, Xt, Xh, data, kernel):
-    delta = data.delta
-    lt = data.log_t
-    a, u, lin, v, e_nu, _ = _core_terms(nu, theta0, theta, eta, Xt, Xh, data, kernel)
-    e_mnu = np.exp(-nu)
-    lF = baseline.log_F_neg(u, kernel)
-    r1 = baseline.ratio_f_over_Fneg(u, kernel)
-    rp = baseline.ratio_fprime_over_f(u, kernel)
     rs = baseline.ratio_fsecond_over_f(u, kernel)
-    rpF = baseline.ratio_fprime_over_Fneg(u, kernel)
-    vd = v - delta
     D2 = rs - rp * rp
-    E2 = rpF + r1 * r1
-
-    q = theta.size
-    pe = eta.size
-    H = np.zeros((2 + q + pe, 2 + q + pe))
-
-    h_nn = (
-        e_mnu * float(delta @ a)
-        + e_nu ** 2 * float((delta * D2) @ (lt * lt))
-        + e_nu * float((delta * rp) @ lt)
-        - e_nu ** 2 * float((E2 * vd) @ (lt * lt))
-        - e_nu * float((r1 * vd) @ lt)
-        + e_mnu * float((lF * v * (1.0 + a * e_mnu)) @ a)
-        + 2.0 * float((r1 * v * a) @ lt)
-    )
-    h_00 = float(delta @ D2) - float(E2 @ vd)
-    h_n0 = (
-        -e_nu * float((delta * D2) @ lt)
-        - e_mnu * float((r1 * v) @ a)
-        + e_nu * float((E2 * vd) @ lt)
-    )
-    H[0, 0] = h_nn
-    H[1, 1] = h_00
-    H[0, 1] = H[1, 0] = h_n0
-
-    if q:
-        w_tt = delta * D2 - E2 * vd + 2.0 * e_mnu * r1 * v + e_mnu ** 2 * lF * v
-        H[2:2 + q, 2:2 + q] = Xt.T @ (w_tt[:, None] * Xt)
-        w_t0 = delta * D2 + e_mnu * r1 * v - E2 * vd
-        H[1, 2:2 + q] = H[2:2 + q, 1] = Xt.T @ w_t0
-        w_tn = (
-            -delta * e_mnu
-            - e_nu * delta * D2 * lt
-            - e_mnu * r1 * v * a
-            + e_nu * E2 * vd * lt
-            - e_mnu * lF * v * (a * e_mnu + 1.0)
-            - r1 * lt * v
-        )
-        H[0, 2:2 + q] = H[2:2 + q, 0] = Xt.T @ w_tn
-    if pe:
-        w_hh = lF * v
-        H[2 + q:, 2 + q:] = Xh.T @ (w_hh[:, None] * Xh)
-        w_h0 = -r1 * v
-        H[1, 2 + q:] = H[2 + q:, 1] = Xh.T @ w_h0
-        w_hn = e_nu * r1 * lt * v + e_mnu * lF * v * a
-        H[0, 2 + q:] = H[2 + q:, 0] = Xh.T @ w_hn
-    if q and pe:
-        w_ht = -r1 * v - e_mnu * lF * v
-        block = Xt.T @ (w_ht[:, None] * Xh)
-        H[2:2 + q, 2 + q:] = block
-        H[2 + q:, 2:2 + q] = block.T
-    return H
-
-
-def _split(psi, gamma):
-    q = len(time_level_columns(gamma))
-    return float(psi[0]), float(psi[1]), psi[2:2 + q], psi[2 + q:]
-
-
-def _designs(gamma, data):
-    tc = time_level_columns(gamma)
-    hc = hazard_level_columns(gamma)
-    Xt = data.X[:, tc] if tc else np.zeros((data.n, 0))
-    Xh = data.X[:, hc] if hc else np.zeros((data.n, 0))
-    return Xt, Xh
-
-
-def _aft_expand(psi, gamma, data):
-    """Map the reduced tied-effect parametrisation (nu, theta0, theta) to the
-    generic coordinates with eta = exp(-nu) * theta and shared design."""
-    nu, theta0, theta, _ = float(psi[0]), float(psi[1]), psi[2:], None
-    eta = np.exp(-nu) * theta
-    tc = time_level_columns(gamma)
-    Xs = data.X[:, tc] if tc else np.zeros((data.n, 0))
-    return nu, theta0, theta, eta, Xs
-
-
-def loglik(psi, gamma: Gamma, data: Dataset, kernel: Kernel) -> float:
-    psi = _check_dims(psi, gamma, data)
-    if classify(gamma) is HazardClass.AFT:
-        nu, theta0, theta, eta, Xs = _aft_expand(psi, gamma, data)
-        return _generic_loglik(nu, theta0, theta, eta, Xs, Xs, data, kernel)
-    nu, theta0, theta, eta = _split(psi, gamma)
-    Xt, Xh = _designs(gamma, data)
-    return _generic_loglik(nu, theta0, theta, eta, Xt, Xh, data, kernel)
+    E2 = rp * r1 + r1 * r1  # f'/F(-u) + (f/F(-u))^2
+    r1v = r1 * v
+    k = g.size
+    H = np.empty((k, k))
+    H[0, 0] = (e_mnu * float(delta @ a) + e_nu ** 2 * float((delta * D2) @ (lt * lt))
+               + e_nu * float((delta * rp) @ lt) - e_nu ** 2 * float((E2 * vd) @ (lt * lt))
+               - e_nu * float((r1 * vd) @ lt) + e_mnu * float((lFv * (1.0 + a * e_mnu)) @ a)
+               + 2.0 * float((r1v * a) @ lt))
+    H[1, 1] = float(delta @ D2) - float(E2 @ vd)
+    H[0, 1] = H[1, 0] = (-e_nu * float((delta * D2) @ lt) - e_mnu * float(r1v @ a)
+                         + e_nu * float((E2 * vd) @ lt))
+    t, h = slice(2, 2 + q), slice(2 + q, k)
+    H[t, t] = Xt.T @ ((delta * D2 - E2 * vd + 2.0 * e_mnu * r1v
+                       + e_mnu ** 2 * lFv)[:, None] * Xt)
+    H[1, t] = H[t, 1] = Xt.T @ (delta * D2 + e_mnu * r1v - E2 * vd)
+    H[0, t] = H[t, 0] = Xt.T @ (-delta * e_mnu - e_nu * delta * D2 * lt - e_mnu * r1v * a
+                                + e_nu * E2 * vd * lt - e_mnu * lFv * (a * e_mnu + 1.0)
+                                - r1v * lt)
+    H[h, h] = Xh.T @ (lFv[:, None] * Xh)
+    H[1, h] = H[h, 1] = -(Xh.T @ r1v)
+    H[0, h] = H[h, 0] = Xh.T @ (e_nu * r1v * lt + e_mnu * lFv * a)
+    H[t, h] = Xt.T @ ((-r1v - e_mnu * lFv)[:, None] * Xh)
+    H[h, t] = H[t, h].T
+    if not des.aft:
+        return val, g, H
+    # tied effects: chain rule through eta = exp(-nu) * theta, plus the
+    # second-derivative terms of eta
+    J = _aft_jacobian(nu, theta)
+    H = J.T @ H @ J
+    H[0, 0] += float(g_eta @ (e_mnu * theta))
+    H[0, 2:] -= e_mnu * g_eta
+    H[2:, 0] -= e_mnu * g_eta
+    return val, J.T @ g, H
 
 
 def _aft_jacobian(nu, theta):
@@ -292,37 +242,16 @@ def _aft_jacobian(nu, theta):
     return J
 
 
+def loglik(psi, gamma: Gamma, data: Dataset, kernel: Kernel) -> float:
+    return evaluate(design(gamma, data, kernel), psi, 0)[0]
+
+
 def grad_loglik(psi, gamma: Gamma, data: Dataset, kernel: Kernel) -> np.ndarray:
-    psi = _check_dims(psi, gamma, data)
-    if classify(gamma) is HazardClass.AFT:
-        nu, theta0, theta, eta, Xs = _aft_expand(psi, gamma, data)
-        g_full = _generic_grad(nu, theta0, theta, eta, Xs, Xs, data, kernel)
-        return _aft_jacobian(nu, theta).T @ g_full
-    nu, theta0, theta, eta = _split(psi, gamma)
-    Xt, Xh = _designs(gamma, data)
-    return _generic_grad(nu, theta0, theta, eta, Xt, Xh, data, kernel)
+    return evaluate(design(gamma, data, kernel), psi, 1)[1]
 
 
 def hess_loglik(psi, gamma: Gamma, data: Dataset, kernel: Kernel) -> np.ndarray:
-    psi = _check_dims(psi, gamma, data)
-    if classify(gamma) is not HazardClass.AFT:
-        nu, theta0, theta, eta = _split(psi, gamma)
-        Xt, Xh = _designs(gamma, data)
-        return _generic_hess(nu, theta0, theta, eta, Xt, Xh, data, kernel)
-    nu, theta0, theta, eta, Xs = _aft_expand(psi, gamma, data)
-    g_full = _generic_grad(nu, theta0, theta, eta, Xs, Xs, data, kernel)
-    H_full = _generic_hess(nu, theta0, theta, eta, Xs, Xs, data, kernel)
-    J = _aft_jacobian(nu, theta)
-    H = J.T @ H_full @ J
-    # second-derivative terms of eta_k = exp(-nu) theta_k
-    m = theta.size
-    e_mnu = np.exp(-nu)
-    g_eta = g_full[2 + m:]
-    H[0, 0] += float(g_eta @ (e_mnu * theta))
-    for k in range(m):
-        H[0, 2 + k] += -e_mnu * g_eta[k]
-        H[2 + k, 0] += -e_mnu * g_eta[k]
-    return H
+    return evaluate(design(gamma, data, kernel), psi, 2)[2]
 
 
 def observed_fisher(psi, gamma: Gamma, data: Dataset, kernel: Kernel) -> np.ndarray:

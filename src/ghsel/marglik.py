@@ -3,9 +3,11 @@
 Two approximations are provided.  The integrated-Laplace route expands the
 log-likelihood (not the log-posterior) at the MLE and integrates the Gaussian
 curvature-matching prior analytically, leaving a closed form in the fitted
-Fisher blocks; a one-dimensional quadrature extends it to the robust hyper-g
-prior on the scale g.  The plain Laplace route evaluates the penalised
-objective at the MAP under the product prior.
+Fisher blocks.  The closed form is factorised once per fitted model into a
+g-free part (`ILAFactor`) and a scalar evaluation at n*g, so the
+one-dimensional quadrature that extends it to the robust hyper-g prior on the
+scale g costs a 2x2 closed form per node.  The plain Laplace route evaluates
+the penalised objective at the MAP under the product prior.
 
 All values are absolute log marginal likelihoods (prior normalising constants
 included), so they are directly comparable to numerical quadrature.
@@ -57,20 +59,72 @@ def _failed(gamma: Gamma, method: MarglikMethod, fit: FitRecord | None) -> Margl
 # ---------------------------------------------------------------------------
 # integrated-Laplace core
 
-def _tilde_blocks(J: np.ndarray, d: int, shrink: float):
-    """Partial-information entries for (nu, theta0): J_ab minus shrink times
-    the Schur correction through the coefficient block.  One factorization of
-    the coefficient block serves all three entries."""
-    top, coef, cross_nu, cross_t0 = ghlik.fisher_blocks(J)
-    if d == 0 or shrink == 0.0:
-        return top[0, 0], top[0, 1], top[1, 1]
-    L = np.linalg.cholesky(coef)
-    y_nu = np.linalg.solve(L, cross_nu)
-    y_t0 = np.linalg.solve(L, cross_t0)
-    j_nn = top[0, 0] - shrink * float(y_nu @ y_nu)
-    j_n0 = top[0, 1] - shrink * float(y_nu @ y_t0)
-    j_00 = top[1, 1] - shrink * float(y_t0 @ y_t0)
-    return j_nn, j_n0, j_00
+class ILAFactor:
+    """The g-free part of the integrated-Laplace closed form for one fitted
+    model.  The scale g enters only through ng = n*g as the shrinkage
+    s = ng/(1+ng) of the Schur correction of the (nu, theta0) block through
+    the coefficient block, and through the weight 1 - s of the exact
+    completion of the fitted coefficients.  So one Cholesky factorisation of
+    the coefficient block gives the three Schur products y_a . y_b, and with
+    kappa_hat . cross_a and kappa_hat' J kappa_hat every g costs a 2x2
+    closed form.  Raises numpy.linalg.LinAlgError if the coefficient block is
+    not positive definite.
+    """
+
+    def __init__(self, ell_hat: float, psi_hat: np.ndarray, J: np.ndarray, d: int):
+        top, coef, cross_nu, cross_t0 = ghlik.fisher_blocks(J)
+        psi_hat = np.asarray(psi_hat, dtype=float)
+        self.ell_hat, self.d = float(ell_hat), d
+        self.nu_hat, self.t0_hat = float(psi_hat[0]), float(psi_hat[1])
+        self.top = (float(top[0, 0]), float(top[0, 1]), float(top[1, 1]))
+        self.schur = (0.0, 0.0, 0.0)
+        self.kappa_cross, self.kappa_J = (0.0, 0.0), 0.0
+        if d > 0:
+            L = np.linalg.cholesky(coef)
+            y_nu = np.linalg.solve(L, cross_nu)
+            y_t0 = np.linalg.solve(L, cross_t0)
+            self.schur = (float(y_nu @ y_nu), float(y_nu @ y_t0), float(y_t0 @ y_t0))
+            kappa_hat = psi_hat[2:]
+            self.kappa_cross = (float(kappa_hat @ cross_nu), float(kappa_hat @ cross_t0))
+            self.kappa_J = float(kappa_hat @ (coef @ kappa_hat))
+
+    def terms(self, ng: float, cp: CommonPrior):
+        """(log_ml, (P11, P12, P22), (h1, h2), C) at ng = n*g: the posterior
+        precision P and linear term h of (nu, theta0) and the constant C of
+        the completed square.  Raises LinAlgError if P is not positive
+        definite."""
+        nu_hat, t0_hat = self.nu_hat, self.t0_hat
+        shrink = ng / (1.0 + ng)
+        (t_nn, t_n0, t_00), (s_nn, s_n0, s_00) = self.top, self.schur
+        j_nn, j_n0, j_00 = t_nn - shrink * s_nn, t_n0 - shrink * s_n0, t_00 - shrink * s_00
+        var_nu = cp.nu_normal_sd ** 2
+        mu_nu = cp.nu_normal_mean
+        # exact completion keeps O(1/(1+ng)) cross terms between the fitted
+        # coefficients and (nu, theta0) that the large-g closed form omits
+        w = 1.0 - shrink
+        corr_nu, corr_t0 = w * self.kappa_cross[0], w * self.kappa_cross[1]
+        p11, p12, p22 = j_nn + 1.0 / var_nu, j_n0, j_00 + 1.0 / cp.K
+        h1 = j_nn * nu_hat + j_n0 * t0_hat + mu_nu / var_nu + corr_nu
+        h2 = j_n0 * nu_hat + j_00 * t0_hat + corr_t0
+        C = (-0.5 * mu_nu ** 2 / var_nu
+             - 0.5 * (j_nn * nu_hat ** 2 + 2.0 * j_n0 * nu_hat * t0_hat
+                      + j_00 * t0_hat ** 2)
+             - corr_nu * nu_hat - corr_t0 * t0_hat - 0.5 * w * self.kappa_J)
+        # 2x2 Cholesky P = L L' in closed form
+        l21 = p12 / math.sqrt(p11) if p11 > 0.0 else math.nan
+        l22_sq = p22 - l21 * l21
+        if not l22_sq > 0.0:
+            raise np.linalg.LinAlgError("posterior precision of (nu, theta0) "
+                                        "is not positive definite")
+        l11, l22 = math.sqrt(p11), math.sqrt(l22_sq)
+        w1 = h1 / l11
+        w2 = (h2 - l21 * w1) / l22
+        log_ml = (self.ell_hat - 0.5 * self.d * math.log1p(ng) - math.log(l11 * l22)
+                  + 0.5 * (w1 * w1 + w2 * w2) + C - 0.5 * math.log(cp.K * var_nu))
+        return log_ml, (p11, p12, p22), (h1, h2), C
+
+    def log_ml(self, ng: float, cp: CommonPrior) -> float:
+        return self.terms(ng, cp)[0]
 
 
 def ila_from_fit(ell_hat: float, psi_hat: np.ndarray, J: np.ndarray, d: int,
@@ -80,41 +134,8 @@ def ila_from_fit(ell_hat: float, psi_hat: np.ndarray, J: np.ndarray, d: int,
     Returns (log_ml, P, h, C).  Raises numpy.linalg.LinAlgError if a required
     block is not positive definite.
     """
-    nu_hat, t0_hat = float(psi_hat[0]), float(psi_hat[1])
-    ng = n * g_e
-    shrink = ng / (1.0 + ng)
-    j_nn, j_n0, j_00 = _tilde_blocks(J, d, shrink)
-    var_nu = cp.nu_normal_sd ** 2
-    mu_nu = cp.nu_normal_mean
-
-    P = np.array([[j_nn + 1.0 / var_nu, j_n0],
-                  [j_n0, j_00 + 1.0 / cp.K]])
-    h = np.array([j_nn * nu_hat + j_n0 * t0_hat + mu_nu / var_nu,
-                  j_n0 * nu_hat + j_00 * t0_hat])
-    C = (-0.5 * mu_nu ** 2 / var_nu
-         - 0.5 * (j_nn * nu_hat ** 2 + 2.0 * j_n0 * nu_hat * t0_hat
-                  + j_00 * t0_hat ** 2))
-
-    if d > 0:
-        # exact completion keeps O(1/(1+ng)) cross terms between the fitted
-        # coefficients and (nu, theta0) that the large-g closed form omits
-        w = 1.0 - shrink
-        kappa_hat = np.asarray(psi_hat, dtype=float)[2:]
-        _, coef, cross_nu, cross_t0 = ghlik.fisher_blocks(J)
-        corr_nu = w * float(kappa_hat @ cross_nu)
-        corr_t0 = w * float(kappa_hat @ cross_t0)
-        h = h + np.array([corr_nu, corr_t0])
-        C = (C - corr_nu * nu_hat - corr_t0 * t0_hat
-             - 0.5 * w * float(kappa_hat @ (coef @ kappa_hat)))
-
-    Lp = np.linalg.cholesky(P)
-    logdet_P = 2.0 * float(np.sum(np.log(np.diag(Lp))))
-    w = np.linalg.solve(Lp, h)
-    quad = float(w @ w)
-
-    log_ml = (ell_hat - 0.5 * d * math.log1p(ng) - 0.5 * logdet_P
-              + 0.5 * quad + C - 0.5 * math.log(cp.K * var_nu))
-    return log_ml, P, h, C
+    log_ml, (p11, p12, p22), h, C = ILAFactor(ell_hat, psi_hat, J, d).terms(n * g_e, cp)
+    return log_ml, np.array([[p11, p12], [p12, p22]]), np.array(h), C
 
 
 def ila_log_marglik(gamma: Gamma, data: Dataset, kernel: Kernel, g_e: float,
@@ -140,8 +161,9 @@ def ila_log_marglik_robust_g(gamma: Gamma, data: Dataset, kernel: Kernel,
                              fit: FitRecord | None = None,
                              cutoff: float = ROBUST_G_CUTOFF) -> MarglikRecord:
     """Marginal likelihood with the scale g integrated out under the robust
-    hyper-g prior.  The model is fitted once; only the closed form is
-    re-evaluated across quadrature nodes."""
+    hyper-g prior.  The model is fitted and its closed form factorised once;
+    each quadrature node costs only the scalar evaluation at n*g.  A
+    quadrature that does not reach its tolerance gives a failed record."""
     if fit is None:
         fit = optimize.fit_mle(gamma, data, kernel, init=init)
     if not fit.ok:
@@ -158,15 +180,14 @@ def ila_log_marglik_robust_g(gamma: Gamma, data: Dataset, kernel: Kernel,
         lp = priors.robust_g_logpdf(g, n, d)
         if lp == -math.inf:
             return -math.inf
-        log_ml, _, _, _ = ila_from_fit(fit.objective, fit.psi_opt, fit.fisher,
-                                       d, n, g, cp)
-        return log_ml + lp
+        return factor.log_ml(n * g, cp) + lp
 
     bound = priors.robust_g_support_bound(n, d)
     # integrate on y = log(g + 1/n); dg = e^y dy
     y_lo = math.log(bound + 1.0 / n) + 1e-12
     y_hi = math.log(cutoff + 1.0 / n)
     try:
+        factor = ILAFactor(fit.objective, fit.psi_opt, fit.fisher, d)
         grid = np.linspace(y_lo, y_hi, 60)
         log_vals = np.array([log_integrand(math.exp(y) - 1.0 / n) + y for y in grid])
         M = float(np.max(log_vals))
@@ -180,14 +201,11 @@ def ila_log_marglik_robust_g(gamma: Gamma, data: Dataset, kernel: Kernel,
         val, err = integrate.quad(f, y_lo, y_hi, limit=200, epsabs=1e-12,
                                   epsrel=1e-10, points=[y_peak])
         if not np.isfinite(val) or val <= 0 or err > 1e-6 * max(val, 1e-300):
-            raise ValueError(
-                f"robust-g quadrature failed for {gamma.key}: value={val}, err={err}")
+            return _failed(gamma, MarglikMethod.ILA_ROBUST_G, fit)
         # analytic tail beyond the cutoff: the closed form saturates in g, so
         # exp(log_ml(g)) ~ exp(m_sat) * (1 + n g)^{-d/2} with m_sat the g-free part
         g_big = 1e250
-        m_big, _, _, _ = ila_from_fit(fit.objective, fit.psi_opt, fit.fisher,
-                                      d, n, g_big, cp)
-        m_sat = m_big + 0.5 * d * math.log1p(n * g_big)
+        m_sat = factor.log_ml(n * g_big, cp) + 0.5 * d * math.log1p(n * g_big)
         c_r = math.sqrt((1.0 + n) / (n * (d + 1.0)))
         log_tail = (m_sat + math.log(c_r / (d + 1.0)) - 0.5 * d * math.log(n)
                     - 0.5 * (d + 1.0) * math.log(cutoff + 1.0 / n))

@@ -1,11 +1,13 @@
 """Per-model fitting: maximum likelihood and maximum a posteriori estimates of
 the reparametrised coefficients with analytic derivatives.
 
-A quasi-Newton (BFGS) stage with the analytic gradient is followed by a Newton
-polish using the exact Hessian, so the reported curvature at the optimum is the
-true one rather than the quasi-Newton approximation.  Failures are reported in
-the record's status and never raised; callers map failed fits to an impossible
-model score.
+One damped Newton loop serves both fits.  Each iteration takes one pass over
+the model's design for the value, gradient and exact Hessian; the step solves
+the Newton system with Levenberg damping of the negated Hessian until its
+Cholesky factorisation succeeds, the nu component is capped, and Armijo
+backtracking guards the ascent.  The reported curvature at the optimum is the
+exact Hessian there.  Failures are reported in the record's status and never
+raised; callers map failed fits to an impossible model score.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize as sp_optimize
 
 from . import ghlik, priors
 from .baseline import Kernel
@@ -25,6 +26,10 @@ from .modelspace import Gamma
 GRAD_TOL = 1e-6
 MAX_ITER = 500
 NU_BOUNDARY = 20.0
+NU_STEP_MAX = 1.0     # largest change of nu in one Newton step
+DECREMENT_TOL = 1e-15  # Newton decrement, relative to 1 + |objective|
+ARMIJO = 1e-4
+MAX_BACKTRACK = 40
 
 
 class FitStatus(enum.Enum):
@@ -90,60 +95,70 @@ def project_init(psi_prev: np.ndarray, gamma_prev: Gamma, gamma_new: Gamma,
     return out
 
 
-def _maximise(fun, grad, hess, x0: np.ndarray) -> FitRecord:
-    """Maximise a smooth objective: BFGS stage, then exact-Newton polish."""
-    evals = [0]
-
-    def neg_f(x):
-        evals[0] += 1
-        v = fun(x)
-        return -v if np.isfinite(v) else 1e300
-
-    def neg_g(x):
-        g = grad(x)
-        return -g if np.all(np.isfinite(g)) else np.zeros_like(x)
-
-    res = sp_optimize.minimize(neg_f, x0, jac=neg_g, method="BFGS",
-                               options={"gtol": 1e-8, "maxiter": MAX_ITER})
-    x = np.asarray(res.x, dtype=float)
-    f = fun(x)
-    if not np.isfinite(f):
-        x, f = x0.copy(), fun(x0)
-
-    # Newton polish with the exact Hessian and Armijo backtracking.
-    converged = False
-    for _ in range(50):
-        g = grad(x)
-        tol = GRAD_TOL * (1.0 + abs(f))
-        if np.max(np.abs(g)) <= tol:
-            converged = True
-            break
-        H = hess(x)
+def _ascent_step(g: np.ndarray, H: np.ndarray) -> np.ndarray | None:
+    """Newton step for maximisation with Levenberg damping: solve
+    (-H + lam I) step = g with lam raised from zero until the Cholesky
+    factorisation succeeds.  None if the derivatives are not finite."""
+    if not (np.all(np.isfinite(g)) and np.all(np.isfinite(H))):
+        return None
+    A = -H
+    scale = max(1.0, float(np.max(np.abs(np.diag(A)))))
+    lam = 0.0
+    while lam < 1e20 * scale:
+        damped = A + lam * np.eye(A.shape[0]) if lam else A
         try:
-            step = np.linalg.solve(-H, g)
+            np.linalg.cholesky(damped)
         except np.linalg.LinAlgError:
-            step = g.copy()
-        if not np.all(np.isfinite(step)) or float(step @ g) <= 0:
-            step = g.copy()
-        alpha = 1.0
-        improved = False
-        for _ in range(40):
-            x_new = x + alpha * step
-            f_new = fun(x_new)
-            evals[0] += 1
-            if np.isfinite(f_new) and f_new >= f + 1e-4 * alpha * float(g @ step):
-                x, f = x_new, f_new
-                improved = True
+            lam = 1e-10 * scale if lam == 0.0 else 10.0 * lam
+            continue
+        return np.linalg.solve(damped, g)
+    return None
+
+
+def _maximise(evaluate, x0: np.ndarray) -> FitRecord:
+    """Maximise a smooth objective from x0 by damped Newton ascent.
+
+    `evaluate(x)` returns (value, grad, hess).  The loop stops converged once
+    the gradient is within GRAD_TOL and the Newton decrement is below what the
+    objective can resolve; it stops unconverged when no step improves the
+    objective or after MAX_ITER iterations.  Trial points can overflow the
+    exponentials of the likelihood; they are evaluated with floating-point
+    warnings off and rejected when not finite.
+    """
+    x = x0.copy()
+    converged = False
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        f, g, H = evaluate(x)
+        n_evals = 1
+        for _ in range(MAX_ITER):
+            step = _ascent_step(g, H) if np.isfinite(f) else None
+            if step is None:
                 break
-            alpha *= 0.5
-        if not improved:
-            break
+            grad_ok = np.max(np.abs(g)) <= GRAD_TOL * (1.0 + abs(f))
+            decrement = float(g @ step)
+            if grad_ok and decrement <= DECREMENT_TOL * (1.0 + abs(f)):
+                converged = True
+                break
+            if abs(step[0]) > NU_STEP_MAX:
+                step *= NU_STEP_MAX / abs(step[0])
+                decrement = float(g @ step)
+            alpha, accepted = 1.0, None
+            for _ in range(MAX_BACKTRACK):
+                trial = evaluate(x + alpha * step)
+                n_evals += 1
+                if trial[0] >= f + ARMIJO * alpha * decrement:
+                    accepted = trial
+                    break
+                if grad_ok:
+                    break  # within tolerance and at the objective's resolution
+                alpha *= 0.5
+            if accepted is None:
+                converged = grad_ok
+                break
+            x = x + alpha * step
+            f, g, H = accepted
 
-    g = grad(x)
-    if np.max(np.abs(g)) <= GRAD_TOL * (1.0 + abs(f)):
-        converged = True
-
-    fisher = -hess(x)
+    fisher = -H
     if abs(x[0]) > NU_BOUNDARY:
         status = FitStatus.BOUNDARY
     elif not np.all(np.isfinite(fisher)):
@@ -157,42 +172,42 @@ def _maximise(fun, grad, hess, x0: np.ndarray) -> FitRecord:
     else:
         status = FitStatus.MAX_ITER
     return FitRecord(psi_opt=x, objective=float(f), fisher=fisher,
-                     status=status, n_evals=evals[0])
+                     status=status, n_evals=n_evals)
+
+
+def _start(gamma: Gamma, data: Dataset, init) -> np.ndarray:
+    return (np.asarray(init, dtype=float).reshape(-1) if init is not None
+            else default_init(gamma, data))
 
 
 def fit_mle(gamma: Gamma, data: Dataset, kernel: Kernel,
             init: np.ndarray | None = None) -> FitRecord:
-    x0 = np.asarray(init, dtype=float).reshape(-1) if init is not None \
-        else default_init(gamma, data)
-
-    def fun(x):
-        return ghlik.loglik(x, gamma, data, kernel)
-
-    def grad(x):
-        return ghlik.grad_loglik(x, gamma, data, kernel)
-
-    def hess(x):
-        return ghlik.hess_loglik(x, gamma, data, kernel)
-
-    return _maximise(fun, grad, hess, x0)
+    des = ghlik.design(gamma, data, kernel)
+    return _maximise(lambda x: ghlik.evaluate(des, x), _start(gamma, data, init))
 
 
 def fit_map(gamma: Gamma, data: Dataset, kernel: Kernel,
             coef_prior: priors.CoefficientPrior, common: priors.CommonPrior,
             init: np.ndarray | None = None) -> FitRecord:
-    x0 = np.asarray(init, dtype=float).reshape(-1) if init is not None \
-        else default_init(gamma, data)
+    """MAP fit under the product prior: the log-likelihood plus the common
+    prior on (nu, theta0) and the product prior's Gaussian on the
+    coefficients, whose Gram blocks are factorised once per fit.  Raises
+    priors.RankDeficiencyError if a Gram block is singular."""
+    if coef_prior.kind is not priors.PriorKind.PRODUCT:
+        raise ValueError("joint psi prior is defined for the product prior only")
+    des = ghlik.design(gamma, data, kernel)
+    P, log_norm = priors.product_prior_gaussian(gamma, data, coef_prior)
 
-    def fun(x):
-        lp = priors.log_prior_psi(x, gamma, data, coef_prior, common)
-        return ghlik.loglik(x, gamma, data, kernel) + lp
+    def evaluate(x):
+        f, g, H = ghlik.evaluate(des, x)
+        nu, theta0, coef = float(x[0]), float(x[1]), x[2:]
+        Pc = P @ coef
+        f += (priors.log_common_prior(nu, theta0, common) + log_norm
+              - 0.5 * float(coef @ Pc))
+        g[:2] += priors.grad_common_prior(nu, theta0, common)
+        g[2:] -= Pc
+        H[:2, :2] += priors.hess_common_prior(nu, theta0, common)
+        H[2:, 2:] -= P
+        return f, g, H
 
-    def grad(x):
-        return (ghlik.grad_loglik(x, gamma, data, kernel)
-                + priors.grad_prior_psi(x, gamma, data, coef_prior, common))
-
-    def hess(x):
-        return (ghlik.hess_loglik(x, gamma, data, kernel)
-                + priors.hess_prior_psi(x, gamma, data, coef_prior, common))
-
-    return _maximise(fun, grad, hess, x0)
+    return _maximise(evaluate, _start(gamma, data, init))

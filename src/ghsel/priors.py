@@ -96,54 +96,51 @@ def _chol(mat: np.ndarray, label: str) -> np.ndarray:
         raise RankDeficiencyError(f"{label} block is not positive definite") from exc
 
 
-def _gaussian_logpdf_from_gram(coef: np.ndarray, G: np.ndarray, g: float, n: int,
-                               label: str) -> float:
-    """log N(coef; 0, g*n*G^{-1}) via one Cholesky of G."""
-    m = coef.size
-    if m == 0:
-        return 0.0
-    L = _chol(G, label)
-    logdet_G = 2.0 * float(np.sum(np.log(np.diag(L))))
-    quad = float(coef @ (G @ coef)) / (g * n)
-    return -0.5 * (m * LOG_2PI + m * math.log(g * n) - logdet_G + quad)
-
-
 # ---------------------------------------------------------------------------
 # product g-prior: independent Gaussians on the two coefficient blocks
 
+def product_prior_gaussian(gamma: Gamma, data: Dataset,
+                           prior: CoefficientPrior) -> tuple:
+    """The product prior as one Gaussian over the stacked coefficients:
+    (precision, log normalising constant).  Block k is N(0, g_k*n*G_k^{-1})
+    with G_k the Gram matrix of its columns; one Cholesky of each Gram matrix
+    checks it and gives its determinant.  A MAP fit builds this once."""
+    blocks = ((time_level_columns(gamma), prior.g_ct, "time-level Gram"),
+              (hazard_level_columns(gamma), prior.g_ch, "hazard-level Gram"))
+    d = dim_coef(gamma)
+    P = np.zeros((d, d))
+    log_norm = 0.0
+    i = 0
+    for cols, g, label in blocks:
+        m = len(cols)
+        if not m:
+            continue
+        G = gram(data, cols)
+        L = _chol(G, label)
+        P[i:i + m, i:i + m] = G / (g * data.n)
+        log_norm -= 0.5 * (m * LOG_2PI + m * math.log(g * data.n)
+                           - 2.0 * float(np.sum(np.log(np.diag(L)))))
+        i += m
+    return P, log_norm
+
+
 def product_prior_logpdf(theta: np.ndarray, eta: np.ndarray, gamma: Gamma,
                          data: Dataset, prior: CoefficientPrior) -> float:
-    theta = np.asarray(theta, dtype=float).reshape(-1)
-    eta = np.asarray(eta, dtype=float).reshape(-1)
-    out = _gaussian_logpdf_from_gram(theta, gram(data, time_level_columns(gamma)),
-                                     prior.g_ct, data.n, "time-level Gram")
-    if eta.size:
-        out += _gaussian_logpdf_from_gram(eta, gram(data, hazard_level_columns(gamma)),
-                                          prior.g_ch, data.n, "hazard-level Gram")
-    return out
+    coef = np.concatenate((np.asarray(theta, dtype=float).reshape(-1),
+                           np.asarray(eta, dtype=float).reshape(-1)))
+    P, log_norm = product_prior_gaussian(gamma, data, prior)
+    return log_norm - 0.5 * float(coef @ (P @ coef))
 
 
 def product_prior_grad(theta: np.ndarray, eta: np.ndarray, gamma: Gamma,
                        data: Dataset, prior: CoefficientPrior) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float).reshape(-1)
-    eta = np.asarray(eta, dtype=float).reshape(-1)
-    g_t = (-gram(data, time_level_columns(gamma)) @ theta / (prior.g_ct * data.n)
-           if theta.size else np.zeros(0))
-    g_h = (-gram(data, hazard_level_columns(gamma)) @ eta / (prior.g_ch * data.n)
-           if eta.size else np.zeros(0))
-    return np.concatenate((g_t, g_h))
+    coef = np.concatenate((np.asarray(theta, dtype=float).reshape(-1),
+                           np.asarray(eta, dtype=float).reshape(-1)))
+    return -product_prior_gaussian(gamma, data, prior)[0] @ coef
 
 
 def product_prior_hess(gamma: Gamma, data: Dataset, prior: CoefficientPrior) -> np.ndarray:
-    tc = time_level_columns(gamma)
-    hc = hazard_level_columns(gamma)
-    d = len(tc) + len(hc)
-    H = np.zeros((d, d))
-    if tc:
-        H[:len(tc), :len(tc)] = -gram(data, tc) / (prior.g_ct * data.n)
-    if hc:
-        H[len(tc):, len(tc):] = -gram(data, hc) / (prior.g_ch * data.n)
-    return H
+    return -product_prior_gaussian(gamma, data, prior)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -152,22 +149,19 @@ def product_prior_hess(gamma: Gamma, data: Dataset, prior: CoefficientPrior) -> 
 def log_prior_psi(psi, gamma: Gamma, data: Dataset, prior: CoefficientPrior,
                   cp: CommonPrior) -> float:
     psi = np.asarray(psi, dtype=float).reshape(-1)
-    nu, theta0, coef = float(psi[0]), float(psi[1]), psi[2:]
     q = len(time_level_columns(gamma))
     if prior.kind is not PriorKind.PRODUCT:
         raise ValueError("joint psi prior is defined for the product prior only")
-    return (log_common_prior(nu, theta0, cp)
-            + product_prior_logpdf(coef[:q], coef[q:], gamma, data, prior))
+    return (log_common_prior(float(psi[0]), float(psi[1]), cp)
+            + product_prior_logpdf(psi[2:2 + q], psi[2 + q:], gamma, data, prior))
 
 
 def grad_prior_psi(psi, gamma: Gamma, data: Dataset, prior: CoefficientPrior,
                    cp: CommonPrior) -> np.ndarray:
     psi = np.asarray(psi, dtype=float).reshape(-1)
-    nu, theta0, coef = float(psi[0]), float(psi[1]), psi[2:]
-    q = len(time_level_columns(gamma))
-    g_common = grad_common_prior(nu, theta0, cp)
-    g_coef = product_prior_grad(coef[:q], coef[q:], gamma, data, prior)
-    return np.concatenate((g_common, g_coef))
+    P, _ = product_prior_gaussian(gamma, data, prior)
+    return np.concatenate((grad_common_prior(float(psi[0]), float(psi[1]), cp),
+                           -P @ psi[2:]))
 
 
 def hess_prior_psi(psi, gamma: Gamma, data: Dataset, prior: CoefficientPrior,

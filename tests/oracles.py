@@ -182,6 +182,65 @@ def gauss_hermite_log_integral(log_f, x0, n_nodes=None):
                  + np.sum(np.log(np.diag(L))))
 
 
+# ---------------------------------------------------------------------------
+# reference maximiser
+
+def scipy_maximise(fn, grad, x0):
+    """(argmax, max) of a smooth objective by SciPy BFGS with its gradient,
+    run to a gradient tolerance far below the package's."""
+    res = sopt.minimize(lambda x: -fn(x), np.asarray(x0, dtype=float),
+                        jac=lambda x: -grad(x), method="BFGS",
+                        options={"gtol": 1e-10, "maxiter": 10000})
+    return res.x, -res.fun
+
+
+# ---------------------------------------------------------------------------
+# integrated-Laplace closed form, evaluated afresh at each g
+
+def ila_closed_form_at_g(ell_hat, psi_hat, J, d, n, g_e, cp):
+    """(log_ml, P, h, C) of the integrated-Laplace closed form at one g,
+    refactorising the coefficient block of J every time.  Raises
+    numpy.linalg.LinAlgError if a required block is not positive definite."""
+    J = np.asarray(J, dtype=float)
+    psi_hat = np.asarray(psi_hat, dtype=float)
+    nu_hat, t0_hat = psi_hat[0], psi_hat[1]
+    coef, cross_nu, cross_t0 = J[2:, 2:], J[2:, 0], J[2:, 1]
+    ng = n * g_e
+    shrink = ng / (1.0 + ng)
+    # partial information of (nu, theta0): J_ab minus shrink times the Schur
+    # correction through the coefficient block
+    j_nn, j_n0, j_00 = J[0, 0], J[0, 1], J[1, 1]
+    if d > 0:
+        L = np.linalg.cholesky(coef)
+        y_nu = np.linalg.solve(L, cross_nu)
+        y_t0 = np.linalg.solve(L, cross_t0)
+        j_nn = j_nn - shrink * (y_nu @ y_nu)
+        j_n0 = j_n0 - shrink * (y_nu @ y_t0)
+        j_00 = j_00 - shrink * (y_t0 @ y_t0)
+    var_nu = cp.nu_normal_sd ** 2
+    mu_nu = cp.nu_normal_mean
+    P = np.array([[j_nn + 1.0 / var_nu, j_n0], [j_n0, j_00 + 1.0 / cp.K]])
+    h = np.array([j_nn * nu_hat + j_n0 * t0_hat + mu_nu / var_nu,
+                  j_n0 * nu_hat + j_00 * t0_hat])
+    C = (-0.5 * mu_nu ** 2 / var_nu
+         - 0.5 * (j_nn * nu_hat ** 2 + 2.0 * j_n0 * nu_hat * t0_hat
+                  + j_00 * t0_hat ** 2))
+    if d > 0:
+        # exact completion of the square in the fitted coefficients
+        w = 1.0 - shrink
+        kappa_hat = psi_hat[2:]
+        corr = w * np.array([kappa_hat @ cross_nu, kappa_hat @ cross_t0])
+        h = h + corr
+        C = (C - corr[0] * nu_hat - corr[1] * t0_hat
+             - 0.5 * w * (kappa_hat @ coef @ kappa_hat))
+    Lp = np.linalg.cholesky(P)
+    z = np.linalg.solve(Lp, h)
+    log_ml = (ell_hat - 0.5 * d * math.log1p(ng)
+              - float(np.sum(np.log(np.diag(Lp)))) + 0.5 * float(z @ z) + C
+              - 0.5 * math.log(cp.K * var_nu))
+    return log_ml, P, h, C
+
+
 # frozen high-precision reference values (computed with mpmath at 50 digits)
 FROZEN = {
     ("log_F_neg", Kernel.NORMAL, 10.0): -53.23128515051247,

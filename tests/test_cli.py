@@ -203,6 +203,32 @@ def test_replicate_smoke(tmp_path, capsys):
     assert "replicates: 3 ok" in text
 
 
+def _replicate_records(out, *flags):
+    assert run(["replicate", "--reps", "1", "--n", 150, "--p", 4, "--truth", "ph",
+                "--censoring", "0.2", "--iters", "600", "--burnin", "200",
+                "--seed", 3, "--out", out, *flags]) == 0
+    return json.loads(out.read_text())["replicates"]
+
+
+def test_replicate_honours_no_standardize(tmp_path):
+    default = _replicate_records(tmp_path / "std.json")
+    raw = _replicate_records(tmp_path / "raw.json", "--no-standardize")
+    assert raw != default
+    assert raw[0]["pip"] != default[0]["pip"]
+
+
+def test_replicate_default_record_unchanged(tmp_path):
+    """The default (standardising) replicate gives the record it gave before
+    the flag was honoured; the figures are from that version."""
+    (rec,) = _replicate_records(tmp_path / "std.json")
+    assert (rec["seed"], rec["top_model"], rec["modal_class"]) == (3, "2220", "PH")
+    assert rec["modal_class_correct"] and rec["sensitivity"] == rec["specificity"] == 1.0
+    assert rec["pip"] == pytest.approx(
+        [0.9999998560996601, 0.9999960762683889, 0.5546641325836146,
+         0.27425072660406097], abs=1e-6)
+    assert rec["true_class_prob"] == pytest.approx(0.5928748107740648, abs=1e-6)
+
+
 def test_replicate_scoring_matches_score_selection():
     from ghsel.modelspace import Gamma
     from ghsel.summarize import score_selection

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,14 +8,17 @@ from scipy import stats
 import oracles
 from ghsel.baseline import Kernel
 from ghsel.ghlik import Dataset, dim_coef, loglik
-from ghsel.marglik import (LOG_2PI, MarglikMethod, MarglikCache, ModelScorer,
-                           ScorerConfig, dataset_fingerprint, ila_from_fit,
-                           ila_log_marglik, ila_log_marglik_robust_g,
-                           la_log_marglik)
+from ghsel import marglik
+from ghsel.marglik import (LOG_2PI, ILAFactor, MarglikMethod, MarglikCache,
+                           ModelScorer, ScorerConfig, dataset_fingerprint,
+                           ila_from_fit, ila_log_marglik,
+                           ila_log_marglik_robust_g, la_log_marglik)
 from ghsel.modelspace import Gamma
 from ghsel.optimize import fit_mle
 from ghsel.priors import (CoefficientPrior, CommonPrior, PriorKind,
-                          lcm_prior_cov, log_common_prior, log_prior_psi)
+                          lcm_prior_cov, log_common_prior, log_prior_psi,
+                          robust_g_support_bound)
+from ghsel.sampler import ChainConfig, run_chain
 from ghsel.simulate import SimConfig, simulate_dataset
 
 
@@ -221,3 +225,76 @@ def test_warm_start_does_not_change_scores():
     cold_vals = [ModelScorer(data, Kernel.NORMAL, cfg).score(
         Gamma.from_key(k)).log_ml for k in keys]
     assert np.allclose(warm_vals, cold_vals, atol=1e-5)
+
+
+@pytest.mark.parametrize("seed,key", [(5, "20"), (4, "22"), (8, "12"), (9, "33"),
+                                      (6, "44"), (3, "00")])
+def test_factorised_closed_form_matches_per_g_reference(seed, key):
+    """The g-free factorisation evaluated at n*g equals the closed form
+    recomputed from scratch at that g, over the whole robust-g range."""
+    data = small_data(seed=seed)
+    gamma = Gamma.from_key(key)
+    cp = CommonPrior()
+    fit = fit_mle(gamma, data, Kernel.NORMAL)
+    assert fit.ok
+    d, n = dim_coef(gamma), data.n
+    factor = ILAFactor(fit.objective, fit.psi_opt, fit.fisher, d)
+    bound = robust_g_support_bound(n, d) if d else 1e-3
+    gs = np.concatenate((bound * (1.0 + np.array([1e-12, 1e-6, 1e-3])),
+                         np.logspace(-2, 250, 40)))
+    for g in gs:
+        ref, P, h, C = oracles.ila_closed_form_at_g(fit.objective, fit.psi_opt,
+                                                    fit.fisher, d, n, g, cp)
+        assert factor.log_ml(n * g, cp) == pytest.approx(ref, rel=1e-10)
+        got, P2, h2, C2 = ila_from_fit(fit.objective, fit.psi_opt, fit.fisher,
+                                       d, n, g, cp)
+        assert got == pytest.approx(ref, rel=1e-10)
+        assert np.allclose(P2, P, rtol=1e-10) and np.allclose(h2, h, rtol=1e-10)
+        assert C2 == pytest.approx(C, rel=1e-10)
+
+
+def test_closed_form_raises_on_indefinite_blocks():
+    cp = CommonPrior()
+    indefinite_coef = -np.eye(3)
+    # coefficient block positive definite, posterior precision of
+    # (nu, theta0) not: negative leading entry, then negative determinant
+    neg_lead = np.diag([-1.0, 1.0, 1.0])
+    neg_det = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    for J in (indefinite_coef, neg_lead, neg_det):
+        for closed_form in (oracles.ila_closed_form_at_g, ila_from_fit):
+            with pytest.raises(np.linalg.LinAlgError):
+                closed_form(0.0, np.zeros(3), J, 1, 30, 1.0, cp)
+    with pytest.raises(np.linalg.LinAlgError):
+        ILAFactor(0.0, np.zeros(3), indefinite_coef, 1)
+
+
+def test_robust_g_quadrature_failure_gives_failed_record(monkeypatch):
+    data = small_data(seed=4)
+    gamma = Gamma.from_key("22")
+    monkeypatch.setattr(marglik.integrate, "quad",
+                        lambda *args, **kwargs: (math.nan, math.nan))
+    rec = ila_log_marglik_robust_g(gamma, data, Kernel.NORMAL, CommonPrior())
+    assert rec.log_ml == -math.inf
+    assert rec.method is MarglikMethod.ILA_ROBUST_G and rec.fit.ok
+
+
+def test_chain_survives_one_failed_robust_g_quadrature(monkeypatch):
+    """A model whose quadrature fails scores -inf; the chain runs on."""
+    data = small_data(seed=4)
+    target = "22"
+    real_quad = marglik.integrate.quad
+
+    def quad(f, *args, **kwargs):
+        if sys._getframe(1).f_locals["gamma"].key == target:
+            return math.nan, math.nan
+        return real_quad(f, *args, **kwargs)
+
+    monkeypatch.setattr(marglik.integrate, "quad", quad)
+    cfg = ScorerConfig(method=MarglikMethod.ILA_ROBUST_G)
+    trace = run_chain(data, Kernel.NORMAL,
+                      ChainConfig(iterations=400, burn_in=100, seed=3), cfg)
+    assert trace.n_steps == 400
+    assert trace.visited[target][0] == -math.inf
+    assert all(math.isfinite(log_ml) for key, (log_ml, _) in trace.visited.items()
+               if key != target)
+    assert target not in {key for _, _, key in trace.samples}

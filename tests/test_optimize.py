@@ -1,12 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
 
+import oracles
 from ghsel.baseline import Kernel
-from ghsel.ghlik import Dataset, dim_psi, grad_loglik
+from ghsel.ghlik import Dataset, dim_psi, grad_loglik, hess_loglik, loglik
 from ghsel.modelspace import Gamma
-from ghsel.optimize import (FitStatus, default_init, fit_map, fit_mle,
-                            project_init)
-from ghsel.priors import CoefficientPrior, CommonPrior, PriorKind
+from ghsel.optimize import (MAX_ITER, FitRecord, FitStatus, default_init,
+                            fit_map, fit_mle, project_init)
+from ghsel.priors import (CoefficientPrior, CommonPrior, PriorKind,
+                          grad_prior_psi, hess_prior_psi, log_prior_psi)
 from ghsel.simulate import SimConfig, simulate_dataset
 
 
@@ -107,3 +111,75 @@ def test_warm_start_agrees_with_cold_start():
     assert warm.ok and cold2.ok
     assert warm.objective == pytest.approx(cold2.objective, abs=1e-6)
     assert np.allclose(warm.psi_opt, cold2.psi_opt, atol=1e-4)
+
+
+PRODUCT = CoefficientPrior(kind=PriorKind.PRODUCT)
+
+
+def _objective(fitter, gamma, data, kernel):
+    """The fitter's objective and gradient as plain functions of psi."""
+    if fitter == "mle":
+        return (lambda x: loglik(x, gamma, data, kernel),
+                lambda x: grad_loglik(x, gamma, data, kernel))
+    cp = CommonPrior()
+    return (lambda x: loglik(x, gamma, data, kernel)
+            + log_prior_psi(x, gamma, data, PRODUCT, cp),
+            lambda x: grad_loglik(x, gamma, data, kernel)
+            + grad_prior_psi(x, gamma, data, PRODUCT, cp))
+
+
+def _fit(fitter, gamma, data, kernel, init=None):
+    if fitter == "mle":
+        return fit_mle(gamma, data, kernel, init=init)
+    return fit_map(gamma, data, kernel, PRODUCT, CommonPrior(), init=init)
+
+
+@pytest.mark.parametrize("kernel", list(Kernel))
+@pytest.mark.parametrize("fitter", ["mle", "map"])
+@pytest.mark.parametrize("start", ["cold", "warm"])
+def test_fit_matches_scipy_oracle(kernel, fitter, start):
+    data = ph_data()
+    gamma = Gamma.from_key("3200")
+    init = None
+    if start == "warm":
+        prev = Gamma.from_key("2200")
+        init = project_init(_fit(fitter, prev, data, kernel).psi_opt, prev, gamma, data)
+    fit = _fit(fitter, gamma, data, kernel, init=init)
+    assert fit.status is FitStatus.CONVERGED
+    fn, grad = _objective(fitter, gamma, data, kernel)
+    _, best = oracles.scipy_maximise(fn, grad, default_init(gamma, data))
+    assert abs(fit.objective - best) <= 1e-8
+    assert fit.objective == pytest.approx(fn(fit.psi_opt), abs=1e-10)
+
+
+@pytest.mark.parametrize("fitter", ["mle", "map"])
+@pytest.mark.parametrize("nu", [15.0, -15.0])
+@pytest.mark.parametrize("coef", [0.0, 8.0])
+def test_wild_start_ends_in_a_record_without_warnings(fitter, nu, coef):
+    data = ph_data()
+    gamma = Gamma.from_key("3200")
+    x0 = np.array([nu, 0.0, coef, -coef, coef])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = _fit(fitter, gamma, data, Kernel.NORMAL, init=x0)
+    assert isinstance(fit, FitRecord)
+    if nu > 0 or coef == 0.0:
+        # far off but recoverable: the scale alone is wrong, or it is tiny
+        assert fit.ok
+        assert fit.objective == pytest.approx(
+            _fit(fitter, gamma, data, Kernel.NORMAL).objective, abs=1e-8)
+
+
+def test_t2_map_from_indefinite_start_converges():
+    data = ph_data()
+    gamma = Gamma.from_key("3200")
+    cp = CommonPrior()
+    x0 = np.array([-1.23, -0.6, -1.45, -4.66, -1.71])
+    H0 = (hess_loglik(x0, gamma, data, Kernel.STUDENT_T2)
+          + hess_prior_psi(x0, gamma, data, PRODUCT, cp))
+    assert np.linalg.eigvalsh(-H0).min() < 0.0
+    fit = fit_map(gamma, data, Kernel.STUDENT_T2, PRODUCT, cp, init=x0)
+    assert fit.status is FitStatus.CONVERGED
+    assert fit.n_evals <= MAX_ITER // 10
+    cold = fit_map(gamma, data, Kernel.STUDENT_T2, PRODUCT, cp)
+    assert fit.objective == pytest.approx(cold.objective, abs=1e-8)
