@@ -9,7 +9,7 @@ simulator, and a command-line interface.
 """
 
 from .baseline import Kernel
-from .ghlik import Dataset, Psi
+from .ghlik import Dataset
 from .marglik import MarglikMethod, ModelScorer, ScorerConfig
 from .modelspace import (Gamma, HazardClass, ModelPriorConfig, classify,
                          enumerate_models, log_model_prior)
@@ -22,7 +22,7 @@ from .summarize import (hazard_posterior, hpm_credible_set, pip,
                         top_model)
 
 __all__ = [
-    "Kernel", "Dataset", "Psi", "MarglikMethod", "ModelScorer", "ScorerConfig",
+    "Kernel", "Dataset", "MarglikMethod", "ModelScorer", "ScorerConfig",
     "Gamma", "HazardClass", "ModelPriorConfig", "classify", "enumerate_models",
     "log_model_prior", "CoefficientPrior", "CommonPrior", "GMode", "PriorKind",
     "ChainConfig", "ChainTrace", "run_chain", "LogLocationScaleBaseline",

@@ -19,6 +19,7 @@ import csv
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,14 +28,12 @@ from . import sampler, simulate, summarize
 from .baseline import Kernel
 from .ghlik import Dataset, time_level_columns, hazard_level_columns
 from .marglik import MarglikMethod, ModelScorer, ScorerConfig
-from .modelspace import (Gamma, HazardClass, ModelPriorConfig, classify,
-                         enumerate_models, log_model_prior)
+from .modelspace import (ENUMERATION_CAP, Gamma, HazardClass, ModelPriorConfig,
+                         classify, enumerate_models, log_model_prior)
 from .priors import CoefficientPrior, CommonPrior, GMode, PriorKind
 from .sampler import ChainConfig
-from .simulate import (LogLocationScaleBaseline, SimConfig, baseline_from_dict,
-                       protocol_truth, simulate_dataset)
-
-ENUMERATE_CAP = 8
+from .simulate import (LogLocationScaleBaseline, SimConfig, protocol_truth,
+                       simulate_dataset)
 
 
 class CliError(Exception):
@@ -143,11 +142,14 @@ _DEFAULTS = {
     "screening_init": False,
 }
 
+
+def _to_bool(s) -> bool:
+    return s if isinstance(s, bool) else s.lower() in ("1", "true", "yes")
+
+
 _CASTS = {"g": float, "gct": float, "gch": float, "level": float,
           "iters": int, "burnin": int, "thin": int, "chains": int, "seed": int,
-          "robust_g": lambda s: s if isinstance(s, bool) else s.lower() in ("1", "true", "yes"),
-          "no_standardize": lambda s: s if isinstance(s, bool) else s.lower() in ("1", "true", "yes"),
-          "screening_init": lambda s: s if isinstance(s, bool) else s.lower() in ("1", "true", "yes")}
+          "robust_g": _to_bool, "no_standardize": _to_bool, "screening_init": _to_bool}
 
 
 def resolve_options(args: argparse.Namespace) -> dict:
@@ -314,14 +316,14 @@ def cmd_select(args) -> int:
 def cmd_enumerate(args) -> int:
     opts = resolve_options(args)
     data = read_dataset(args.data, standardize=not opts["no_standardize"])
-    if data.p > ENUMERATE_CAP and not args.force:
-        raise CliError(f"enumeration over p={data.p} exceeds cap {ENUMERATE_CAP}; "
+    if data.p > ENUMERATION_CAP and not args.force:
+        raise CliError(f"enumeration over p={data.p} exceeds cap {ENUMERATION_CAP}; "
                        f"pass --force to override")
     kernel = Kernel(opts["baseline"])
     scorer = ModelScorer(data, kernel, build_scorer_config(opts))
     prior_cfg = ModelPriorConfig()
     rows = []
-    for gamma in enumerate_models(data.p, cap=max(data.p, ENUMERATE_CAP)):
+    for gamma in enumerate_models(data.p, cap=max(data.p, ENUMERATION_CAP)):
         rec = scorer.score(gamma)
         rows.append((gamma.key, classify(gamma).value, rec.log_ml,
                      log_model_prior(gamma, prior_cfg)))
@@ -388,23 +390,14 @@ def cmd_simulate(args) -> int:
 
 def _run_replicate(rep_args):
     """One replicate: simulate, select, score.  Module-level for pickling."""
-    (opts, sim_dict, rep_seed) = rep_args
-    cfg = SimConfig(n=sim_dict["n"], p=sim_dict["p"],
-                    truth=Gamma.from_key(sim_dict["truth"]),
-                    alpha=np.asarray(sim_dict["alpha"]),
-                    beta=np.asarray(sim_dict["beta"]),
-                    baseline=baseline_from_dict(sim_dict["baseline"]),
-                    rho=sim_dict["rho"],
-                    target_censoring=sim_dict["censoring"], seed=rep_seed)
-    data, truth = simulate_dataset(cfg)
+    (opts, sim_cfg, rep_seed) = rep_args
+    data, truth = simulate_dataset(replace(sim_cfg, seed=rep_seed))
     if not opts["no_standardize"]:
         data = Dataset(t=data.t, delta=data.delta, X=_standardized(data.X),
                        names=data.names)
     kernel = Kernel(opts["baseline"])
     scorer_cfg = build_scorer_config(opts)
-    chain_cfg = ChainConfig(iterations=opts["iters"], burn_in=opts["burnin"],
-                            thin=opts["thin"], n_chains=opts["chains"],
-                            seed=rep_seed, screening_init=opts["screening_init"])
+    chain_cfg = build_chain_config({**opts, "seed": rep_seed})
     scorer = ModelScorer(data, kernel, scorer_cfg)
     trace = sampler.run_chain(data, kernel, chain_cfg, scorer_cfg,
                               ModelPriorConfig(), scorer=scorer)
@@ -430,18 +423,12 @@ def _run_replicate(rep_args):
 
 def cmd_replicate(args) -> int:
     opts = resolve_options(args)
-    cls = _TRUTH_CLASSES[args.truth]
-    truth, alpha, beta = protocol_truth(args.p, cls, strict=False)
-    if args.pgw:
-        baseline = simulate._baseline_dict(simulate.PGWBaseline())
-    else:
-        baseline = simulate._baseline_dict(LogLocationScaleBaseline(
-            mu=args.mu, sigma=args.sigma, kernel=Kernel(opts["baseline"])))
-    sim_dict = {"n": args.n, "p": args.p, "truth": truth.key,
-                "alpha": alpha.tolist(), "beta": beta.tolist(),
-                "baseline": baseline, "rho": args.rho,
-                "censoring": args.censoring}
-    jobs = [(opts, sim_dict, opts["seed"] + 1000 * r) for r in range(args.reps)]
+    sim_cfg = _sim_config(args, opts, opts["seed"])
+    sim_dict = {"n": sim_cfg.n, "p": sim_cfg.p, "truth": sim_cfg.truth.key,
+                "alpha": sim_cfg.alpha.tolist(), "beta": sim_cfg.beta.tolist(),
+                "baseline": simulate._baseline_dict(sim_cfg.baseline),
+                "rho": sim_cfg.rho, "censoring": sim_cfg.target_censoring}
+    jobs = [(opts, sim_cfg, opts["seed"] + 1000 * r) for r in range(args.reps)]
     results, failures = [], []
     if args.workers > 1:
         import concurrent.futures as cf

@@ -98,30 +98,6 @@ def dim_psi(gamma: Gamma) -> int:
 
 
 @dataclass(frozen=True)
-class Psi:
-    nu: float
-    theta0: float
-    theta: np.ndarray
-    eta: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", np.asarray(self.theta, dtype=float).reshape(-1))
-        object.__setattr__(self, "eta", np.asarray(self.eta, dtype=float).reshape(-1))
-
-    def pack(self) -> np.ndarray:
-        return np.concatenate(([self.nu, self.theta0], self.theta, self.eta))
-
-    @classmethod
-    def unpack(cls, vec: np.ndarray, gamma: Gamma) -> "Psi":
-        vec = np.asarray(vec, dtype=float).reshape(-1)
-        q = len(time_level_columns(gamma))
-        d = dim_coef(gamma)
-        if vec.shape[0] != 2 + d:
-            raise DimensionError(f"psi has length {vec.shape[0]}, model {gamma.key} needs {2 + d}")
-        return cls(float(vec[0]), float(vec[1]), vec[2:2 + q], vec[2 + q:])
-
-
-@dataclass(frozen=True)
 class Design:
     """One model's view of a dataset, built once per fit: contiguous copies of
     its time-level and hazard-level columns.  Tied-effect (AFT) models use
@@ -169,25 +145,37 @@ def evaluate(des: Design, psi, order: int = 2):
     eta = e_mnu * theta if des.aft else psi[2 + q:]
     a = Xt @ theta
     u = e_nu * lt - a - theta0
-    lin = np.clip(e_mnu * a - Xh @ eta, -LINPRED_CLAMP, LINPRED_CLAMP)
+    lin_raw = e_mnu * a - Xh @ eta
+    lin = np.clip(lin_raw, -LINPRED_CLAMP, LINPRED_CLAMP)
     v = np.exp(lin)
+    lf = baseline.log_f(u, kernel)
     lF = baseline.log_F_neg(u, kernel)
     vd = v - delta
-    val = (data.n_events * nu - float(delta @ lt) + float(delta @ lin)
-           + float(delta @ baseline.log_f(u, kernel)) + float(lF @ vd))
+    n_events = data.n_events
+    val = (n_events * nu - float(delta @ lt) + float(delta @ lin)
+           + float(delta @ lf) + float(lF @ vd))
     if not np.isfinite(val):
         val = -np.inf
     if order == 0:
         return val, None, None
 
-    r1 = baseline.ratio_f_over_Fneg(u, kernel)
+    # f/F(-u) from the two logs the value needed; far in the right tail both
+    # logs are large and nearly equal, so there the ratio is evaluated directly
+    r1 = np.exp(lf - lF)
+    tail = u > 30.0
+    if tail.any():
+        r1[tail] = baseline.ratio_f_over_Fneg(u[tail], kernel)
     rp = baseline.ratio_fprime_over_f(u, kernel)
-    lFv = lF * v
-    g_nu = (data.n_events - e_mnu * float(delta @ a) + e_nu * float((delta * rp) @ lt)
+    # where the clip is active lin is constant, so every term through lin
+    # (delta_lin, lFv and r1v below) is zero there
+    live = lin == lin_raw
+    delta_lin = delta * live
+    lFv = lF * v * live
+    g_nu = (n_events - e_mnu * float(delta_lin @ a) + e_nu * float((delta * rp) @ lt)
             - e_nu * float((r1 * vd) @ lt) - e_mnu * float(lFv @ a))
     g_t0 = -float(delta @ rp) + float(r1 @ vd)
-    g_theta = Xt.T @ (delta * (e_mnu - rp) + r1 * vd + lFv * e_mnu)
-    g_eta = Xh.T @ (-delta - lFv)
+    g_theta = Xt.T @ (delta_lin * e_mnu - delta * rp + r1 * vd + lFv * e_mnu)
+    g_eta = Xh.T @ (-delta_lin - lFv)
     g = np.concatenate(([g_nu, g_t0], g_theta, g_eta))
     if order == 1:
         return val, (_aft_jacobian(nu, theta).T @ g if des.aft else g), None
@@ -195,10 +183,10 @@ def evaluate(des: Design, psi, order: int = 2):
     rs = baseline.ratio_fsecond_over_f(u, kernel)
     D2 = rs - rp * rp
     E2 = rp * r1 + r1 * r1  # f'/F(-u) + (f/F(-u))^2
-    r1v = r1 * v
+    r1v = r1 * v * live
     k = g.size
     H = np.empty((k, k))
-    H[0, 0] = (e_mnu * float(delta @ a) + e_nu ** 2 * float((delta * D2) @ (lt * lt))
+    H[0, 0] = (e_mnu * float(delta_lin @ a) + e_nu ** 2 * float((delta * D2) @ (lt * lt))
                + e_nu * float((delta * rp) @ lt) - e_nu ** 2 * float((E2 * vd) @ (lt * lt))
                - e_nu * float((r1 * vd) @ lt) + e_mnu * float((lFv * (1.0 + a * e_mnu)) @ a)
                + 2.0 * float((r1v * a) @ lt))
@@ -209,7 +197,7 @@ def evaluate(des: Design, psi, order: int = 2):
     H[t, t] = Xt.T @ ((delta * D2 - E2 * vd + 2.0 * e_mnu * r1v
                        + e_mnu ** 2 * lFv)[:, None] * Xt)
     H[1, t] = H[t, 1] = Xt.T @ (delta * D2 + e_mnu * r1v - E2 * vd)
-    H[0, t] = H[t, 0] = Xt.T @ (-delta * e_mnu - e_nu * delta * D2 * lt - e_mnu * r1v * a
+    H[0, t] = H[t, 0] = Xt.T @ (-delta_lin * e_mnu - e_nu * delta * D2 * lt - e_mnu * r1v * a
                                 + e_nu * E2 * vd * lt - e_mnu * lFv * (a * e_mnu + 1.0)
                                 - r1v * lt)
     H[h, h] = Xh.T @ (lFv[:, None] * Xh)
@@ -252,10 +240,6 @@ def grad_loglik(psi, gamma: Gamma, data: Dataset, kernel: Kernel) -> np.ndarray:
 
 def hess_loglik(psi, gamma: Gamma, data: Dataset, kernel: Kernel) -> np.ndarray:
     return evaluate(design(gamma, data, kernel), psi, 2)[2]
-
-
-def observed_fisher(psi, gamma: Gamma, data: Dataset, kernel: Kernel) -> np.ndarray:
-    return -hess_loglik(psi, gamma, data, kernel)
 
 
 def fisher_blocks(J: np.ndarray):

@@ -16,9 +16,7 @@ included), so they are directly comparable to numerical quadrature.
 from __future__ import annotations
 
 import enum
-import hashlib
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,9 +45,6 @@ class MarglikRecord:
     log_ml: float
     method: MarglikMethod
     fit: FitRecord | None
-    P: np.ndarray | None = None
-    h: np.ndarray | None = None
-    C: float | None = None
 
 
 def _failed(gamma: Gamma, method: MarglikMethod, fit: FitRecord | None) -> MarglikRecord:
@@ -139,33 +134,31 @@ def ila_from_fit(ell_hat: float, psi_hat: np.ndarray, J: np.ndarray, d: int,
 
 
 def ila_log_marglik(gamma: Gamma, data: Dataset, kernel: Kernel, g_e: float,
-                    cp: CommonPrior, init: np.ndarray | None = None,
-                    fit: FitRecord | None = None) -> MarglikRecord:
+                    cp: CommonPrior, fit: FitRecord | None = None) -> MarglikRecord:
     if fit is None:
-        fit = optimize.fit_mle(gamma, data, kernel, init=init)
+        fit = optimize.fit_mle(gamma, data, kernel)
     if not fit.ok:
         return _failed(gamma, MarglikMethod.ILA, fit)
     d = dim_coef(gamma)
     try:
-        log_ml, P, h, C = ila_from_fit(fit.objective, fit.psi_opt, fit.fisher,
-                                       d, data.n, g_e, cp)
+        log_ml = ila_from_fit(fit.objective, fit.psi_opt, fit.fisher, d,
+                              data.n, g_e, cp)[0]
     except np.linalg.LinAlgError:
         return _failed(gamma, MarglikMethod.ILA, fit)
     if not np.isfinite(log_ml):
         return _failed(gamma, MarglikMethod.ILA, fit)
-    return MarglikRecord(gamma.key, log_ml, MarglikMethod.ILA, fit, P, h, C)
+    return MarglikRecord(gamma.key, log_ml, MarglikMethod.ILA, fit)
 
 
 def ila_log_marglik_robust_g(gamma: Gamma, data: Dataset, kernel: Kernel,
-                             cp: CommonPrior, init: np.ndarray | None = None,
-                             fit: FitRecord | None = None,
+                             cp: CommonPrior, fit: FitRecord | None = None,
                              cutoff: float = ROBUST_G_CUTOFF) -> MarglikRecord:
     """Marginal likelihood with the scale g integrated out under the robust
     hyper-g prior.  The model is fitted and its closed form factorised once;
     each quadrature node costs only the scalar evaluation at n*g.  A
     quadrature that does not reach its tolerance gives a failed record."""
     if fit is None:
-        fit = optimize.fit_mle(gamma, data, kernel, init=init)
+        fit = optimize.fit_mle(gamma, data, kernel)
     if not fit.ok:
         return _failed(gamma, MarglikMethod.ILA_ROBUST_G, fit)
     d = dim_coef(gamma)
@@ -173,8 +166,7 @@ def ila_log_marglik_robust_g(gamma: Gamma, data: Dataset, kernel: Kernel,
     if d == 0:
         # the closed form is g-free for the null model, so the integral is exact
         base = ila_log_marglik(gamma, data, kernel, 1.0, cp, fit=fit)
-        return MarglikRecord(gamma.key, base.log_ml, MarglikMethod.ILA_ROBUST_G,
-                             fit, base.P, base.h, base.C)
+        return MarglikRecord(gamma.key, base.log_ml, MarglikMethod.ILA_ROBUST_G, fit)
 
     def log_integrand(g: float) -> float:
         lp = priors.robust_g_logpdf(g, n, d)
@@ -220,7 +212,6 @@ def ila_log_marglik_robust_g(gamma: Gamma, data: Dataset, kernel: Kernel,
 
 def la_log_marglik(gamma: Gamma, data: Dataset, kernel: Kernel,
                    coef_prior: CoefficientPrior, cp: CommonPrior,
-                   init: np.ndarray | None = None,
                    fit: FitRecord | None = None,
                    full_constant: bool = False) -> MarglikRecord:
     """Laplace evidence at the MAP of the penalised objective.
@@ -233,7 +224,7 @@ def la_log_marglik(gamma: Gamma, data: Dataset, kernel: Kernel,
     """
     if fit is None:
         try:
-            fit = optimize.fit_map(gamma, data, kernel, coef_prior, cp, init=init)
+            fit = optimize.fit_map(gamma, data, kernel, coef_prior, cp)
         except RankDeficiencyError:
             return _failed(gamma, MarglikMethod.LA, None)
     if not fit.ok:
@@ -252,38 +243,20 @@ def la_log_marglik(gamma: Gamma, data: Dataset, kernel: Kernel,
 
 
 # ---------------------------------------------------------------------------
-# shared cache and the scorer facade used by the sampler
-
-def dataset_fingerprint(data: Dataset) -> str:
-    hasher = hashlib.sha256()
-    for arr in (data.t, data.delta, data.X):
-        hasher.update(np.ascontiguousarray(arr).tobytes())
-    return hasher.hexdigest()[:16]
-
+# the scorer facade used by the sampler, memoised by model
 
 class MarglikCache:
-    """Thread-safe memo of records keyed by (gamma, method, hyperparameters,
-    dataset fingerprint).  Values are deterministic, so overwriting races on
-    identical keys are benign."""
+    """Memo of one scorer's records keyed by model.  A record is a pure
+    function of (model, data, prior config), so a hit equals a rescore."""
 
-    def __init__(self, capacity: int | None = None):
-        self._lock = threading.Lock()
+    def __init__(self):
         self._store: dict = {}
-        self._capacity = capacity
 
     def get(self, key):
-        with self._lock:
-            return self._store.get(key)
+        return self._store.get(key)
 
     def put(self, key, record: MarglikRecord):
-        with self._lock:
-            if self._capacity is not None and len(self._store) >= self._capacity \
-                    and key not in self._store:
-                self._store.pop(next(iter(self._store)))
-            self._store[key] = record
-
-    def __len__(self):
-        return len(self._store)
+        self._store[key] = record
 
 
 @dataclass(frozen=True)
@@ -291,62 +264,34 @@ class ScorerConfig:
     method: MarglikMethod = MarglikMethod.ILA
     coef_prior: CoefficientPrior = CoefficientPrior()
     common: CommonPrior = CommonPrior()
-    la_full_constant: bool = False
-
-    def fingerprint(self) -> tuple:
-        p = self.coef_prior
-        c = self.common
-        return (self.method.value, p.kind.value, p.g_e, p.g_ct, p.g_ch,
-                p.g_mode.value, c.alpha_nu, c.beta_nu, c.K, c.nu_normal_mean,
-                c.nu_normal_sd, self.la_full_constant)
 
 
 class ModelScorer:
-    """Computes and memoizes log marginal likelihoods for one dataset, with
-    warm starts from previously fitted neighbouring models."""
+    """Log marginal likelihoods of the models of one dataset under one prior
+    config.  Every fit starts from `optimize.default_init`, so a model's
+    score does not depend on which models were scored before it; records are
+    memoised by model key."""
 
-    def __init__(self, data: Dataset, kernel: Kernel, config: ScorerConfig,
-                 cache: MarglikCache | None = None):
+    def __init__(self, data: Dataset, kernel: Kernel, config: ScorerConfig):
         self.data = data
         self.kernel = kernel
         self.config = config
-        self.cache = cache if cache is not None else MarglikCache()
-        self._data_fp = dataset_fingerprint(data)
-        self._warm_lock = threading.Lock()
-        self._last_fit: tuple | None = None  # (gamma, psi_opt)
-
-    def _key(self, gamma: Gamma):
-        return (gamma.key, self.config.fingerprint(), self._data_fp)
-
-    def _init_for(self, gamma: Gamma):
-        with self._warm_lock:
-            last = self._last_fit
-        if last is None:
-            return None
-        g_prev, psi_prev = last
-        return optimize.project_init(psi_prev, g_prev, gamma, self.data)
+        self.cache = MarglikCache()
 
     def score(self, gamma: Gamma) -> MarglikRecord:
-        key = self._key(gamma)
-        hit = self.cache.get(key)
+        hit = self.cache.get(gamma.key)
         if hit is not None:
             return hit
-        init = self._init_for(gamma)
         cfg = self.config
         if cfg.method is MarglikMethod.ILA:
             rec = ila_log_marglik(gamma, self.data, self.kernel,
-                                  cfg.coef_prior.g_e, cfg.common, init=init)
+                                  cfg.coef_prior.g_e, cfg.common)
         elif cfg.method is MarglikMethod.ILA_ROBUST_G:
-            rec = ila_log_marglik_robust_g(gamma, self.data, self.kernel,
-                                           cfg.common, init=init)
+            rec = ila_log_marglik_robust_g(gamma, self.data, self.kernel, cfg.common)
         elif cfg.method is MarglikMethod.LA:
             rec = la_log_marglik(gamma, self.data, self.kernel, cfg.coef_prior,
-                                 cfg.common, init=init,
-                                 full_constant=cfg.la_full_constant)
+                                 cfg.common)
         else:
             raise ValueError(f"unknown method {cfg.method}")
-        if rec.fit is not None and rec.fit.ok:
-            with self._warm_lock:
-                self._last_fit = (gamma, rec.fit.psi_opt)
-        self.cache.put(key, rec)
+        self.cache.put(gamma.key, rec)
         return rec

@@ -75,16 +75,15 @@ class Gamma:
         return self.key
 
 
+_SINGLE_CODE_CLASS = {1: HazardClass.AH, 2: HazardClass.PH, 4: HazardClass.AFT}
+
+
 def classify(gamma: Gamma) -> HazardClass:
-    codes = gamma.codes
-    if all(c == 0 for c in codes):
+    nonzero = set(gamma.codes) - {0}
+    if not nonzero:
         return HazardClass.NULL
-    if all(c in (0, 1) for c in codes):
-        return HazardClass.AH
-    if all(c in (0, 2) for c in codes):
-        return HazardClass.PH
-    if all(c in (0, 4) for c in codes):
-        return HazardClass.AFT
+    if len(nonzero) == 1:
+        return _SINGLE_CODE_CLASS.get(nonzero.pop(), HazardClass.GH)
     return HazardClass.GH
 
 

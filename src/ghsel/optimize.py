@@ -68,37 +68,12 @@ def default_init(gamma: Gamma, data: Dataset) -> np.ndarray:
     return psi
 
 
-def project_init(psi_prev: np.ndarray, gamma_prev: Gamma, gamma_new: Gamma,
-                 data: Dataset) -> np.ndarray:
-    """Warm start: carry over coefficients of variables shared between two
-    models (matched by column and level), zero elsewhere."""
-    psi_prev = np.asarray(psi_prev, dtype=float).reshape(-1)
-    out = np.zeros(dim_psi(gamma_new))
-    out[:2] = psi_prev[:2]
-
-    def level_map(g: Gamma):
-        tc = ghlik.time_level_columns(g)
-        hc = ghlik.hazard_level_columns(g)
-        pos = {}
-        for i, j in enumerate(tc):
-            pos[("t", j)] = 2 + i
-        for i, j in enumerate(hc):
-            pos[("h", j)] = 2 + len(tc) + i
-        return pos
-
-    prev_pos = level_map(gamma_prev)
-    new_pos = level_map(gamma_new)
-    for key, idx_new in new_pos.items():
-        idx_prev = prev_pos.get(key)
-        if idx_prev is not None and idx_prev < psi_prev.size:
-            out[idx_new] = psi_prev[idx_prev]
-    return out
-
-
 def _ascent_step(g: np.ndarray, H: np.ndarray) -> np.ndarray | None:
     """Newton step for maximisation with Levenberg damping: solve
-    (-H + lam I) step = g with lam raised from zero until the Cholesky
-    factorisation succeeds.  None if the derivatives are not finite."""
+    (-H + lam I) step = g for the first lam of 0, 1e-10 s, 1e-9 s, ... (s the
+    largest diagonal entry of -H) at which the Cholesky factorisation
+    succeeds.  None if the derivatives are not finite or the damped system
+    is numerically singular."""
     if not (np.all(np.isfinite(g)) and np.all(np.isfinite(H))):
         return None
     A = -H
@@ -109,9 +84,21 @@ def _ascent_step(g: np.ndarray, H: np.ndarray) -> np.ndarray | None:
         try:
             np.linalg.cholesky(damped)
         except np.linalg.LinAlgError:
-            lam = 1e-10 * scale if lam == 0.0 else 10.0 * lam
+            if lam:
+                lam *= 10.0
+                continue
+            # values up to minus the smallest eigenvalue cannot succeed
+            shift = -float(np.linalg.eigvalsh(A)[0])
+            lam = 1e-10 * scale
+            while lam <= shift:
+                lam *= 10.0
             continue
-        return np.linalg.solve(damped, g)
+        try:
+            return np.linalg.solve(damped, g)
+        except np.linalg.LinAlgError:
+            # rows of A many orders of magnitude apart (a clipped linear
+            # predictor) can pass the factorisation and fail elimination
+            return None
     return None
 
 

@@ -3,8 +3,9 @@ g-priors, and the robust hyper-g density on the curvature-matching scale g.
 
 Two coefficient priors are supported.  The curvature-matching prior places a
 single Gaussian on the stacked coefficient vector with covariance n*g_e times
-the inverse coefficient block of the observed Fisher information at the MLE.
-The product prior places independent Gaussians on the time-level and
+the inverse coefficient block of the observed Fisher information at the MLE;
+it is integrated out analytically in `marglik`, so only its scale g has a
+density here.  The product prior places independent Gaussians on the time-level and
 hazard-level blocks with covariances built from the two Gram matrices; tied
 (code-4) models keep only the time-level factor.
 """
@@ -172,22 +173,6 @@ def hess_prior_psi(psi, gamma: Gamma, data: Dataset, prior: CoefficientPrior,
     H[:2, :2] = hess_common_prior(float(psi[0]), float(psi[1]), cp)
     H[2:, 2:] = product_prior_hess(gamma, data, prior)
     return H
-
-
-# ---------------------------------------------------------------------------
-# curvature-matching prior covariance
-
-def lcm_prior_cov(gamma: Gamma, data: Dataset, g_e: float,
-                  fisher: np.ndarray) -> np.ndarray:
-    """n*g_e times the inverse coefficient block of the observed Fisher."""
-    d = dim_coef(gamma)
-    block = np.asarray(fisher, dtype=float)[2:, 2:]
-    if block.shape != (d, d):
-        raise ValueError(f"fisher block is {block.shape}, expected {(d, d)}")
-    L = _chol(block, "coefficient Fisher")
-    inv = np.linalg.inv(L.T) @ np.linalg.inv(L)
-    cov = data.n * g_e * inv
-    return 0.5 * (cov + cov.T)
 
 
 # ---------------------------------------------------------------------------

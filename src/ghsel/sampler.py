@@ -40,9 +40,8 @@ _MOVE_ORDER = (MoveKind.A_NULL, MoveKind.AD, MoveKind.AD_GH, MoveKind.SWAP,
 def move_distribution(gamma: Gamma) -> dict:
     """Move-selection probabilities for the current state's class/pattern row.
 
-    For single-structure classes every nonzero code is identical, so the
-    "all equal" rows always apply; the "mixed" rows are kept verbatim for
-    completeness but are unreachable.  Two-structure rows are keyed on {0,3}
+    The nonzero codes of a single-structure (AH, PH or AFT) state are all
+    equal, so its class fixes its row.  Two-structure rows are keyed on {0,3}
     membership: within {0,3} the state is "all 3s" when no variable is
     excluded and "mixed" otherwise.
     """
@@ -51,18 +50,10 @@ def move_distribution(gamma: Gamma) -> dict:
     if cls is HazardClass.NULL:
         return {MoveKind.A_NULL: 1.0}
     if cls in (HazardClass.AH, HazardClass.PH):
-        nonzero = [c for c in codes if c != 0]
-        if len(set(nonzero)) == 1:
-            return {MoveKind.AD: 0.50, MoveKind.CHANGE: 0.25,
-                    MoveKind.CHANGE_ALL: 0.25}
-        return {MoveKind.AD: 0.50, MoveKind.SWAP: 0.10,  # unreachable row
-                MoveKind.CHANGE: 0.20, MoveKind.CHANGE_ALL: 0.20}
+        return {MoveKind.AD: 0.50, MoveKind.CHANGE: 0.25,
+                MoveKind.CHANGE_ALL: 0.25}
     if cls is HazardClass.AFT:
-        nonzero = [c for c in codes if c != 0]
-        if len(set(nonzero)) == 1:
-            return {MoveKind.AD: 0.60, MoveKind.CHANGE_ALL: 0.40}
-        return {MoveKind.AD: 0.60, MoveKind.SWAP: 0.20,  # unreachable row
-                MoveKind.CHANGE_ALL: 0.20}
+        return {MoveKind.AD: 0.60, MoveKind.CHANGE_ALL: 0.40}
     # two-structure class
     if all(c in (0, 3) for c in codes):
         if 0 not in codes:

@@ -8,8 +8,6 @@ invariant to trace duplication and is the default reporting estimator.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .modelspace import Gamma, HazardClass, classify

@@ -2,18 +2,25 @@
 
 Everything here is derived from first principles with generic tools (mpmath
 arbitrary precision, finite differences, mode-centred Gauss-Hermite
-quadrature) and deliberately shares no code with the package internals.
+quadrature) and deliberately shares no code with the package internals.  The
+exceptions are the helpers over the packed coefficient vector (`Psi`,
+`project_init`, `observed_fisher`, `lcm_prior_cov`): only tests need them, and
+they reuse the package's column bookkeeping.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
 from scipy import optimize as sopt
 
 from ghsel.baseline import Kernel
+from ghsel.ghlik import (DimensionError, dim_coef, dim_psi, hazard_level_columns,
+                         hess_loglik, time_level_columns)
+from ghsel.priors import RankDeficiencyError
 
 mp.mp.dps = 50
 
@@ -115,6 +122,77 @@ def psi_to_natural(psi, gamma, p):
         for j, e in zip(hc, eta):
             beta[j] = -e
     return mu, sigma, alpha, beta
+
+
+# ---------------------------------------------------------------------------
+# the packed coefficient vector: named view, warm start, curvature
+
+@dataclass(frozen=True)
+class Psi:
+    """Named view of a packed (nu, theta0, theta, eta) vector."""
+    nu: float
+    theta0: float
+    theta: np.ndarray
+    eta: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "theta", np.asarray(self.theta, dtype=float).reshape(-1))
+        object.__setattr__(self, "eta", np.asarray(self.eta, dtype=float).reshape(-1))
+
+    def pack(self) -> np.ndarray:
+        return np.concatenate(([self.nu, self.theta0], self.theta, self.eta))
+
+    @classmethod
+    def unpack(cls, vec, gamma) -> "Psi":
+        vec = np.asarray(vec, dtype=float).reshape(-1)
+        q = len(time_level_columns(gamma))
+        d = dim_coef(gamma)
+        if vec.shape[0] != 2 + d:
+            raise DimensionError(f"psi has length {vec.shape[0]}, model {gamma.key} needs {2 + d}")
+        return cls(float(vec[0]), float(vec[1]), vec[2:2 + q], vec[2 + q:])
+
+
+def project_init(psi_prev, gamma_prev, gamma_new, data) -> np.ndarray:
+    """Warm start: carry over coefficients of variables shared between two
+    models (matched by column and level), zero elsewhere."""
+    psi_prev = np.asarray(psi_prev, dtype=float).reshape(-1)
+    out = np.zeros(dim_psi(gamma_new))
+    out[:2] = psi_prev[:2]
+
+    def level_map(g):
+        tc = time_level_columns(g)
+        hc = hazard_level_columns(g)
+        pos = {("t", j): 2 + i for i, j in enumerate(tc)}
+        pos.update({("h", j): 2 + len(tc) + i for i, j in enumerate(hc)})
+        return pos
+
+    prev_pos = level_map(gamma_prev)
+    for key, idx_new in level_map(gamma_new).items():
+        idx_prev = prev_pos.get(key)
+        if idx_prev is not None and idx_prev < psi_prev.size:
+            out[idx_new] = psi_prev[idx_prev]
+    return out
+
+
+def observed_fisher(psi, gamma, data, kernel: Kernel) -> np.ndarray:
+    return -hess_loglik(psi, gamma, data, kernel)
+
+
+def lcm_prior_cov(gamma, data, g_e: float, fisher) -> np.ndarray:
+    """Covariance of the curvature-matching prior: n*g_e times the inverse
+    coefficient block of the observed Fisher.  Raises RankDeficiencyError if
+    that block is not positive definite."""
+    d = dim_coef(gamma)
+    block = np.asarray(fisher, dtype=float)[2:, 2:]
+    if block.shape != (d, d):
+        raise ValueError(f"fisher block is {block.shape}, expected {(d, d)}")
+    try:
+        L = np.linalg.cholesky(block)
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficiencyError("coefficient Fisher block is not positive definite") from exc
+    inv = np.linalg.inv(L.T) @ np.linalg.inv(L)
+    cov = data.n * g_e * inv
+    return 0.5 * (cov + cov.T)
 
 
 # ---------------------------------------------------------------------------

