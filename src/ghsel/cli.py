@@ -275,14 +275,21 @@ def _write_pip_csv(path: str, names, pip_any, pip_role):
 
 
 def _write_trace_jsonl(path: str, trace):
+    """One JSON object per retained sample, keys sorted.  What a line says
+    about its model (class, gamma, log_ml, log_prior) is serialised once per
+    model; each line puts its chain and iteration around those fragments."""
+    fragments = {}
     with open(path, "w", encoding="utf-8") as fh:
         for chain, it, key in trace.samples:
-            log_ml, log_prior = trace.visited[key]
-            fh.write(json.dumps({
-                "iter": it, "gamma": key,
-                "class": classify(Gamma.from_key(key)).value,
-                "log_ml": log_ml, "log_prior": log_prior,
-                "chain": chain}, sort_keys=True) + "\n")
+            frag = fragments.get(key)
+            if frag is None:
+                log_ml, log_prior = trace.visited[key]
+                frag = fragments[key] = (
+                    json.dumps({"class": classify(Gamma.from_key(key)).value,
+                                "gamma": key}, sort_keys=True)[1:-1],
+                    json.dumps({"log_ml": log_ml, "log_prior": log_prior},
+                               sort_keys=True)[1:])
+            fh.write(f'{{"chain": {chain}, {frag[0]}, "iter": {it}, {frag[1]}\n')
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from . import ghlik, optimize, priors
 from .baseline import Kernel
@@ -157,6 +156,8 @@ def ila_log_marglik_robust_g(gamma: Gamma, data: Dataset, kernel: Kernel,
     hyper-g prior.  The model is fitted and its closed form factorised once;
     each quadrature node costs only the scalar evaluation at n*g.  A
     quadrature that does not reach its tolerance gives a failed record."""
+    from scipy import integrate  # here: other scores need none of its import time
+
     if fit is None:
         fit = optimize.fit_mle(gamma, data, kernel)
     if not fit.ok:

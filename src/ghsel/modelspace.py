@@ -29,27 +29,49 @@ class InvalidGammaError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Gamma:
-    codes: tuple
+_MODELS: dict = {}  # code vector -> its Gamma, every model built in this process
 
-    def __post_init__(self):
-        codes = tuple(int(c) for c in self.codes)
-        object.__setattr__(self, "codes", codes)
-        if not codes:
-            raise InvalidGammaError("empty code vector")
-        if any(c < 0 or c > 4 for c in codes):
-            raise InvalidGammaError(f"codes must lie in 0..4, got {codes}")
-        if any(c == 4 for c in codes) and any(c in (1, 2, 3) for c in codes):
-            raise InvalidGammaError(f"code 4 cannot coexist with 1/2/3: {codes}")
+
+class Gamma:
+    """One model: a role code per variable.
+
+    Models are interned: building a code vector built before returns the same
+    object, so two models are equal only if they are the same object, and
+    what depends on the codes alone (key, hazard class, active and valid
+    add/delete indices, the models one code away) is computed once per model
+    per process.  A code vector is validated the first time it is built.
+    """
+
+    __slots__ = ("codes", "key", "hazard_class", "active", "_valid_idx", "_replaced")
+
+    def __new__(cls, codes):
+        try:
+            return _MODELS[codes]
+        except (KeyError, TypeError):
+            pass
+        codes = tuple(int(c) for c in codes)
+        model = _MODELS.get(codes)
+        if model is None:
+            _validate(codes)
+            model = object.__new__(cls)
+            for name, value in (
+                    ("codes", codes), ("key", "".join(map(str, codes))),
+                    ("hazard_class", _classify_codes(codes)),
+                    ("active", tuple(j for j, c in enumerate(codes) if c != 0)),
+                    ("_valid_idx", _valid_idx(codes)), ("_replaced", {})):
+                object.__setattr__(model, name, value)
+            model = _MODELS.setdefault(codes, model)
+        return model
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Gamma is immutable (setting {name!r})")
+
+    def __reduce__(self):
+        return Gamma, (self.codes,)
 
     @classmethod
     def from_key(cls, key: str) -> "Gamma":
         return cls(tuple(int(ch) for ch in key))
-
-    @property
-    def key(self) -> str:
-        return "".join(str(c) for c in self.codes)
 
     @property
     def p(self) -> int:
@@ -60,31 +82,46 @@ class Gamma:
 
     @property
     def n_active(self) -> int:
-        return sum(1 for c in self.codes if c != 0)
-
-    @property
-    def active(self) -> tuple:
-        return tuple(j for j, c in enumerate(self.codes) if c != 0)
+        return len(self.active)
 
     def replace(self, j: int, code: int) -> "Gamma":
-        codes = list(self.codes)
-        codes[j] = code
-        return Gamma(tuple(codes))
+        try:
+            return self._replaced[j, code]
+        except KeyError:
+            codes = list(self.codes)
+            codes[j] = code
+            return self._replaced.setdefault((j, code), Gamma(tuple(codes)))
+
+    def __repr__(self):
+        return f"Gamma(codes={self.codes!r})"
 
     def __str__(self):
         return self.key
 
 
+def _validate(codes: tuple):
+    if not codes:
+        raise InvalidGammaError("empty code vector")
+    if any(c < 0 or c > 4 for c in codes):
+        raise InvalidGammaError(f"codes must lie in 0..4, got {codes}")
+    if any(c == 4 for c in codes) and any(c in (1, 2, 3) for c in codes):
+        raise InvalidGammaError(f"code 4 cannot coexist with 1/2/3: {codes}")
+
+
 _SINGLE_CODE_CLASS = {1: HazardClass.AH, 2: HazardClass.PH, 4: HazardClass.AFT}
 
 
-def classify(gamma: Gamma) -> HazardClass:
-    nonzero = set(gamma.codes) - {0}
+def _classify_codes(codes: tuple) -> HazardClass:
+    nonzero = set(codes) - {0}
     if not nonzero:
         return HazardClass.NULL
     if len(nonzero) == 1:
         return _SINGLE_CODE_CLASS.get(nonzero.pop(), HazardClass.GH)
     return HazardClass.GH
+
+
+def classify(gamma: Gamma) -> HazardClass:
+    return gamma.hazard_class
 
 
 def effect_count(gamma: Gamma) -> int:
@@ -192,15 +229,21 @@ def get_valid_idx(gamma: Gamma) -> tuple:
     A lone code-3 variable is deletable: the resulting null state has its own
     dedicated reverse move.
     """
-    if classify(gamma) is not HazardClass.GH:
+    if gamma.hazard_class is not HazardClass.GH:
         raise InvalidGammaError(f"get_valid_idx requires a GH state, got {gamma.key}")
-    codes = gamma.codes
+    return gamma._valid_idx
+
+
+def _valid_idx(codes: tuple) -> tuple | None:
+    """`get_valid_idx` of a GH code vector, None for any other class."""
+    if _classify_codes(codes) is not HazardClass.GH:
+        return None
     p1 = codes.count(1)
     p2 = codes.count(2)
     p3 = codes.count(3)
     if p3 == 1:
-        remaining = [c for c in codes if c != 3]
-        rem_cls = classify(Gamma(tuple(remaining))) if remaining else HazardClass.NULL
+        remaining = tuple(c for c in codes if c != 3)
+        rem_cls = _classify_codes(remaining)
         if rem_cls in (HazardClass.AH, HazardClass.PH):
             return tuple(j for j, c in enumerate(codes) if c != 3)
     if p3 == 0 and p1 > 1 and p2 == 1:

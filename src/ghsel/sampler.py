@@ -11,7 +11,9 @@ the acceptance ratio is correct across structure boundaries.
 
 from __future__ import annotations
 
+import bisect
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -64,19 +66,38 @@ def move_distribution(gamma: Gamma) -> dict:
     return {MoveKind.AD_GH: 0.50, MoveKind.SWAP: 0.25, MoveKind.CHANGE: 0.25}
 
 
-def move_prob(move: MoveKind, gamma: Gamma) -> float:
-    return move_distribution(gamma).get(move, 0.0)
+@dataclass(frozen=True)
+class _MoveTable:
+    """`move_distribution` of one state as `propose` reads it: each move's
+    probability, and the running sums over `_MOVE_ORDER` that the move draw
+    is compared with, accumulated in the order `select_move` always used."""
+    ad: float
+    ad_gh: float
+    swap: float
+    change: float
+    change_all: float
+    cum: tuple
+    last: MoveKind  # the last move with positive probability
+
+
+_TABLES: dict = {}  # Gamma -> its _MoveTable; models are interned, so one per model
+
+
+def _moves(gamma: Gamma) -> _MoveTable:
+    table = _TABLES.get(gamma)
+    if table is None:
+        dist = move_distribution(gamma)
+        probs = [dist.get(mk, 0.0) for mk in _MOVE_ORDER]
+        table = _TABLES.setdefault(gamma, _MoveTable(
+            *probs[1:], cum=tuple(itertools.accumulate(probs)),
+            last=next(mk for mk in reversed(_MOVE_ORDER) if mk in dist)))
+    return table
 
 
 def select_move(gamma: Gamma, rng: np.random.Generator) -> MoveKind:
-    dist = move_distribution(gamma)
-    u = rng.random()
-    acc = 0.0
-    for mk in _MOVE_ORDER:
-        acc += dist.get(mk, 0.0)
-        if u < acc:
-            return mk
-    return next(mk for mk in reversed(_MOVE_ORDER) if mk in dist)
+    table = _moves(gamma)
+    i = bisect.bisect_right(table.cum, rng.random())
+    return _MOVE_ORDER[i] if i < len(_MOVE_ORDER) else table.last
 
 
 @dataclass(frozen=True)
@@ -90,13 +111,14 @@ def _self_loop(gamma: Gamma, move: MoveKind) -> Proposal:
     return Proposal(gamma, -math.inf, move)
 
 
-def _class_add_code(cls: HazardClass) -> int:
-    return {HazardClass.AH: 1, HazardClass.PH: 2, HazardClass.AFT: 4}[cls]
+_OTHER_ROLES = {1: (2, 3), 2: (1, 3), 3: (1, 2)}  # CHANGE: the codes a role may become
+_OTHER_STRUCTURES = {1: (2, 4), 2: (1, 4)}        # CHANGE_ALL from an AH or PH state
 
 
 def propose(gamma: Gamma, rng: np.random.Generator) -> Proposal:
     p = gamma.p
-    cls = classify(gamma)
+    cls = gamma.hazard_class
+    here = _moves(gamma)
     move = select_move(gamma, rng)
 
     if move is MoveKind.A_NULL:
@@ -104,10 +126,10 @@ def propose(gamma: Gamma, rng: np.random.Generator) -> Proposal:
         v = int(rng.integers(1, 5))
         gp = gamma.replace(j, v)
         q_fwd = 1.0 / (4.0 * p)
-        if classify(gp) is HazardClass.GH:
-            q_rev = move_prob(MoveKind.AD_GH, gp) / len(get_valid_idx(gp))
+        if gp.hazard_class is HazardClass.GH:
+            q_rev = _moves(gp).ad_gh / len(get_valid_idx(gp))
         else:
-            q_rev = move_prob(MoveKind.AD, gp) / p
+            q_rev = _moves(gp).ad / p
         return Proposal(gp, math.log(q_rev) - math.log(q_fwd), move)
 
     if move is MoveKind.AD:
@@ -115,12 +137,13 @@ def propose(gamma: Gamma, rng: np.random.Generator) -> Proposal:
         if gamma.codes[j] > 0:
             gp = gamma.replace(j, 0)
         else:
-            gp = gamma.replace(j, _class_add_code(cls))
-        q_fwd = move_prob(MoveKind.AD, gamma) / p
-        if classify(gp) is HazardClass.NULL:
+            # the included variables of an AH, PH or AFT state share one code
+            gp = gamma.replace(j, gamma.codes[gamma.active[0]])
+        q_fwd = here.ad / p
+        if gp.hazard_class is HazardClass.NULL:
             q_rev = 1.0 / (4.0 * p)
         else:
-            q_rev = move_prob(MoveKind.AD, gp) / p
+            q_rev = _moves(gp).ad / p
         return Proposal(gp, math.log(q_rev) - math.log(q_fwd), move)
 
     if move is MoveKind.AD_GH:
@@ -132,25 +155,24 @@ def propose(gamma: Gamma, rng: np.random.Generator) -> Proposal:
         j = int(valid[int(rng.integers(len(valid)))])
         if gamma.codes[j] > 0:
             gp = gamma.replace(j, 0)
-            q_fwd = move_prob(MoveKind.AD_GH, gamma) / len(valid)
-            if classify(gp) is HazardClass.NULL:
+            q_fwd = here.ad_gh / len(valid)
+            if gp.hazard_class is HazardClass.NULL:
                 q_rev = 1.0 / (4.0 * p)
             else:
-                q_rev = move_prob(MoveKind.AD_GH, gp) / len(get_valid_idx(gp)) / 3.0
+                q_rev = _moves(gp).ad_gh / len(get_valid_idx(gp)) / 3.0
         else:
             gp = gamma.replace(j, int(rng.integers(1, 4)))
-            q_fwd = move_prob(MoveKind.AD_GH, gamma) / len(valid) / 3.0
-            q_rev = move_prob(MoveKind.AD_GH, gp) / len(get_valid_idx(gp))
+            q_fwd = here.ad_gh / len(valid) / 3.0
+            q_rev = _moves(gp).ad_gh / len(get_valid_idx(gp))
         return Proposal(gp, math.log(q_rev) - math.log(q_fwd), move)
 
     if move is MoveKind.CHANGE:
         active = gamma.active
         j = int(active[int(rng.integers(len(active)))])
-        old = gamma.codes[j]
-        choices = [c for c in (1, 2, 3) if c != old]
+        choices = _OTHER_ROLES[gamma.codes[j]]
         gp = gamma.replace(j, choices[int(rng.integers(len(choices)))])
-        q_fwd = move_prob(MoveKind.CHANGE, gamma) / len(active) / 2.0
-        q_rev = move_prob(MoveKind.CHANGE, gp) / len(active) / 2.0
+        q_fwd = here.change / len(active) / 2.0
+        q_rev = _moves(gp).change / len(active) / 2.0
         return Proposal(gp, math.log(q_rev) - math.log(q_fwd), move)
 
     if move is MoveKind.SWAP:
@@ -167,11 +189,11 @@ def propose(gamma: Gamma, rng: np.random.Generator) -> Proposal:
         else:
             new1, new2 = ((1, 2), (2, 1))[int(rng.integers(2))]
         gp = gamma.replace(j1, new1).replace(j2, new2)
-        n_other_rev = sum(1 for c in gp.codes if c != new1)
-        q_fwd = move_prob(MoveKind.SWAP, gamma) / p / len(others)
+        n_other_rev = p - gp.count(new1)
+        q_fwd = here.swap / p / len(others)
         if v1 + v2 == 3:
             q_fwd /= 2.0
-        q_rev = move_prob(MoveKind.SWAP, gp) / p / n_other_rev
+        q_rev = _moves(gp).swap / p / n_other_rev
         if new1 + new2 == 3:
             q_rev /= 2.0
         return Proposal(gp, math.log(q_rev) - math.log(q_fwd), move)
@@ -180,25 +202,24 @@ def propose(gamma: Gamma, rng: np.random.Generator) -> Proposal:
     if cls is HazardClass.AFT:
         v = int(rng.integers(1, 4))
         gp = Gamma(tuple(v if c == 4 else 0 for c in gamma.codes))
-        q_fwd = move_prob(MoveKind.CHANGE_ALL, gamma) / 3.0
-        if classify(gp) is HazardClass.GH:
-            q_rev = move_prob(MoveKind.CHANGE_ALL, gp)
+        q_fwd = here.change_all / 3.0
+        if gp.hazard_class is HazardClass.GH:
+            q_rev = _moves(gp).change_all
         else:
-            q_rev = move_prob(MoveKind.CHANGE_ALL, gp) / 2.0
+            q_rev = _moves(gp).change_all / 2.0
     elif cls is HazardClass.GH:
         gp = Gamma(tuple(4 if c == 3 else c for c in gamma.codes))
-        q_fwd = move_prob(MoveKind.CHANGE_ALL, gamma)
-        q_rev = move_prob(MoveKind.CHANGE_ALL, gp) / 3.0
+        q_fwd = here.change_all
+        q_rev = _moves(gp).change_all / 3.0
     else:
-        v_old = next(c for c in gamma.codes if c != 0)
-        choices = [c for c in (1, 2, 4) if c != v_old]
+        choices = _OTHER_STRUCTURES[gamma.codes[gamma.active[0]]]
         v = choices[int(rng.integers(len(choices)))]
         gp = Gamma(tuple(v if c != 0 else 0 for c in gamma.codes))
-        q_fwd = move_prob(MoveKind.CHANGE_ALL, gamma) / 2.0
-        if classify(gp) is HazardClass.AFT:
-            q_rev = move_prob(MoveKind.CHANGE_ALL, gp) / 3.0
+        q_fwd = here.change_all / 2.0
+        if gp.hazard_class is HazardClass.AFT:
+            q_rev = _moves(gp).change_all / 3.0
         else:
-            q_rev = move_prob(MoveKind.CHANGE_ALL, gp) / 2.0
+            q_rev = _moves(gp).change_all / 2.0
     return Proposal(gp, math.log(q_rev) - math.log(q_fwd), MoveKind.CHANGE_ALL)
 
 

@@ -21,6 +21,8 @@ from .baseline import Kernel
 from .ghlik import Dataset
 from .modelspace import Gamma, HazardClass
 
+LOG_TIME_MAX = 700.0  # a simulated time whose log exceeds this is infinite
+
 
 @dataclass(frozen=True)
 class LogLocationScaleBaseline:
@@ -142,13 +144,17 @@ def simulate_gh_times(X: np.ndarray, alpha: np.ndarray, beta: np.ndarray,
     if isinstance(baseline_spec, LogLocationScaleBaseline):
         # work directly in log space: log w = log E + a - b
         log_w = np.log(E) + a - b
-        t0 = np.exp(baseline_spec.mu
-                    - baseline_spec.sigma * _kernel_quantile_exp(
-                        _neg_w_from_log(log_w), baseline_spec.kernel))
-    else:
-        w = np.exp(np.clip(np.log(E) + a - b, -700.0, 700.0))
-        t0 = baseline_spec.inverse_cumhaz(w)
-    return t0 * np.exp(-a)
+        log_t0 = (baseline_spec.mu
+                  - baseline_spec.sigma * _kernel_quantile_exp(
+                      _neg_w_from_log(log_w), baseline_spec.kernel))
+        # a heavy-tailed kernel can give times beyond the float range: they
+        # are infinite, and administrative censoring cuts them at its cut-off
+        inf = np.maximum(log_t0, log_t0 - a) > LOG_TIME_MAX
+        times = np.exp(np.where(inf, 0.0, log_t0)) * np.exp(-a)
+        times[inf] = np.inf
+        return times
+    w = np.exp(np.clip(np.log(E) + a - b, -700.0, 700.0))
+    return baseline_spec.inverse_cumhaz(w) * np.exp(-a)
 
 
 def _neg_w_from_log(log_w):

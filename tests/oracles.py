@@ -4,12 +4,14 @@ Everything here is derived from first principles with generic tools (mpmath
 arbitrary precision, finite differences, mode-centred Gauss-Hermite
 quadrature) and deliberately shares no code with the package internals.  The
 exceptions are the helpers over the packed coefficient vector (`Psi`,
-`project_init`, `observed_fisher`, `lcm_prior_cov`): only tests need them, and
-they reuse the package's column bookkeeping.
+`project_init`, `observed_fisher`, `lcm_prior_cov`), which reuse the package's
+column bookkeeping, and `write_trace_jsonl`, the reference for the CLI's trace
+file: only tests need them.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -20,6 +22,7 @@ from scipy import optimize as sopt
 from ghsel.baseline import Kernel
 from ghsel.ghlik import (DimensionError, dim_coef, dim_psi, hazard_level_columns,
                          hess_loglik, time_level_columns)
+from ghsel.modelspace import Gamma, classify
 from ghsel.priors import RankDeficiencyError
 
 mp.mp.dps = 50
@@ -317,6 +320,18 @@ def ila_closed_form_at_g(ell_hat, psi_hat, J, d, n, g_e, cp):
               - float(np.sum(np.log(np.diag(Lp)))) + 0.5 * float(z @ z) + C
               - 0.5 * math.log(cp.K * var_nu))
     return log_ml, P, h, C
+
+
+def write_trace_jsonl(path, trace):
+    """The trace file as one json.dumps of each retained sample's record."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for chain, it, key in trace.samples:
+            log_ml, log_prior = trace.visited[key]
+            fh.write(json.dumps({
+                "iter": it, "gamma": key,
+                "class": classify(Gamma.from_key(key)).value,
+                "log_ml": log_ml, "log_prior": log_prior,
+                "chain": chain}, sort_keys=True) + "\n")
 
 
 # frozen high-precision reference values (computed with mpmath at 50 digits)

@@ -1,14 +1,21 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ghsel
+import oracles
 from ghsel import cli
+from ghsel.baseline import Kernel
 from ghsel.cli import CliError, main, read_dataset, write_dataset
 from ghsel.ghlik import Dataset
+from ghsel.sampler import ChainConfig, ChainTrace, run_chain
 
 
 def write_csv(path, rows, header=("time", "status", "x1", "x2")):
@@ -145,6 +152,61 @@ def test_select_deterministic(tmp_path):
                     + (out / "trace.jsonl").read_bytes()
                     + (out / "model_probs.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_trace_lines_are_sorted_json_records(tmp_path):
+    """Over two chains, every trace line is json.dumps(..., sort_keys=True)
+    of the record it holds."""
+    sim = tmp_path / "sim.csv"
+    run(["simulate", "--out", sim, "--n", 80, "--p", 2, "--seed", 4])
+    out = tmp_path / "run"
+    assert run(["select", sim, "--out", out, "--iters", "600", "--burnin", "100",
+                "--chains", "2", "--seed", 9]) == 0
+    lines = (out / "trace.jsonl").read_text(encoding="utf-8").splitlines()
+    records = [json.loads(line) for line in lines]
+    assert len(lines) == 500 and {r["chain"] for r in records} == {0, 1}
+    for line, record in zip(lines, records):
+        assert line == json.dumps(record, sort_keys=True)
+
+
+def test_trace_writer_matches_reference_writer(tmp_path):
+    """The per-model fragments give the bytes of one json.dumps per sample,
+    for a two-chain run and for a failed model (log_ml = -inf)."""
+    rng = np.random.default_rng(0)
+    data = Dataset(t=rng.gamma(2, 1, 40), delta=(rng.random(40) < 0.8).astype(float),
+                   X=rng.standard_normal((40, 2)), names=("a", "b"))
+    chains = run_chain(data, Kernel.NORMAL,
+                       ChainConfig(iterations=400, burn_in=100, n_chains=2, seed=5))
+    failed = ChainTrace(samples=[(0, 10, "00"), (0, 12, "30"), (1, 10, "30"),
+                                 (1, 12, "44"), (1, 14, "00")],
+                        visited={"00": (-12.5, -1.0), "30": (-math.inf, -3.25),
+                                 "44": (-577.8080000000001, -2.0794415416798357)})
+    for name, trace in (("chains", chains), ("failed", failed)):
+        cli._write_trace_jsonl(str(tmp_path / f"{name}.jsonl"), trace)
+        oracles.write_trace_jsonl(str(tmp_path / f"{name}.ref.jsonl"), trace)
+        written = (tmp_path / f"{name}.jsonl").read_bytes()
+        assert written == (tmp_path / f"{name}.ref.jsonl").read_bytes()
+    assert written.count(b'"log_ml": -Infinity') == 2
+
+
+def test_select_without_robust_g_leaves_scipy_integrate_unimported(tmp_path):
+    """Only the robust-g score imports scipy.integrate (it costs every
+    process about a quarter of a second); --robust-g shows the probe sees it."""
+    sim = tmp_path / "sim.csv"
+    run(["simulate", "--out", sim, "--n", 60, "--p", 2, "--seed", 1])
+    probe = ("import sys, ghsel.cli; assert ghsel.cli.main(sys.argv[1:]) == 0; "
+             "print('scipy.integrate' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(ghsel.__file__).parents[1])}
+
+    def imported(*flags):
+        argv = ["select", str(sim), "--out", str(tmp_path / "run"), "--iters", "200",
+                "--burnin", "50", *flags]
+        done = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
+                              capture_output=True, text=True, check=True)
+        return done.stdout.splitlines()[-1]
+
+    assert imported() == "False"
+    assert imported("--robust-g") == "True"
 
 
 def test_config_file_and_override(tmp_path):

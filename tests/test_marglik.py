@@ -3,12 +3,12 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.integrate
 from scipy import stats
 
 import oracles
 from ghsel.baseline import Kernel
 from ghsel.ghlik import Dataset, dim_coef, loglik
-from ghsel import marglik
 from ghsel.marglik import (LOG_2PI, ILAFactor, MarglikMethod, ModelScorer,
                            ScorerConfig, ila_from_fit, ila_log_marglik,
                            ila_log_marglik_robust_g, la_log_marglik)
@@ -280,7 +280,7 @@ def test_closed_form_raises_on_indefinite_blocks():
 def test_robust_g_quadrature_failure_gives_failed_record(monkeypatch):
     data = small_data(seed=4)
     gamma = Gamma.from_key("22")
-    monkeypatch.setattr(marglik.integrate, "quad",
+    monkeypatch.setattr(scipy.integrate, "quad",
                         lambda *args, **kwargs: (math.nan, math.nan))
     rec = ila_log_marglik_robust_g(gamma, data, Kernel.NORMAL, CommonPrior())
     assert rec.log_ml == -math.inf
@@ -291,14 +291,14 @@ def test_chain_survives_one_failed_robust_g_quadrature(monkeypatch):
     """A model whose quadrature fails scores -inf; the chain runs on."""
     data = small_data(seed=4)
     target = "22"
-    real_quad = marglik.integrate.quad
+    real_quad = scipy.integrate.quad
 
     def quad(f, *args, **kwargs):
         if sys._getframe(1).f_locals["gamma"].key == target:
             return math.nan, math.nan
         return real_quad(f, *args, **kwargs)
 
-    monkeypatch.setattr(marglik.integrate, "quad", quad)
+    monkeypatch.setattr(scipy.integrate, "quad", quad)
     cfg = ScorerConfig(method=MarglikMethod.ILA_ROBUST_G)
     trace = run_chain(data, Kernel.NORMAL,
                       ChainConfig(iterations=400, burn_in=100, seed=3), cfg)

@@ -1,8 +1,14 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ghsel
 from ghsel.modelspace import (Gamma, HazardClass, InvalidGammaError,
                               ModelPriorConfig, classify, effect_count,
                               enumerate_models, get_valid_idx,
@@ -117,3 +123,38 @@ def test_replace_and_active():
     assert g.active == (1,)
     assert g.n_active == 1
     assert g.count(2) == 1
+    assert g.replace(0, 3) is Gamma((3, 2, 0))
+    # a model built before is interned, but a new code vector reached from it
+    # is still validated
+    aft = Gamma((4, 0, 0))
+    assert Gamma((4, 0, 0)) is aft
+    for _ in range(2):
+        with pytest.raises(InvalidGammaError):
+            Gamma((4, 0, 0)).replace(1, 2)
+
+
+_STATE_TABLES = """
+import json, sys
+from ghsel.modelspace import Gamma, HazardClass, get_valid_idx
+from ghsel.sampler import _moves
+out = {}
+for key in json.loads(sys.argv[1]):
+    g = Gamma.from_key(key)
+    t = _moves(g)
+    out[key] = [g.hazard_class.value, list(t.cum), t.last.value,
+                [t.ad, t.ad_gh, t.swap, t.change, t.change_all],
+                list(get_valid_idx(g)) if g.hazard_class is HazardClass.GH else None]
+print(json.dumps(out, sort_keys=True))
+"""
+
+
+def test_state_tables_do_not_depend_on_visit_order():
+    """Each model's memoised class, move table and valid indices, built in a
+    fresh process in enumeration order and in reverse order, are equal."""
+    keys = [g.key for g in enumerate_models(3)]
+    env = {**os.environ, "PYTHONPATH": str(Path(ghsel.__file__).parents[1])}
+    runs = [json.loads(subprocess.run(
+        [sys.executable, "-c", _STATE_TABLES, json.dumps(order)], env=env, check=True,
+        capture_output=True, text=True).stdout) for order in (keys, keys[::-1])]
+    assert len(runs[0]) == 71
+    assert runs[0] == runs[1]

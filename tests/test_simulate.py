@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -81,6 +82,28 @@ def test_gh_times_have_unit_exponential_cumhaz():
     H = b.cumhaz(t * np.exp(a)) * np.exp(X @ beta - a)
     ks = stats.kstest(H, "expon")
     assert ks.pvalue > 0.01
+
+
+def test_heavy_tailed_times_beyond_float_range_end_censored():
+    """With the t2 kernel some simulated times exceed the float range: they
+    come out infinite without an overflow warning and end censored at the
+    administrative cut-off."""
+    truth, alpha, beta = protocol_truth(5, HazardClass.GH, strict=False)
+    baseline = LogLocationScaleBaseline(kernel=Kernel.STUDENT_T2)
+    for seed in range(4):
+        cfg = SimConfig(n=200, p=5, truth=truth, alpha=alpha, beta=beta,
+                        baseline=baseline, target_censoring=0.25, seed=seed)
+        rng = np.random.default_rng(seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            X = simulate_covariates(cfg.n, cfg.p, cfg.rho, rng)
+            raw = simulate_gh_times(X, alpha, beta, baseline, rng)
+            data, record = simulate_dataset(cfg)
+        inf = np.isinf(raw)
+        assert inf.any() and not np.isnan(raw).any()
+        assert math.isfinite(record["c_admin"]) and np.all(np.isfinite(data.t))
+        assert np.all(data.t[inf] == record["c_admin"])
+        assert np.all(data.delta[inf] == 0.0)
 
 
 def test_administrative_censoring():
