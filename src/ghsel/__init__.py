@@ -13,7 +13,7 @@ from .ghlik import Dataset
 from .marglik import MarglikMethod, ModelScorer, ScorerConfig
 from .modelspace import (Gamma, HazardClass, ModelPriorConfig, classify,
                          enumerate_models, log_model_prior)
-from .priors import CoefficientPrior, CommonPrior, GMode, PriorKind
+from .priors import CoefficientPrior, CommonPrior
 from .sampler import ChainConfig, ChainTrace, run_chain
 from .simulate import (LogLocationScaleBaseline, PGWBaseline, SimConfig,
                        protocol_truth, simulate_dataset)
@@ -24,7 +24,7 @@ from .summarize import (hazard_posterior, hpm_credible_set, pip,
 __all__ = [
     "Kernel", "Dataset", "MarglikMethod", "ModelScorer", "ScorerConfig",
     "Gamma", "HazardClass", "ModelPriorConfig", "classify", "enumerate_models",
-    "log_model_prior", "CoefficientPrior", "CommonPrior", "GMode", "PriorKind",
+    "log_model_prior", "CoefficientPrior", "CommonPrior",
     "ChainConfig", "ChainTrace", "run_chain", "LogLocationScaleBaseline",
     "PGWBaseline", "SimConfig", "protocol_truth", "simulate_dataset",
     "hazard_posterior", "hpm_credible_set", "pip", "probs_frequency",

@@ -30,7 +30,7 @@ from .ghlik import Dataset, time_level_columns, hazard_level_columns
 from .marglik import MarglikMethod, ModelScorer, ScorerConfig
 from .modelspace import (ENUMERATION_CAP, Gamma, HazardClass, ModelPriorConfig,
                          classify, enumerate_models, log_model_prior)
-from .priors import CoefficientPrior, CommonPrior, GMode, PriorKind
+from .priors import CoefficientPrior, CommonPrior
 from .sampler import ChainConfig
 from .simulate import (LogLocationScaleBaseline, SimConfig, protocol_truth,
                        simulate_dataset)
@@ -77,6 +77,10 @@ def read_dataset(path: str, standardize: bool = True) -> Dataset:
     X = np.asarray(rows, dtype=float)
     if X.ndim != 2 or X.shape[1] != len(names):
         raise CliError(f"{path}: no covariate columns found")
+    if not any(delta):
+        # every fit would report converged and the posterior would be the
+        # model prior reshaped by Occam factors
+        raise CliError(f"{path}: no events (every status is 0)")
     if standardize:
         X = _standardized(X)
     return Dataset(t=np.asarray(t), delta=np.asarray(delta), X=X, names=names)
@@ -170,14 +174,12 @@ def build_scorer_config(opts: dict) -> ScorerConfig:
     if opts["prior"] == "lcm":
         method = (MarglikMethod.ILA_ROBUST_G if opts["robust_g"]
                   else MarglikMethod.ILA)
-        coef = CoefficientPrior(kind=PriorKind.LCM, g_e=opts["g"],
-                                g_mode=GMode.ROBUST_HYPER if opts["robust_g"] else GMode.FIXED)
+        coef = CoefficientPrior(g_e=opts["g"])
     else:
         if opts["robust_g"]:
             raise CliError("--robust-g applies to the lcm prior only")
         method = MarglikMethod.LA
-        coef = CoefficientPrior(kind=PriorKind.PRODUCT, g_ct=opts["gct"],
-                                g_ch=opts["gch"])
+        coef = CoefficientPrior(g_ct=opts["gct"], g_ch=opts["gch"])
     return ScorerConfig(method=method, coef_prior=coef, common=CommonPrior())
 
 
@@ -255,7 +257,7 @@ def _write_json(path: str, payload):
 
 def _write_probs_csv(path: str, freq: dict, renorm: dict):
     keys = sorted(set(freq) | set(renorm),
-                  key=lambda k: -renorm.get(k, 0.0))
+                  key=lambda k: (-renorm.get(k, 0.0), k))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["gamma", "class", "prob_frequency", "prob_renormalized"])

@@ -1,16 +1,19 @@
 """Approximate log marginal likelihoods per model.
 
-Two approximations are provided.  The integrated-Laplace route expands the
-log-likelihood (not the log-posterior) at the MLE and integrates the Gaussian
-curvature-matching prior analytically, leaving a closed form in the fitted
-Fisher blocks.  The closed form is factorised once per fitted model into a
-g-free part (`ILAFactor`) and a scalar evaluation at n*g, so the
-one-dimensional quadrature that extends it to the robust hyper-g prior on the
-scale g costs a 2x2 closed form per node.  The plain Laplace route evaluates
-the penalised objective at the MAP under the product prior.
+`ScorerConfig.method` alone selects how a model is scored; the coefficient
+prior's fields only give the scales the chosen method reads.  The
+integrated-Laplace route (ILA) expands the log-likelihood (not the
+log-posterior) at the MLE and integrates the Gaussian curvature-matching prior
+analytically, leaving a closed form in the fitted Fisher blocks.  The closed
+form is factorised once per fitted model into a g-free part (`ILAFactor`) and
+a scalar evaluation at n*g, so the one-dimensional quadrature that extends it
+to the robust hyper-g prior on the scale g (ILA_RobustG) costs a 2x2 closed
+form per node.  The plain Laplace route (LA) evaluates the penalised objective
+at the MAP under the product prior.
 
-All values are absolute log marginal likelihoods (prior normalising constants
-included), so they are directly comparable to numerical quadrature.
+All values are log marginal likelihoods with the prior normalising constants
+included; LA leaves out one model-independent log(2*pi) (see
+`la_log_marglik`).
 """
 
 from __future__ import annotations
@@ -40,14 +43,12 @@ class MarglikMethod(enum.Enum):
 
 @dataclass(frozen=True)
 class MarglikRecord:
-    gamma_key: str
     log_ml: float
-    method: MarglikMethod
     fit: FitRecord | None
 
 
-def _failed(gamma: Gamma, method: MarglikMethod, fit: FitRecord | None) -> MarglikRecord:
-    return MarglikRecord(gamma.key, -math.inf, method, fit)
+def _failed(fit: FitRecord | None) -> MarglikRecord:
+    return MarglikRecord(-math.inf, fit)
 
 
 # ---------------------------------------------------------------------------
@@ -137,21 +138,20 @@ def ila_log_marglik(gamma: Gamma, data: Dataset, kernel: Kernel, g_e: float,
     if fit is None:
         fit = optimize.fit_mle(gamma, data, kernel)
     if not fit.ok:
-        return _failed(gamma, MarglikMethod.ILA, fit)
+        return _failed(fit)
     d = dim_coef(gamma)
     try:
         log_ml = ila_from_fit(fit.objective, fit.psi_opt, fit.fisher, d,
                               data.n, g_e, cp)[0]
     except np.linalg.LinAlgError:
-        return _failed(gamma, MarglikMethod.ILA, fit)
+        return _failed(fit)
     if not np.isfinite(log_ml):
-        return _failed(gamma, MarglikMethod.ILA, fit)
-    return MarglikRecord(gamma.key, log_ml, MarglikMethod.ILA, fit)
+        return _failed(fit)
+    return MarglikRecord(log_ml, fit)
 
 
 def ila_log_marglik_robust_g(gamma: Gamma, data: Dataset, kernel: Kernel,
-                             cp: CommonPrior, fit: FitRecord | None = None,
-                             cutoff: float = ROBUST_G_CUTOFF) -> MarglikRecord:
+                             cp: CommonPrior, fit: FitRecord | None = None) -> MarglikRecord:
     """Marginal likelihood with the scale g integrated out under the robust
     hyper-g prior.  The model is fitted and its closed form factorised once;
     each quadrature node costs only the scalar evaluation at n*g.  A
@@ -161,13 +161,12 @@ def ila_log_marglik_robust_g(gamma: Gamma, data: Dataset, kernel: Kernel,
     if fit is None:
         fit = optimize.fit_mle(gamma, data, kernel)
     if not fit.ok:
-        return _failed(gamma, MarglikMethod.ILA_ROBUST_G, fit)
+        return _failed(fit)
     d = dim_coef(gamma)
     n = data.n
     if d == 0:
         # the closed form is g-free for the null model, so the integral is exact
-        base = ila_log_marglik(gamma, data, kernel, 1.0, cp, fit=fit)
-        return MarglikRecord(gamma.key, base.log_ml, MarglikMethod.ILA_ROBUST_G, fit)
+        return ila_log_marglik(gamma, data, kernel, 1.0, cp, fit=fit)
 
     def log_integrand(g: float) -> float:
         lp = priors.robust_g_logpdf(g, n, d)
@@ -178,14 +177,14 @@ def ila_log_marglik_robust_g(gamma: Gamma, data: Dataset, kernel: Kernel,
     bound = priors.robust_g_support_bound(n, d)
     # integrate on y = log(g + 1/n); dg = e^y dy
     y_lo = math.log(bound + 1.0 / n) + 1e-12
-    y_hi = math.log(cutoff + 1.0 / n)
+    y_hi = math.log(ROBUST_G_CUTOFF + 1.0 / n)
     try:
         factor = ILAFactor(fit.objective, fit.psi_opt, fit.fisher, d)
         grid = np.linspace(y_lo, y_hi, 60)
         log_vals = np.array([log_integrand(math.exp(y) - 1.0 / n) + y for y in grid])
         M = float(np.max(log_vals))
         if not np.isfinite(M):
-            return _failed(gamma, MarglikMethod.ILA_ROBUST_G, fit)
+            return _failed(fit)
 
         def f(y):
             return math.exp(log_integrand(math.exp(y) - 1.0 / n) + y - M)
@@ -194,18 +193,18 @@ def ila_log_marglik_robust_g(gamma: Gamma, data: Dataset, kernel: Kernel,
         val, err = integrate.quad(f, y_lo, y_hi, limit=200, epsabs=1e-12,
                                   epsrel=1e-10, points=[y_peak])
         if not np.isfinite(val) or val <= 0 or err > 1e-6 * max(val, 1e-300):
-            return _failed(gamma, MarglikMethod.ILA_ROBUST_G, fit)
+            return _failed(fit)
         # analytic tail beyond the cutoff: the closed form saturates in g, so
         # exp(log_ml(g)) ~ exp(m_sat) * (1 + n g)^{-d/2} with m_sat the g-free part
         g_big = 1e250
         m_sat = factor.log_ml(n * g_big, cp) + 0.5 * d * math.log1p(n * g_big)
         c_r = math.sqrt((1.0 + n) / (n * (d + 1.0)))
         log_tail = (m_sat + math.log(c_r / (d + 1.0)) - 0.5 * d * math.log(n)
-                    - 0.5 * (d + 1.0) * math.log(cutoff + 1.0 / n))
+                    - 0.5 * (d + 1.0) * math.log(ROBUST_G_CUTOFF + 1.0 / n))
         total = M + math.log(val + math.exp(log_tail - M))
     except np.linalg.LinAlgError:
-        return _failed(gamma, MarglikMethod.ILA_ROBUST_G, fit)
-    return MarglikRecord(gamma.key, total, MarglikMethod.ILA_ROBUST_G, fit)
+        return _failed(fit)
+    return MarglikRecord(total, fit)
 
 
 # ---------------------------------------------------------------------------
@@ -213,34 +212,31 @@ def ila_log_marglik_robust_g(gamma: Gamma, data: Dataset, kernel: Kernel,
 
 def la_log_marglik(gamma: Gamma, data: Dataset, kernel: Kernel,
                    coef_prior: CoefficientPrior, cp: CommonPrior,
-                   fit: FitRecord | None = None,
-                   full_constant: bool = False) -> MarglikRecord:
+                   fit: FitRecord | None = None) -> MarglikRecord:
     """Laplace evidence at the MAP of the penalised objective.
 
-    The determinant is always of the full (2+d)-dimensional penalised
-    curvature.  By default the 2*pi exponent is d/2; full_constant=True uses
-    the standard (2+d)/2 exponent (the difference is a model-independent
-    additive constant, so posterior ratios only move when comparing across
-    the two conventions).
+    The determinant is of the full (2+d)-dimensional penalised curvature,
+    but the 2*pi exponent is d/2, not the standard (2+d)/2: the value is the
+    standard Laplace approximation minus log(2*pi), a model-independent
+    constant that leaves every posterior ratio unchanged.
     """
     if fit is None:
         try:
             fit = optimize.fit_map(gamma, data, kernel, coef_prior, cp)
         except RankDeficiencyError:
-            return _failed(gamma, MarglikMethod.LA, None)
+            return _failed(None)
     if not fit.ok:
-        return _failed(gamma, MarglikMethod.LA, fit)
+        return _failed(fit)
     d = dim_coef(gamma)
     try:
         L = np.linalg.cholesky(fit.fisher)
     except np.linalg.LinAlgError:
-        return _failed(gamma, MarglikMethod.LA, fit)
+        return _failed(fit)
     logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
-    expo = (2 + d) / 2.0 if full_constant else d / 2.0
-    log_ml = fit.objective + expo * LOG_2PI - 0.5 * logdet
+    log_ml = fit.objective + d / 2.0 * LOG_2PI - 0.5 * logdet
     if not np.isfinite(log_ml):
-        return _failed(gamma, MarglikMethod.LA, fit)
-    return MarglikRecord(gamma.key, log_ml, MarglikMethod.LA, fit)
+        return _failed(fit)
+    return MarglikRecord(log_ml, fit)
 
 
 # ---------------------------------------------------------------------------

@@ -176,25 +176,15 @@ def fit_mle(gamma: Gamma, data: Dataset, kernel: Kernel,
 def fit_map(gamma: Gamma, data: Dataset, kernel: Kernel,
             coef_prior: priors.CoefficientPrior, common: priors.CommonPrior,
             init: np.ndarray | None = None) -> FitRecord:
-    """MAP fit under the product prior: the log-likelihood plus the common
-    prior on (nu, theta0) and the product prior's Gaussian on the
-    coefficients, whose Gram blocks are factorised once per fit.  Raises
-    priors.RankDeficiencyError if a Gram block is singular."""
-    if coef_prior.kind is not priors.PriorKind.PRODUCT:
-        raise ValueError("joint psi prior is defined for the product prior only")
+    """MAP fit under the product prior: the log-likelihood plus
+    `priors.map_log_prior`, whose Gram blocks are factorised once per fit.
+    Raises priors.RankDeficiencyError if a Gram block is singular."""
     des = ghlik.design(gamma, data, kernel)
     P, log_norm = priors.product_prior_gaussian(gamma, data, coef_prior)
 
     def evaluate(x):
         f, g, H = ghlik.evaluate(des, x)
-        nu, theta0, coef = float(x[0]), float(x[1]), x[2:]
-        Pc = P @ coef
-        f += (priors.log_common_prior(nu, theta0, common) + log_norm
-              - 0.5 * float(coef @ Pc))
-        g[:2] += priors.grad_common_prior(nu, theta0, common)
-        g[2:] -= Pc
-        H[:2, :2] += priors.hess_common_prior(nu, theta0, common)
-        H[2:, 2:] -= P
-        return f, g, H
+        pf, pg, pH = priors.map_log_prior(x, P, log_norm, common)
+        return f + pf, g + pg, H + pH
 
     return _maximise(evaluate, _start(gamma, data, init))

@@ -1,18 +1,21 @@
 """Parameter priors: the common (nu, theta0) priors, the two coefficient
 g-priors, and the robust hyper-g density on the curvature-matching scale g.
 
-Two coefficient priors are supported.  The curvature-matching prior places a
+Two coefficient priors are supported; `marglik.ScorerConfig.method` alone
+selects which one scores a model.  The curvature-matching prior places a
 single Gaussian on the stacked coefficient vector with covariance n*g_e times
 the inverse coefficient block of the observed Fisher information at the MLE;
 it is integrated out analytically in `marglik`, so only its scale g has a
 density here.  The product prior places independent Gaussians on the time-level and
 hazard-level blocks with covariances built from the two Gram matrices; tied
-(code-4) models keep only the time-level factor.
+(code-4) models keep only the time-level factor.  `product_prior_gaussian`
+builds that Gaussian once per model, and `map_log_prior` gives the MAP fit's
+whole prior (the common prior plus that Gaussian) with its gradient and
+Hessian in one pass.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -24,27 +27,15 @@ from .modelspace import Gamma
 LOG_2PI = math.log(2.0 * math.pi)
 
 
-class PriorKind(enum.Enum):
-    LCM = "lcm"
-    PRODUCT = "product"
-
-
-class GMode(enum.Enum):
-    FIXED = "fixed"
-    ROBUST_HYPER = "robust"
-
-
 class RankDeficiencyError(ValueError):
     """A Gram or Fisher block required to be positive definite is not."""
 
 
 @dataclass(frozen=True)
 class CoefficientPrior:
-    kind: PriorKind = PriorKind.LCM
     g_e: float = 1.0
     g_ct: float = 1.0
     g_ch: float = 1.0
-    g_mode: GMode = GMode.FIXED
 
     def __post_init__(self):
         if min(self.g_e, self.g_ct, self.g_ch) <= 0:
@@ -62,24 +53,6 @@ class CommonPrior:
     def __post_init__(self):
         if min(self.alpha_nu, self.beta_nu, self.K, self.nu_normal_sd) <= 0:
             raise ValueError("common-prior hyperparameters must be positive")
-
-
-# ---------------------------------------------------------------------------
-# common-parameter prior: Gamma(alpha, beta) on exp(nu), N(0, K) on theta0
-
-def log_common_prior(nu: float, theta0: float, cp: CommonPrior) -> float:
-    a, b = cp.alpha_nu, cp.beta_nu
-    lp_nu = a * math.log(b) + a * nu - b * math.exp(nu) - math.lgamma(a)
-    lp_t0 = -0.5 * (LOG_2PI + math.log(cp.K)) - 0.5 * theta0 * theta0 / cp.K
-    return lp_nu + lp_t0
-
-
-def grad_common_prior(nu: float, theta0: float, cp: CommonPrior) -> np.ndarray:
-    return np.array([cp.alpha_nu - cp.beta_nu * math.exp(nu), -theta0 / cp.K])
-
-
-def hess_common_prior(nu: float, theta0: float, cp: CommonPrior) -> np.ndarray:
-    return np.diag([-cp.beta_nu * math.exp(nu), -1.0 / cp.K])
 
 
 # ---------------------------------------------------------------------------
@@ -125,54 +98,28 @@ def product_prior_gaussian(gamma: Gamma, data: Dataset,
     return P, log_norm
 
 
-def product_prior_logpdf(theta: np.ndarray, eta: np.ndarray, gamma: Gamma,
-                         data: Dataset, prior: CoefficientPrior) -> float:
-    coef = np.concatenate((np.asarray(theta, dtype=float).reshape(-1),
-                           np.asarray(eta, dtype=float).reshape(-1)))
-    P, log_norm = product_prior_gaussian(gamma, data, prior)
-    return log_norm - 0.5 * float(coef @ (P @ coef))
-
-
-def product_prior_grad(theta: np.ndarray, eta: np.ndarray, gamma: Gamma,
-                       data: Dataset, prior: CoefficientPrior) -> np.ndarray:
-    coef = np.concatenate((np.asarray(theta, dtype=float).reshape(-1),
-                           np.asarray(eta, dtype=float).reshape(-1)))
-    return -product_prior_gaussian(gamma, data, prior)[0] @ coef
-
-
-def product_prior_hess(gamma: Gamma, data: Dataset, prior: CoefficientPrior) -> np.ndarray:
-    return -product_prior_gaussian(gamma, data, prior)[0]
-
-
 # ---------------------------------------------------------------------------
-# full prior over packed psi = (nu, theta0, coefficients), used by the MAP fit
+# the MAP fit's prior over packed psi = (nu, theta0, coefficients)
 
-def log_prior_psi(psi, gamma: Gamma, data: Dataset, prior: CoefficientPrior,
-                  cp: CommonPrior) -> float:
-    psi = np.asarray(psi, dtype=float).reshape(-1)
-    q = len(time_level_columns(gamma))
-    if prior.kind is not PriorKind.PRODUCT:
-        raise ValueError("joint psi prior is defined for the product prior only")
-    return (log_common_prior(float(psi[0]), float(psi[1]), cp)
-            + product_prior_logpdf(psi[2:2 + q], psi[2 + q:], gamma, data, prior))
-
-
-def grad_prior_psi(psi, gamma: Gamma, data: Dataset, prior: CoefficientPrior,
-                   cp: CommonPrior) -> np.ndarray:
-    psi = np.asarray(psi, dtype=float).reshape(-1)
-    P, _ = product_prior_gaussian(gamma, data, prior)
-    return np.concatenate((grad_common_prior(float(psi[0]), float(psi[1]), cp),
-                           -P @ psi[2:]))
-
-
-def hess_prior_psi(psi, gamma: Gamma, data: Dataset, prior: CoefficientPrior,
-                   cp: CommonPrior) -> np.ndarray:
-    psi = np.asarray(psi, dtype=float).reshape(-1)
-    d = psi.size - 2
-    H = np.zeros((2 + d, 2 + d))
-    H[:2, :2] = hess_common_prior(float(psi[0]), float(psi[1]), cp)
-    H[2:, 2:] = product_prior_hess(gamma, data, prior)
-    return H
+def map_log_prior(psi: np.ndarray, P: np.ndarray, log_norm: float,
+                  cp: CommonPrior) -> tuple:
+    """Log prior density at psi with its gradient and Hessian: (value, grad,
+    hess).  Gamma(alpha, beta) on exp(nu), N(0, K) on theta0, and the
+    coefficients' Gaussian with precision P and log normalising constant
+    log_norm, as `product_prior_gaussian` returns them."""
+    nu, theta0, coef = float(psi[0]), float(psi[1]), psi[2:]
+    a, b = cp.alpha_nu, cp.beta_nu
+    b_e_nu = b * math.exp(nu)
+    lp_nu = a * math.log(b) + a * nu - b_e_nu - math.lgamma(a)
+    lp_t0 = -0.5 * (LOG_2PI + math.log(cp.K)) - 0.5 * theta0 * theta0 / cp.K
+    Pc = P @ coef
+    value = (lp_nu + lp_t0) + log_norm - 0.5 * float(coef @ Pc)
+    grad = np.concatenate(([a - b_e_nu, -theta0 / cp.K], -Pc))
+    hess = np.zeros((grad.size, grad.size))
+    hess[0, 0] = -b_e_nu
+    hess[1, 1] = -1.0 / cp.K
+    hess[2:, 2:] = -P
+    return value, grad, hess
 
 
 # ---------------------------------------------------------------------------

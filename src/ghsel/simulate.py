@@ -164,11 +164,14 @@ def _neg_w_from_log(log_w):
 
 def apply_administrative_censoring(times: np.ndarray, target_rate: float):
     """Censor everything beyond the empirical (1 - rate) quantile of the
-    simulated event times (one shared follow-up cut-off); deterministic."""
+    simulated event times (one shared follow-up cut-off); deterministic.
+    Follow-up never runs past the largest finite time, so infinite times end
+    censored there."""
     times = np.asarray(times, dtype=float)
-    if target_rate <= 0.0:
-        return times.copy(), np.ones_like(times), math.inf
-    c = float(np.quantile(times, 1.0 - target_rate))
+    c = float(np.quantile(times, 1.0 - target_rate)) if target_rate > 0.0 else math.inf
+    finite = np.isfinite(times)
+    if not finite.all():
+        c = float(np.fmin(c, times[finite].max()))
     delta = (times <= c).astype(float)
     return np.minimum(times, c), delta, c
 

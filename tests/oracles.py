@@ -1,12 +1,12 @@
 """Independent oracles used to validate the package.
 
 Everything here is derived from first principles with generic tools (mpmath
-arbitrary precision, finite differences, mode-centred Gauss-Hermite
-quadrature) and deliberately shares no code with the package internals.  The
-exceptions are the helpers over the packed coefficient vector (`Psi`,
-`project_init`, `observed_fisher`, `lcm_prior_cov`), which reuse the package's
-column bookkeeping, and `write_trace_jsonl`, the reference for the CLI's trace
-file: only tests need them.
+arbitrary precision, SciPy distributions, finite differences, mode-centred
+Gauss-Hermite quadrature) and deliberately shares no code with the package
+internals.  The exceptions are the helpers over the packed coefficient vector
+(`Psi`, `project_init`, `observed_fisher`, `lcm_prior_cov`), which reuse the
+package's column bookkeeping, and `write_trace_jsonl`, the reference for the
+CLI's trace file: only tests need them.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 from scipy import optimize as sopt
+from scipy import stats
 
 from ghsel.baseline import Kernel
 from ghsel.ghlik import (DimensionError, dim_coef, dim_psi, hazard_level_columns,
@@ -196,6 +197,41 @@ def lcm_prior_cov(gamma, data, g_e: float, fisher) -> np.ndarray:
     inv = np.linalg.inv(L.T) @ np.linalg.inv(L)
     cov = data.n * g_e * inv
     return 0.5 * (cov + cov.T)
+
+
+# ---------------------------------------------------------------------------
+# the MAP fit's prior, from SciPy distributions
+
+def map_prior_reference(gamma, data, coef_prior, cp):
+    """log prior density of packed psi = (nu, theta0, theta, eta) under the
+    product prior, as a function of psi: Gamma(alpha, beta) on exp(nu) with
+    its Jacobian, N(0, K) on theta0, and N(0, g*n*G^{-1}) on each coefficient
+    block with G the Gram matrix of its columns.  Tied (code-4) variables
+    form the time-level block and have no hazard-level one.  The frozen
+    distributions are built once here, not per call."""
+    nu_prior = stats.gamma(cp.alpha_nu, scale=1.0 / cp.beta_nu)
+    t0_prior = stats.norm(0.0, math.sqrt(cp.K))
+    codes = gamma.codes
+    time_cols = [j for j, c in enumerate(codes) if c in (1, 3, 4)]
+    hazard_cols = [j for j, c in enumerate(codes) if c in (2, 3)]
+    blocks, start = [], 2
+    for cols, g in ((time_cols, coef_prior.g_ct), (hazard_cols, coef_prior.g_ch)):
+        if cols:
+            Xs = data.X[:, cols]
+            cov = g * data.n * np.linalg.inv(Xs.T @ Xs)
+            blocks.append((slice(start, start + len(cols)),
+                           stats.multivariate_normal(np.zeros(len(cols)), cov)))
+            start += len(cols)
+
+    def log_prior(psi):
+        psi = np.asarray(psi, dtype=float)
+        lp = (nu_prior.logpdf(math.exp(psi[0])) + psi[0]
+              + t0_prior.logpdf(psi[1]))
+        for sl, dist in blocks:
+            lp += dist.logpdf(psi[sl])
+        return float(lp)
+
+    return log_prior
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,14 @@ import proposal_audit
 from ghsel import baseline as bl
 from ghsel.baseline import Kernel
 from ghsel.ghlik import Dataset, dim_psi, grad_loglik, hess_loglik, loglik
-from ghsel.marglik import (MarglikMethod, ModelScorer, ScorerConfig,
+from ghsel import marglik
+from ghsel.marglik import (LOG_2PI, MarglikMethod, ModelScorer, ScorerConfig,
                            ila_from_fit, ila_log_marglik,
                            ila_log_marglik_robust_g, la_log_marglik)
 from ghsel.modelspace import (Gamma, HazardClass, ModelPriorConfig, classify,
                               enumerate_models, log_model_prior)
-from ghsel.priors import (CoefficientPrior, CommonPrior, PriorKind,
-                          robust_g_logpdf, robust_g_support_bound)
+from ghsel.priors import (CoefficientPrior, CommonPrior, robust_g_logpdf,
+                          robust_g_support_bound)
 from ghsel.sampler import ChainConfig, run_chain
 from ghsel.simulate import SimConfig, protocol_truth, simulate_dataset
 from ghsel.summarize import (hazard_posterior, pip, probs_frequency,
@@ -161,7 +162,7 @@ def test_criterion_3_model_space():
 def test_criterion_4_marglik_oracle():
     start = time.time()
     cp = CommonPrior()
-    prior = CoefficientPrior(kind=PriorKind.PRODUCT)
+    prior = CoefficientPrior()
     problems = [("00", 0), ("20", 1), ("10", 2), ("12", 3), ("22", 4),
                 ("30", 5), ("00", 6), ("21", 7), ("11", 8), ("44", 9)]
     worst_ila, worst_la = 0.0, 0.0
@@ -187,18 +188,18 @@ def test_criterion_4_marglik_oracle():
         ref_i = ila_quadrature_reference(gamma, data, Kernel.NORMAL, 1.0, cp,
                                          rec_i.fit)
         worst_ila = max(worst_ila, abs(rec_i.log_ml - ref_i))
-        rec_l = la_log_marglik(gamma, data, Kernel.NORMAL, prior, cp,
-                               full_constant=True)
+        rec_l = la_log_marglik(gamma, data, Kernel.NORMAL, prior, cp)
+        log_prior = oracles.map_prior_reference(gamma, data, prior, cp)
 
-        def log_post(psi, gamma=gamma, data=data):
-            from ghsel.priors import log_prior_psi
+        def log_post(psi, gamma=gamma, data=data, log_prior=log_prior):
             ll = loglik(psi, gamma, data, Kernel.NORMAL)
             if not np.isfinite(ll):
                 return -1e300
-            return ll + log_prior_psi(psi, gamma, data, prior, cp)
+            return ll + log_prior(psi)
 
+        # la_log_marglik leaves out the model-independent log(2*pi)
         ref_l = oracles.gauss_hermite_log_integral(log_post, rec_l.fit.psi_opt)
-        worst_la = max(worst_la, abs(rec_l.log_ml - ref_l))
+        worst_la = max(worst_la, abs(rec_l.log_ml + LOG_2PI - ref_l))
 
     # synthetic exactly-Gaussian likelihood: closed form vs Gaussian algebra
     rng = np.random.default_rng(99)
@@ -270,9 +271,7 @@ def test_criterion_5_sampler_exactness():
     results = {}
     for label, scfg in (
             ("ILA/LCM", ScorerConfig(method=MarglikMethod.ILA)),
-            ("LA/Product", ScorerConfig(
-                method=MarglikMethod.LA,
-                coef_prior=CoefficientPrior(kind=PriorKind.PRODUCT)))):
+            ("LA/Product", ScorerConfig(method=MarglikMethod.LA))):
         scorer = ModelScorer(data, Kernel.NORMAL, scfg)
         exact_scores = {}
         for g in enumerate_models(2):
@@ -362,7 +361,7 @@ def test_criterion_7_simulation_study():
            f"n=250 {m250:.3f} (need increasing); {dt:.0f}s")
 
 
-def test_criterion_8_robust_hyper_g():
+def test_criterion_8_robust_hyper_g(monkeypatch):
     # (i) density integrates to one
     worst_int = 0.0
     for n, d in ((30, 1), (200, 2), (1000, 4)):
@@ -389,8 +388,10 @@ def test_criterion_8_robust_hyper_g():
     robust = ila_log_marglik_robust_g(null, data, Kernel.NORMAL, cp)
     null_exact = robust.log_ml == fixed.log_ml
     g22 = Gamma.from_key("22")
-    a = ila_log_marglik_robust_g(g22, data, Kernel.NORMAL, cp, cutoff=1e6)
-    b = ila_log_marglik_robust_g(g22, data, Kernel.NORMAL, cp, cutoff=2e6)
+    assert marglik.ROBUST_G_CUTOFF == 1e6
+    a = ila_log_marglik_robust_g(g22, data, Kernel.NORMAL, cp)
+    monkeypatch.setattr(marglik, "ROBUST_G_CUTOFF", 2e6)
+    b = ila_log_marglik_robust_g(g22, data, Kernel.NORMAL, cp)
     delta = abs(a.log_ml - b.log_ml)
     ok = worst_int <= 1e-6 and null_exact and delta < 1e-8
     report(8, "robust hyper-g", ok,

@@ -154,6 +154,41 @@ def test_select_deterministic(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_model_probs_do_not_depend_on_hash_seed(tmp_path):
+    """Rows of equal probability (here the many that underflow to 0) are
+    ordered by key, so model_probs.csv does not depend on string hashing."""
+    rng = np.random.default_rng(0)
+    n = 500
+    X = rng.standard_normal((n, 3))
+    t = np.exp(2.0 * X[:, 0] + 0.02 * rng.standard_normal(n))
+    status = (rng.random(n) < 0.8).astype(int)
+    sim = tmp_path / "strong.csv"
+    write_csv(sim, [[float(t[i]), int(status[i]), *map(float, X[i])]
+                    for i in range(n)], header=("time", "status", "a", "b", "c"))
+    env = {**os.environ, "PYTHONPATH": str(Path(ghsel.__file__).parents[1])}
+    tables = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"run{hash_seed}"
+        subprocess.run([sys.executable, "-m", "ghsel.cli", "select", str(sim),
+                        "--out", str(out), "--iters", "300", "--burnin", "100",
+                        "--seed", "3"], env={**env, "PYTHONHASHSEED": hash_seed},
+                       capture_output=True, check=True)
+        tables.append((out / "model_probs.csv").read_text())
+    rows = list(csv.DictReader(tables[0].splitlines()))
+    assert sum(float(r["prob_renormalized"]) == 0.0 for r in rows) >= 2
+    assert tables[0] == tables[1]
+
+
+def test_data_without_events_is_rejected(tmp_path, capsys):
+    path = tmp_path / "censored.csv"
+    write_csv(path, [[1.0 + i, 0, 0.1 * i, (-1) ** i] for i in range(20)])
+    with pytest.raises(CliError, match="no events"):
+        read_dataset(str(path))
+    for command in ("select", "enumerate"):
+        assert run([command, path, "--out", tmp_path / command]) == 2
+        assert "no events" in capsys.readouterr().err
+
+
 def test_trace_lines_are_sorted_json_records(tmp_path):
     """Over two chains, every trace line is json.dumps(..., sort_keys=True)
     of the record it holds."""

@@ -9,14 +9,13 @@ from scipy import stats
 import oracles
 from ghsel.baseline import Kernel
 from ghsel.ghlik import Dataset, dim_coef, loglik
+from ghsel import marglik
 from ghsel.marglik import (LOG_2PI, ILAFactor, MarglikMethod, ModelScorer,
                            ScorerConfig, ila_from_fit, ila_log_marglik,
                            ila_log_marglik_robust_g, la_log_marglik)
 from ghsel.modelspace import Gamma, HazardClass, enumerate_models
 from ghsel.optimize import fit_mle
-from ghsel.priors import (CoefficientPrior, CommonPrior, PriorKind,
-                          log_common_prior, log_prior_psi,
-                          robust_g_support_bound)
+from ghsel.priors import CoefficientPrior, CommonPrior, robust_g_support_bound
 from ghsel.sampler import ChainConfig, run_chain
 from ghsel.simulate import (LogLocationScaleBaseline, SimConfig, protocol_truth,
                             simulate_dataset)
@@ -40,13 +39,14 @@ def ila_quadrature_reference(gamma, data, kernel, g_e, cp, fit):
     if d:
         cov = oracles.lcm_prior_cov(gamma, data, g_e, fit.fisher)
         coef_prior = stats.multivariate_normal(np.zeros(d), cov)
+    nu_prior = stats.norm(cp.nu_normal_mean, cp.nu_normal_sd)
+    t0_prior = stats.norm(0.0, math.sqrt(cp.K))
 
     def log_post(psi):
         ll = loglik(psi, gamma, data, kernel)
         if not np.isfinite(ll):
             return -1e300
-        lp = (stats.norm(cp.nu_normal_mean, cp.nu_normal_sd).logpdf(psi[0])
-              + stats.norm(0.0, math.sqrt(cp.K)).logpdf(psi[1]))
+        lp = nu_prior.logpdf(psi[0]) + t0_prior.logpdf(psi[1])
         if d:
             lp += coef_prior.logpdf(psi[2:])
         return ll + lp
@@ -109,31 +109,21 @@ def test_ila_matches_quadrature(key):
 def test_la_matches_quadrature(key):
     data = small_data(seed=1)
     gamma = Gamma.from_key(key)
-    prior = CoefficientPrior(kind=PriorKind.PRODUCT)
+    prior = CoefficientPrior()
     cp = CommonPrior()
-    rec = la_log_marglik(gamma, data, Kernel.NORMAL, prior, cp,
-                         full_constant=True)
+    rec = la_log_marglik(gamma, data, Kernel.NORMAL, prior, cp)
     assert np.isfinite(rec.log_ml)
+    log_prior = oracles.map_prior_reference(gamma, data, prior, cp)
 
     def log_post(psi):
         ll = loglik(psi, gamma, data, Kernel.NORMAL)
         if not np.isfinite(ll):
             return -1e300
-        return ll + log_prior_psi(psi, gamma, data, prior, cp)
+        return ll + log_prior(psi)
 
+    # la_log_marglik leaves out the model-independent log(2*pi)
     ref = oracles.gauss_hermite_log_integral(log_post, rec.fit.psi_opt)
-    assert abs(rec.log_ml - ref) <= 0.15
-
-
-def test_la_constant_convention_offset():
-    data = small_data(seed=2)
-    gamma = Gamma.from_key("20")
-    prior = CoefficientPrior(kind=PriorKind.PRODUCT)
-    cp = CommonPrior()
-    printed = la_log_marglik(gamma, data, Kernel.NORMAL, prior, cp)
-    full = la_log_marglik(gamma, data, Kernel.NORMAL, prior, cp,
-                          full_constant=True)
-    assert full.log_ml - printed.log_ml == pytest.approx(LOG_2PI, abs=1e-12)
+    assert abs(rec.log_ml + LOG_2PI - ref) <= 0.15
 
 
 def test_robust_g_null_equals_fixed_g():
@@ -145,12 +135,14 @@ def test_robust_g_null_equals_fixed_g():
     assert robust.log_ml == fixed.log_ml
 
 
-def test_robust_g_cutoff_stability():
+def test_robust_g_cutoff_stability(monkeypatch):
     data = small_data(seed=4)
     gamma = Gamma.from_key("22")
     cp = CommonPrior()
-    a = ila_log_marglik_robust_g(gamma, data, Kernel.NORMAL, cp, cutoff=1e6)
-    b = ila_log_marglik_robust_g(gamma, data, Kernel.NORMAL, cp, cutoff=2e6)
+    assert marglik.ROBUST_G_CUTOFF == 1e6
+    a = ila_log_marglik_robust_g(gamma, data, Kernel.NORMAL, cp)
+    monkeypatch.setattr(marglik, "ROBUST_G_CUTOFF", 2e6)
+    b = ila_log_marglik_robust_g(gamma, data, Kernel.NORMAL, cp)
     assert np.isfinite(a.log_ml)
     assert abs(a.log_ml - b.log_ml) < 1e-8
 
@@ -227,8 +219,7 @@ def test_score_does_not_depend_on_visit_order():
         target_censoring=0.25, seed=2))
     X = (data.X - data.X.mean(axis=0)) / data.X.std(axis=0)
     data = Dataset(t=data.t, delta=data.delta, X=X, names=data.names)
-    cfg = ScorerConfig(method=MarglikMethod.LA,
-                       coef_prior=CoefficientPrior(kind=PriorKind.PRODUCT))
+    cfg = ScorerConfig(method=MarglikMethod.LA)
     shared = ModelScorer(data, Kernel.STUDENT_T2, cfg)
     for gamma in enumerate_models(p):
         in_order = shared.score(gamma).log_ml
@@ -277,6 +268,17 @@ def test_closed_form_raises_on_indefinite_blocks():
         ILAFactor(0.0, np.zeros(3), indefinite_coef, 1)
 
 
+def test_method_alone_selects_the_score():
+    """LA with the default coefficient prior scores with the product prior:
+    a chain runs to the end with finite scores."""
+    data = small_data(seed=7)
+    trace = run_chain(data, Kernel.NORMAL,
+                      ChainConfig(iterations=300, burn_in=100, seed=1),
+                      ScorerConfig(method=MarglikMethod.LA))
+    assert trace.n_steps == 300
+    assert all(math.isfinite(log_ml) for log_ml, _ in trace.visited.values())
+
+
 def test_robust_g_quadrature_failure_gives_failed_record(monkeypatch):
     data = small_data(seed=4)
     gamma = Gamma.from_key("22")
@@ -284,7 +286,7 @@ def test_robust_g_quadrature_failure_gives_failed_record(monkeypatch):
                         lambda *args, **kwargs: (math.nan, math.nan))
     rec = ila_log_marglik_robust_g(gamma, data, Kernel.NORMAL, CommonPrior())
     assert rec.log_ml == -math.inf
-    assert rec.method is MarglikMethod.ILA_ROBUST_G and rec.fit.ok
+    assert rec.fit.ok
 
 
 def test_chain_survives_one_failed_robust_g_quadrature(monkeypatch):

@@ -10,8 +10,8 @@ from ghsel.ghlik import (LINPRED_CLAMP, Dataset, design, dim_psi, evaluate,
 from ghsel.modelspace import Gamma
 from ghsel.optimize import (MAX_ITER, FitRecord, FitStatus, default_init,
                             fit_map, fit_mle)
-from ghsel.priors import (CoefficientPrior, CommonPrior, PriorKind,
-                          grad_prior_psi, hess_prior_psi, log_prior_psi)
+from ghsel.priors import (CoefficientPrior, CommonPrior, map_log_prior,
+                          product_prior_gaussian)
 from ghsel.simulate import SimConfig, simulate_dataset
 
 
@@ -72,19 +72,19 @@ def test_fit_mle_all_kernels(kernel):
 def test_fit_map_product_prior():
     data = ph_data(seed=7, n=250)
     g = Gamma.from_key("3200")
-    prior = CoefficientPrior(kind=PriorKind.PRODUCT)
+    prior = CoefficientPrior()
     cp = CommonPrior()
     fit = fit_map(g, data, Kernel.NORMAL, prior, cp)
     assert fit.ok
-    from ghsel.ghlik import loglik
-    from ghsel.priors import log_prior_psi, grad_prior_psi
+    P, log_norm = product_prior_gaussian(g, data, prior)
     total_grad = (grad_loglik(fit.psi_opt, g, data, Kernel.NORMAL)
-                  + grad_prior_psi(fit.psi_opt, g, data, prior, cp))
+                  + map_log_prior(fit.psi_opt, P, log_norm, cp)[1])
     assert np.max(np.abs(total_grad)) < 1e-5 * (1 + abs(fit.objective))
     # MAP objective includes the prior
+    log_prior = oracles.map_prior_reference(g, data, prior, cp)
     assert fit.objective == pytest.approx(
-        loglik(fit.psi_opt, g, data, Kernel.NORMAL)
-        + log_prior_psi(fit.psi_opt, g, data, prior, cp), rel=1e-10)
+        loglik(fit.psi_opt, g, data, Kernel.NORMAL) + log_prior(fit.psi_opt),
+        rel=1e-10)
 
 
 def test_project_init_carries_shared_coefficients():
@@ -114,19 +114,22 @@ def test_warm_start_agrees_with_cold_start():
     assert np.allclose(warm.psi_opt, cold2.psi_opt, atol=1e-4)
 
 
-PRODUCT = CoefficientPrior(kind=PriorKind.PRODUCT)
+PRODUCT = CoefficientPrior()
 
 
 def _objective(fitter, gamma, data, kernel):
-    """The fitter's objective and gradient as plain functions of psi."""
+    """The fitter's objective and gradient as plain functions of psi: the
+    MAP objective's prior term is the SciPy reference, its gradient
+    map_log_prior's."""
     if fitter == "mle":
         return (lambda x: loglik(x, gamma, data, kernel),
                 lambda x: grad_loglik(x, gamma, data, kernel))
     cp = CommonPrior()
-    return (lambda x: loglik(x, gamma, data, kernel)
-            + log_prior_psi(x, gamma, data, PRODUCT, cp),
+    log_prior = oracles.map_prior_reference(gamma, data, PRODUCT, cp)
+    P, log_norm = product_prior_gaussian(gamma, data, PRODUCT)
+    return (lambda x: loglik(x, gamma, data, kernel) + log_prior(x),
             lambda x: grad_loglik(x, gamma, data, kernel)
-            + grad_prior_psi(x, gamma, data, PRODUCT, cp))
+            + map_log_prior(x, P, log_norm, cp)[1])
 
 
 def _fit(fitter, gamma, data, kernel, init=None):
@@ -176,8 +179,9 @@ def test_t2_map_from_indefinite_start_converges():
     gamma = Gamma.from_key("3200")
     cp = CommonPrior()
     x0 = np.array([-1.23, -0.6, -1.45, -4.66, -1.71])
+    P, log_norm = product_prior_gaussian(gamma, data, PRODUCT)
     H0 = (hess_loglik(x0, gamma, data, Kernel.STUDENT_T2)
-          + hess_prior_psi(x0, gamma, data, PRODUCT, cp))
+          + map_log_prior(x0, P, log_norm, cp)[2])
     assert np.linalg.eigvalsh(-H0).min() < 0.0
     fit = fit_map(gamma, data, Kernel.STUDENT_T2, PRODUCT, cp, init=x0)
     assert fit.status is FitStatus.CONVERGED

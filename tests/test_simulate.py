@@ -106,6 +106,25 @@ def test_heavy_tailed_times_beyond_float_range_end_censored():
         assert np.all(data.delta[inf] == 0.0)
 
 
+def test_zero_censoring_ends_infinite_times_censored_at_last_finite_time():
+    """With no censoring asked for, times beyond the float range end censored
+    at the largest finite simulated time; every finite time is an event."""
+    truth, alpha, beta = protocol_truth(5, HazardClass.GH, strict=False)
+    baseline = LogLocationScaleBaseline(kernel=Kernel.STUDENT_T2)
+    cfg = SimConfig(n=200, p=5, truth=truth, alpha=alpha, beta=beta,
+                    baseline=baseline, target_censoring=0.0, seed=0)
+    rng = np.random.default_rng(0)
+    X = simulate_covariates(cfg.n, cfg.p, cfg.rho, rng)
+    raw = simulate_gh_times(X, alpha, beta, baseline, rng)
+    inf = np.isinf(raw)
+    assert inf.any()
+    data, record = simulate_dataset(cfg)
+    assert record["c_admin"] == raw[~inf].max()
+    assert np.all(data.t[inf] == record["c_admin"])
+    assert np.all(data.delta[inf] == 0.0) and np.all(data.delta[~inf] == 1.0)
+    assert np.array_equal(data.t[~inf], raw[~inf])
+
+
 def test_administrative_censoring():
     times = np.arange(1.0, 101.0)
     t, delta, c = apply_administrative_censoring(times, 0.25)
