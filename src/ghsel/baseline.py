@@ -5,14 +5,17 @@ likelihood consumes log f, log F(-u) and the five ratio functions
 f/F(-u), f'/f, f''/f, f'/F(-u) built from it.  All functions accept
 scalars or numpy arrays and are safe far into the tails (|u| up to a few
 hundred) without catastrophic cancellation.
+
+Only the normal and logistic kernels call into `scipy.special`, which is
+imported on their first call: the t2 and sech kernels load no SciPy.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 
 import numpy as np
-from scipy import special
 
 
 class Kernel(enum.Enum):
@@ -23,6 +26,15 @@ class Kernel(enum.Enum):
 
 
 _HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
+_SCIPY_KERNELS = frozenset({Kernel.NORMAL, Kernel.LOGISTIC})
+
+
+@functools.cache
+def _special():
+    """`scipy.special`, imported on first use; later calls return the module
+    without going through the import machinery."""
+    from scipy import special
+    return special
 
 
 def _as_array(u):
@@ -66,7 +78,7 @@ def _log_arctan_exp_neg(x):
 def log_F_neg(u, kernel: Kernel):
     u = _as_array(u)
     if kernel is Kernel.NORMAL:
-        out = special.log_ndtr(-u)
+        out = _special().log_ndtr(-u)
     elif kernel is Kernel.LOGISTIC:
         # log F(-u) = -log(1 + e^u)
         out = -np.logaddexp(0.0, u)
@@ -94,9 +106,9 @@ def ratio_f_over_Fneg(u, kernel: Kernel):
     u = _as_array(u)
     if kernel is Kernel.NORMAL:
         # phi(u)/Phi(-u) = sqrt(2/pi) / erfcx(u/sqrt(2))
-        out = np.sqrt(2.0 / np.pi) / special.erfcx(u / np.sqrt(2.0))
+        out = np.sqrt(2.0 / np.pi) / _special().erfcx(u / np.sqrt(2.0))
     elif kernel is Kernel.LOGISTIC:
-        out = special.expit(u)
+        out = _special().expit(u)
     elif kernel is Kernel.SECH:
         out = np.exp(log_f(u, kernel) - log_F_neg(u, kernel))
     elif kernel is Kernel.STUDENT_T2:
@@ -154,9 +166,9 @@ def quantile(p, kernel: Kernel):
     if np.any((p <= 0.0) | (p >= 1.0)):
         raise ValueError("quantile requires 0 < p < 1")
     if kernel is Kernel.NORMAL:
-        out = special.ndtri(p)
+        out = _special().ndtri(p)
     elif kernel is Kernel.LOGISTIC:
-        out = special.logit(p)
+        out = _special().logit(p)
     elif kernel is Kernel.SECH:
         out = (2.0 / np.pi) * np.log(np.tan(0.5 * np.pi * p))
     elif kernel is Kernel.STUDENT_T2:

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import sampler, simulate, summarize
+from . import baseline, sampler, simulate, summarize
 from .baseline import Kernel
 from .ghlik import Dataset, time_level_columns, hazard_level_columns
 from .marglik import MarglikMethod, ModelScorer, ScorerConfig
@@ -74,6 +74,8 @@ def read_dataset(path: str, standardize: bool = True) -> Dataset:
             t.append(ti)
             delta.append(float(row[1]))
             rows.append(xs)
+    if not rows:
+        raise CliError(f"{path}: no data rows")
     X = np.asarray(rows, dtype=float)
     if X.ndim != 2 or X.shape[1] != len(names):
         raise CliError(f"{path}: no covariate columns found")
@@ -441,6 +443,8 @@ def cmd_replicate(args) -> int:
     results, failures = [], []
     if args.workers > 1:
         import concurrent.futures as cf
+        if Kernel(opts["baseline"]) in baseline._SCIPY_KERNELS:
+            baseline._special()  # imported once here, the forked workers inherit it
         with cf.ProcessPoolExecutor(max_workers=args.workers) as pool:
             futs = {pool.submit(_run_replicate, job): i for i, job in enumerate(jobs)}
             for fut in cf.as_completed(futs):

@@ -6,9 +6,9 @@ integrated-Laplace route (ILA) expands the log-likelihood (not the
 log-posterior) at the MLE and integrates the Gaussian curvature-matching prior
 analytically, leaving a closed form in the fitted Fisher blocks.  The closed
 form is factorised once per fitted model into a g-free part (`ILAFactor`) and
-a scalar evaluation at n*g, so the one-dimensional quadrature that extends it
-to the robust hyper-g prior on the scale g (ILA_RobustG) costs a 2x2 closed
-form per node.  The plain Laplace route (LA) evaluates the penalised objective
+a 2x2 closed form at n*g, so the fixed Gauss-Kronrod rule that extends it to
+the robust hyper-g prior on the scale g (ILA_RobustG) costs one evaluation of
+that closed form over the array of its nodes.  The plain Laplace route (LA) evaluates the penalised objective
 at the MAP under the product prior.
 
 All values are log marginal likelihoods with the prior normalising constants
@@ -33,6 +33,7 @@ from .priors import CoefficientPrior, CommonPrior, RankDeficiencyError
 
 LOG_2PI = math.log(2.0 * math.pi)
 ROBUST_G_CUTOFF = 1e6
+_NOT_PD = "posterior precision of (nu, theta0) is not positive definite"
 
 
 class MarglikMethod(enum.Enum):
@@ -83,11 +84,14 @@ class ILAFactor:
             self.kappa_cross = (float(kappa_hat @ cross_nu), float(kappa_hat @ cross_t0))
             self.kappa_J = float(kappa_hat @ (coef @ kappa_hat))
 
-    def terms(self, ng: float, cp: CommonPrior):
+    def terms(self, ng, cp: CommonPrior):
         """(log_ml, (P11, P12, P22), (h1, h2), C) at ng = n*g: the posterior
         precision P and linear term h of (nu, theta0) and the constant C of
-        the completed square.  Raises LinAlgError if P is not positive
-        definite."""
+        the completed square.  ng is a float or an array of values, and each
+        entry of the result has its shape; a float takes its logarithms from
+        `math`, so a fixed-g score does not depend on NumPy's rounding.
+        Raises LinAlgError if P is not positive definite at any ng."""
+        xp = np if np.ndim(ng) else math
         nu_hat, t0_hat = self.nu_hat, self.t0_hat
         shrink = ng / (1.0 + ng)
         (t_nn, t_n0, t_00), (s_nn, s_n0, s_00) = self.top, self.schur
@@ -106,19 +110,21 @@ class ILAFactor:
                       + j_00 * t0_hat ** 2)
              - corr_nu * nu_hat - corr_t0 * t0_hat - 0.5 * w * self.kappa_J)
         # 2x2 Cholesky P = L L' in closed form
-        l21 = p12 / math.sqrt(p11) if p11 > 0.0 else math.nan
+        if not np.all(p11 > 0.0):
+            raise np.linalg.LinAlgError(_NOT_PD)
+        l11 = xp.sqrt(p11)
+        l21 = p12 / l11
         l22_sq = p22 - l21 * l21
-        if not l22_sq > 0.0:
-            raise np.linalg.LinAlgError("posterior precision of (nu, theta0) "
-                                        "is not positive definite")
-        l11, l22 = math.sqrt(p11), math.sqrt(l22_sq)
+        if not np.all(l22_sq > 0.0):
+            raise np.linalg.LinAlgError(_NOT_PD)
+        l22 = xp.sqrt(l22_sq)
         w1 = h1 / l11
         w2 = (h2 - l21 * w1) / l22
-        log_ml = (self.ell_hat - 0.5 * self.d * math.log1p(ng) - math.log(l11 * l22)
+        log_ml = (self.ell_hat - 0.5 * self.d * xp.log1p(ng) - xp.log(l11 * l22)
                   + 0.5 * (w1 * w1 + w2 * w2) + C - 0.5 * math.log(cp.K * var_nu))
         return log_ml, (p11, p12, p22), (h1, h2), C
 
-    def log_ml(self, ng: float, cp: CommonPrior) -> float:
+    def log_ml(self, ng, cp: CommonPrior):
         return self.terms(ng, cp)[0]
 
 
@@ -150,14 +156,53 @@ def ila_log_marglik(gamma: Gamma, data: Dataset, kernel: Kernel, g_e: float,
     return MarglikRecord(log_ml, fit)
 
 
+# Gauss-Kronrod G7/K15 on [-1, 1] (QUADPACK's qk15): the 15 Kronrod nodes in
+# ascending order, their weights, and the weights of the 7 Gauss nodes, which
+# are the Kronrod nodes of odd index.
+_XK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+       0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+       0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+       0.207784955007898467600689403773245)
+_WK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+       0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+       0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+       0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+       0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
+_GK_NODES = np.array([-x for x in _XK] + [0.0] + list(reversed(_XK)))
+_GK_KRONROD = np.array(_WK + tuple(reversed(_WK[:-1])))
+_GK_GAUSS = np.array(_WG + tuple(reversed(_WG[:-1])))
+_GK_PANELS = 16
+ROBUST_G_RTOL = 1e-6  # largest error estimate of the quadrature, relative to its value
+
+
+def _gauss_kronrod(log_f, lo: float, hi: float):
+    """Composite G7/K15 rule for the integral of exp(log_f(y)) over
+    [lo, hi] on _GK_PANELS equal panels.  `log_f` is evaluated once, on the
+    array of all nodes.  Returns (M, val, err): the integral is
+    exp(M) * val with M the largest log value at a node, and err is the sum
+    over the panels of |K15 - G7|, on the scale of val."""
+    edges = np.linspace(lo, hi, _GK_PANELS + 1)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    y = 0.5 * (edges[1:] + edges[:-1])[:, None] + half[:, None] * _GK_NODES
+    log_vals = log_f(y)
+    M = float(np.max(log_vals))
+    if not np.isfinite(M):
+        return M, math.nan, math.nan
+    f = np.exp(log_vals - M)
+    kronrod = half * (f @ _GK_KRONROD)
+    gauss = half * (f[:, 1::2] @ _GK_GAUSS)
+    return M, float(np.sum(kronrod)), float(np.sum(np.abs(kronrod - gauss)))
+
+
 def ila_log_marglik_robust_g(gamma: Gamma, data: Dataset, kernel: Kernel,
                              cp: CommonPrior, fit: FitRecord | None = None) -> MarglikRecord:
     """Marginal likelihood with the scale g integrated out under the robust
     hyper-g prior.  The model is fitted and its closed form factorised once;
-    each quadrature node costs only the scalar evaluation at n*g.  A
-    quadrature that does not reach its tolerance gives a failed record."""
-    from scipy import integrate  # here: other scores need none of its import time
-
+    the integral over y = log(g + 1/n) up to ROBUST_G_CUTOFF is a fixed
+    Gauss-Kronrod rule whose nodes take one array evaluation of the closed
+    form, and the rest is an analytic tail.  A quadrature whose error
+    estimate misses ROBUST_G_RTOL gives a failed record."""
     if fit is None:
         fit = optimize.fit_mle(gamma, data, kernel)
     if not fit.ok:
@@ -168,31 +213,18 @@ def ila_log_marglik_robust_g(gamma: Gamma, data: Dataset, kernel: Kernel,
         # the closed form is g-free for the null model, so the integral is exact
         return ila_log_marglik(gamma, data, kernel, 1.0, cp, fit=fit)
 
-    def log_integrand(g: float) -> float:
-        lp = priors.robust_g_logpdf(g, n, d)
-        if lp == -math.inf:
-            return -math.inf
-        return factor.log_ml(n * g, cp) + lp
+    def log_integrand(y):
+        # dg = e^y dy
+        g = np.exp(y) - 1.0 / n
+        return factor.log_ml(n * g, cp) + priors.robust_g_logpdf(g, n, d) + y
 
     bound = priors.robust_g_support_bound(n, d)
-    # integrate on y = log(g + 1/n); dg = e^y dy
     y_lo = math.log(bound + 1.0 / n) + 1e-12
     y_hi = math.log(ROBUST_G_CUTOFF + 1.0 / n)
     try:
         factor = ILAFactor(fit.objective, fit.psi_opt, fit.fisher, d)
-        grid = np.linspace(y_lo, y_hi, 60)
-        log_vals = np.array([log_integrand(math.exp(y) - 1.0 / n) + y for y in grid])
-        M = float(np.max(log_vals))
-        if not np.isfinite(M):
-            return _failed(fit)
-
-        def f(y):
-            return math.exp(log_integrand(math.exp(y) - 1.0 / n) + y - M)
-
-        y_peak = float(grid[int(np.argmax(log_vals))])
-        val, err = integrate.quad(f, y_lo, y_hi, limit=200, epsabs=1e-12,
-                                  epsrel=1e-10, points=[y_peak])
-        if not np.isfinite(val) or val <= 0 or err > 1e-6 * max(val, 1e-300):
+        M, val, err = _gauss_kronrod(log_integrand, y_lo, y_hi)
+        if not np.isfinite(val) or val <= 0 or err > ROBUST_G_RTOL * max(val, 1e-300):
             return _failed(fit)
         # analytic tail beyond the cutoff: the closed form saturates in g, so
         # exp(log_ml(g)) ~ exp(m_sat) * (1 + n g)^{-d/2} with m_sat the g-free part

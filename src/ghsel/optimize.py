@@ -6,7 +6,8 @@ the model's design for the value, gradient and exact Hessian; the step solves
 the Newton system with Levenberg damping of the negated Hessian until its
 Cholesky factorisation succeeds, the nu component is capped, and Armijo
 backtracking guards the ascent.  The reported curvature at the optimum is the
-exact Hessian there.  Failures are reported in the record's status and never
+exact Hessian there.  A model with more parameters than the data have events
+is not fitted at all.  Failures are reported in the record's status and never
 raised; callers map failed fits to an impossible model score.
 """
 
@@ -37,6 +38,7 @@ class FitStatus(enum.Enum):
     MAX_ITER = "MaxIter"
     BOUNDARY = "Boundary"
     SINGULAR_HESSIAN = "SingularHessian"
+    TOO_FEW_EVENTS = "TooFewEvents"  # more parameters than events: not fitted
 
 
 @dataclass(frozen=True)
@@ -167,8 +169,22 @@ def _start(gamma: Gamma, data: Dataset, init) -> np.ndarray:
             else default_init(gamma, data))
 
 
+def _too_few_events(gamma: Gamma, data: Dataset) -> FitRecord | None:
+    """The failed record of a model with more parameters than the data have
+    events, which no fit can identify; None for any other model."""
+    k = dim_psi(gamma)
+    if k <= data.n_events:
+        return None
+    return FitRecord(psi_opt=np.full(k, math.nan), objective=-math.inf,
+                     fisher=np.full((k, k), math.nan),
+                     status=FitStatus.TOO_FEW_EVENTS, n_evals=0)
+
+
 def fit_mle(gamma: Gamma, data: Dataset, kernel: Kernel,
             init: np.ndarray | None = None) -> FitRecord:
+    unfit = _too_few_events(gamma, data)
+    if unfit is not None:
+        return unfit
     des = ghlik.design(gamma, data, kernel)
     return _maximise(lambda x: ghlik.evaluate(des, x), _start(gamma, data, init))
 
@@ -179,6 +195,9 @@ def fit_map(gamma: Gamma, data: Dataset, kernel: Kernel,
     """MAP fit under the product prior: the log-likelihood plus
     `priors.map_log_prior`, whose Gram blocks are factorised once per fit.
     Raises priors.RankDeficiencyError if a Gram block is singular."""
+    unfit = _too_few_events(gamma, data)
+    if unfit is not None:
+        return unfit
     des = ghlik.design(gamma, data, kernel)
     P, log_norm = priors.product_prior_gaussian(gamma, data, coef_prior)
 

@@ -129,8 +129,12 @@ def robust_g_support_bound(n: int, d: int) -> float:
     return (1.0 + n) / (n * (d + 1.0)) - 1.0 / n
 
 
-def robust_g_logpdf(g: float, n: int, d: int) -> float:
-    if g <= robust_g_support_bound(n, d):
-        return -math.inf
-    return (math.log(0.5) + 0.5 * math.log((1.0 + n) / (n * (d + 1.0)))
-            - 1.5 * math.log(g + 1.0 / n))
+def robust_g_logpdf(g, n: int, d: int):
+    """Log density at g, a float or an array; -inf at or below the support
+    bound."""
+    g = np.asarray(g, dtype=float)
+    log_c = math.log(0.5) + 0.5 * math.log((1.0 + n) / (n * (d + 1.0)))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out = np.where(g > robust_g_support_bound(n, d),
+                       log_c - 1.5 * np.log(g + 1.0 / n), -math.inf)
+    return out if out.shape else float(out)

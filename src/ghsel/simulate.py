@@ -15,9 +15,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
-from .baseline import Kernel
+from .baseline import Kernel, _special
 from .ghlik import Dataset
 from .modelspace import Gamma, HazardClass
 
@@ -75,7 +74,7 @@ def _kernel_quantile_exp(log_q, kernel: Kernel):
     """Kernel quantile F^{-1}(q) evaluated from log q, stable for q near 0."""
     log_q = np.asarray(log_q, dtype=float)
     if kernel is Kernel.NORMAL:
-        return special.ndtri_exp(log_q)
+        return _special().ndtri_exp(log_q)
     if kernel is Kernel.LOGISTIC:
         return log_q - np.log1p(-np.exp(log_q))
     if kernel is Kernel.SECH:

@@ -5,8 +5,10 @@ arbitrary precision, SciPy distributions, finite differences, mode-centred
 Gauss-Hermite quadrature) and deliberately shares no code with the package
 internals.  The exceptions are the helpers over the packed coefficient vector
 (`Psi`, `project_init`, `observed_fisher`, `lcm_prior_cov`), which reuse the
-package's column bookkeeping, and `write_trace_jsonl`, the reference for the
-CLI's trace file: only tests need them.
+package's column bookkeeping, `write_trace_jsonl`, the reference for the
+CLI's trace file, and `robust_g_quad_reference`, the robust hyper-g score by
+adaptive quadrature over the package's own fit and closed form: only tests
+need them.
 """
 
 from __future__ import annotations
@@ -17,12 +19,15 @@ from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
+from scipy import integrate
 from scipy import optimize as sopt
 from scipy import stats
 
+from ghsel import marglik, optimize, priors
 from ghsel.baseline import Kernel
 from ghsel.ghlik import (DimensionError, dim_coef, dim_psi, hazard_level_columns,
                          hess_loglik, time_level_columns)
+from ghsel.marglik import ILAFactor, MarglikRecord, ila_log_marglik
 from ghsel.modelspace import Gamma, classify
 from ghsel.priors import RankDeficiencyError
 
@@ -309,6 +314,63 @@ def scipy_maximise(fn, grad, x0):
                         jac=lambda x: -grad(x), method="BFGS",
                         options={"gtol": 1e-10, "maxiter": 10000})
     return res.x, -res.fun
+
+
+# ---------------------------------------------------------------------------
+# the robust hyper-g score by adaptive quadrature
+
+def robust_g_quad_reference(gamma, data, kernel, cp, fit=None):
+    """`marglik.ila_log_marglik_robust_g` as it was with SciPy's adaptive
+    `quad` on y = log(g + 1/n): a 60-point scan for the peak, then `quad`
+    with the peak as a break point, each node a scalar closed form, and the
+    same analytic tail beyond `marglik.ROBUST_G_CUTOFF`."""
+    if fit is None:
+        fit = optimize.fit_mle(gamma, data, kernel)
+    if not fit.ok:
+        return MarglikRecord(-math.inf, fit)
+    d = dim_coef(gamma)
+    n = data.n
+    if d == 0:
+        # the closed form is g-free for the null model, so the integral is exact
+        return ila_log_marglik(gamma, data, kernel, 1.0, cp, fit=fit)
+
+    def log_integrand(g: float) -> float:
+        lp = priors.robust_g_logpdf(g, n, d)
+        if lp == -math.inf:
+            return -math.inf
+        return factor.log_ml(n * g, cp) + lp
+
+    bound = priors.robust_g_support_bound(n, d)
+    # integrate on y = log(g + 1/n); dg = e^y dy
+    y_lo = math.log(bound + 1.0 / n) + 1e-12
+    y_hi = math.log(marglik.ROBUST_G_CUTOFF + 1.0 / n)
+    try:
+        factor = ILAFactor(fit.objective, fit.psi_opt, fit.fisher, d)
+        grid = np.linspace(y_lo, y_hi, 60)
+        log_vals = np.array([log_integrand(math.exp(y) - 1.0 / n) + y for y in grid])
+        M = float(np.max(log_vals))
+        if not np.isfinite(M):
+            return MarglikRecord(-math.inf, fit)
+
+        def f(y):
+            return math.exp(log_integrand(math.exp(y) - 1.0 / n) + y - M)
+
+        y_peak = float(grid[int(np.argmax(log_vals))])
+        val, err = integrate.quad(f, y_lo, y_hi, limit=200, epsabs=1e-12,
+                                  epsrel=1e-10, points=[y_peak])
+        if not np.isfinite(val) or val <= 0 or err > 1e-6 * max(val, 1e-300):
+            return MarglikRecord(-math.inf, fit)
+        # analytic tail beyond the cutoff: the closed form saturates in g, so
+        # exp(log_ml(g)) ~ exp(m_sat) * (1 + n g)^{-d/2} with m_sat the g-free part
+        g_big = 1e250
+        m_sat = factor.log_ml(n * g_big, cp) + 0.5 * d * math.log1p(n * g_big)
+        c_r = math.sqrt((1.0 + n) / (n * (d + 1.0)))
+        log_tail = (m_sat + math.log(c_r / (d + 1.0)) - 0.5 * d * math.log(n)
+                    - 0.5 * (d + 1.0) * math.log(marglik.ROBUST_G_CUTOFF + 1.0 / n))
+        total = M + math.log(val + math.exp(log_tail - M))
+    except np.linalg.LinAlgError:
+        return MarglikRecord(-math.inf, fit)
+    return MarglikRecord(total, fit)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ import oracles
 from ghsel import cli
 from ghsel.baseline import Kernel
 from ghsel.cli import CliError, main, read_dataset, write_dataset
-from ghsel.ghlik import Dataset
+from ghsel.ghlik import Dataset, dim_psi
+from ghsel.modelspace import Gamma
 from ghsel.sampler import ChainConfig, ChainTrace, run_chain
 
 
@@ -189,6 +190,37 @@ def test_data_without_events_is_rejected(tmp_path, capsys):
         assert "no events" in capsys.readouterr().err
 
 
+def test_header_only_csv_is_rejected(tmp_path, capsys):
+    path = tmp_path / "header.csv"
+    write_csv(path, [])
+    with pytest.raises(CliError, match="no data rows"):
+        read_dataset(str(path))
+    assert run(["select", path, "--out", tmp_path / "out"]) == 2
+    assert "no data rows" in capsys.readouterr().err
+
+
+def test_models_with_more_parameters_than_events_get_no_mass(tmp_path, capsys):
+    """5 rows, 4 events, p = 3: every model with more than 4 parameters
+    (2 + its coefficients) scores -inf, in the exact table and in a chain."""
+    path = tmp_path / "tiny.csv"
+    write_csv(path, [[1.3, 1, 0.5, -1.2, 0.3], [2.1, 1, -0.7, 0.4, 1.1],
+                     [0.6, 1, 1.4, 0.9, -0.8], [3.5, 0, -0.2, -0.6, 0.2],
+                     [1.9, 1, 0.1, 1.5, -1.4]], header=("time", "status", "a", "b", "c"))
+    assert run(["enumerate", path]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert len(rows) == 71
+    for row in rows:
+        too_many = dim_psi(Gamma.from_key(row["gamma"])) > 4
+        assert (float(row["log_ml"]) == -math.inf) is too_many, row["gamma"]
+        assert (float(row["posterior"]) == 0.0) is too_many, row["gamma"]
+    out = tmp_path / "run"
+    assert run(["select", path, "--out", out, "--iters", 2000, "--burnin", 500]) == 0
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    assert dim_psi(Gamma.from_key(summary["top_model"])) <= 4
+    assert all(prob == 0.0 for key, prob in summary["model_probs_renormalized"].items()
+               if dim_psi(Gamma.from_key(key)) > 4)
+
+
 def test_trace_lines_are_sorted_json_records(tmp_path):
     """Over two chains, every trace line is json.dumps(..., sort_keys=True)
     of the record it holds."""
@@ -224,24 +256,52 @@ def test_trace_writer_matches_reference_writer(tmp_path):
     assert written.count(b'"log_ml": -Infinity') == 2
 
 
-def test_select_without_robust_g_leaves_scipy_integrate_unimported(tmp_path):
-    """Only the robust-g score imports scipy.integrate (it costs every
-    process about a quarter of a second); --robust-g shows the probe sees it."""
+_SCIPY_PROBE = """
+import concurrent.futures as cf, json, sys
+import ghsel.cli
+
+pool_saw = []
+
+class Pool(cf.ProcessPoolExecutor):
+    def __init__(self, *args, **kwargs):
+        pool_saw.append("scipy.special" in sys.modules)
+        super().__init__(*args, **kwargs)
+
+cf.ProcessPoolExecutor = Pool
+if len(sys.argv) > 1:
+    assert ghsel.cli.main(sys.argv[1:]) == 0
+print(json.dumps({"scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+                  "pool_saw_special": pool_saw}))
+"""
+
+
+def _scipy_probe(*argv):
+    """Run the CLI in a fresh process; the SciPy modules it ended with and,
+    for each process pool it made, whether scipy.special was loaded then."""
+    env = {**os.environ, "PYTHONPATH": str(Path(ghsel.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *map(str, argv)],
+                          env=env, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_scipy_is_loaded_only_by_the_kernels_and_scores_that_use_it(tmp_path):
+    """Importing the CLI loads no SciPy, nor does a t2 product-prior run; the
+    robust-g score loads no scipy.integrate; a normal-kernel replicate loads
+    scipy.special before its pool forks, so the workers inherit it."""
     sim = tmp_path / "sim.csv"
     run(["simulate", "--out", sim, "--n", 60, "--p", 2, "--seed", 1])
-    probe = ("import sys, ghsel.cli; assert ghsel.cli.main(sys.argv[1:]) == 0; "
-             "print('scipy.integrate' in sys.modules)")
-    env = {**os.environ, "PYTHONPATH": str(Path(ghsel.__file__).parents[1])}
-
-    def imported(*flags):
-        argv = ["select", str(sim), "--out", str(tmp_path / "run"), "--iters", "200",
-                "--burnin", "50", *flags]
-        done = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
-                              capture_output=True, text=True, check=True)
-        return done.stdout.splitlines()[-1]
-
-    assert imported() == "False"
-    assert imported("--robust-g") == "True"
+    chain = ("--iters", 200, "--burnin", 50)
+    assert _scipy_probe()["scipy"] == []
+    t2 = _scipy_probe("select", sim, "--out", tmp_path / "t2", "--prior", "product",
+                      "--baseline", "t2", *chain)
+    assert t2["scipy"] == []
+    robust = _scipy_probe("select", sim, "--out", tmp_path / "robust", "--robust-g",
+                          *chain)
+    assert "scipy.special" in robust["scipy"]
+    assert "scipy.integrate" not in robust["scipy"]
+    rep = _scipy_probe("replicate", "--reps", 2, "--workers", 2, "--n", 60, "--p", 2,
+                       "--out", tmp_path / "rep.json", *chain)
+    assert rep["pool_saw_special"] == [True]
 
 
 def test_config_file_and_override(tmp_path):

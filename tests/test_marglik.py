@@ -1,9 +1,7 @@
 import math
-import sys
 
 import numpy as np
 import pytest
-import scipy.integrate
 from scipy import stats
 
 import oracles
@@ -242,15 +240,19 @@ def test_factorised_closed_form_matches_per_g_reference(seed, key):
     bound = robust_g_support_bound(n, d) if d else 1e-3
     gs = np.concatenate((bound * (1.0 + np.array([1e-12, 1e-6, 1e-3])),
                          np.logspace(-2, 250, 40)))
+    refs = []
     for g in gs:
         ref, P, h, C = oracles.ila_closed_form_at_g(fit.objective, fit.psi_opt,
                                                     fit.fisher, d, n, g, cp)
+        refs.append(ref)
         assert factor.log_ml(n * g, cp) == pytest.approx(ref, rel=1e-10)
         got, P2, h2, C2 = ila_from_fit(fit.objective, fit.psi_opt, fit.fisher,
                                        d, n, g, cp)
         assert got == pytest.approx(ref, rel=1e-10)
         assert np.allclose(P2, P, rtol=1e-10) and np.allclose(h2, h, rtol=1e-10)
         assert C2 == pytest.approx(C, rel=1e-10)
+    # one call over the array of n*g values gives the same closed form
+    assert factor.log_ml(n * gs, cp) == pytest.approx(refs, rel=1e-10)
 
 
 def test_closed_form_raises_on_indefinite_blocks():
@@ -264,6 +266,9 @@ def test_closed_form_raises_on_indefinite_blocks():
         for closed_form in (oracles.ila_closed_form_at_g, ila_from_fit):
             with pytest.raises(np.linalg.LinAlgError):
                 closed_form(0.0, np.zeros(3), J, 1, 30, 1.0, cp)
+    for J in (neg_lead, neg_det):
+        with pytest.raises(np.linalg.LinAlgError):
+            ILAFactor(0.0, np.zeros(3), J, 1).terms(np.array([1.0, 30.0]), cp)
     with pytest.raises(np.linalg.LinAlgError):
         ILAFactor(0.0, np.zeros(3), indefinite_coef, 1)
 
@@ -279,11 +284,27 @@ def test_method_alone_selects_the_score():
     assert all(math.isfinite(log_ml) for log_ml, _ in trace.visited.values())
 
 
+def _nan_log_ml(self, ng, cp):
+    return np.full(np.shape(ng), math.nan)
+
+
 def test_robust_g_quadrature_failure_gives_failed_record(monkeypatch):
     data = small_data(seed=4)
     gamma = Gamma.from_key("22")
-    monkeypatch.setattr(scipy.integrate, "quad",
-                        lambda *args, **kwargs: (math.nan, math.nan))
+    monkeypatch.setattr(marglik.ILAFactor, "log_ml", _nan_log_ml)
+    rec = ila_log_marglik_robust_g(gamma, data, Kernel.NORMAL, CommonPrior())
+    assert rec.log_ml == -math.inf
+    assert rec.fit.ok
+
+
+def test_robust_g_error_estimate_above_tolerance_gives_failed_record(monkeypatch):
+    """With the Gauss weights zeroed the error estimate equals the value,
+    far above ROBUST_G_RTOL of it."""
+    data = small_data(seed=4)
+    gamma = Gamma.from_key("22")
+    assert np.isfinite(ila_log_marglik_robust_g(gamma, data, Kernel.NORMAL,
+                                                CommonPrior()).log_ml)
+    monkeypatch.setattr(marglik, "_GK_GAUSS", np.zeros_like(marglik._GK_GAUSS))
     rec = ila_log_marglik_robust_g(gamma, data, Kernel.NORMAL, CommonPrior())
     assert rec.log_ml == -math.inf
     assert rec.fit.ok
@@ -293,14 +314,16 @@ def test_chain_survives_one_failed_robust_g_quadrature(monkeypatch):
     """A model whose quadrature fails scores -inf; the chain runs on."""
     data = small_data(seed=4)
     target = "22"
-    real_quad = scipy.integrate.quad
+    real_score = marglik.ila_log_marglik_robust_g
 
-    def quad(f, *args, **kwargs):
-        if sys._getframe(1).f_locals["gamma"].key == target:
-            return math.nan, math.nan
-        return real_quad(f, *args, **kwargs)
+    def score(gamma, *args, **kwargs):
+        if gamma.key != target:
+            return real_score(gamma, *args, **kwargs)
+        with monkeypatch.context() as m:
+            m.setattr(marglik.ILAFactor, "log_ml", _nan_log_ml)
+            return real_score(gamma, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.integrate, "quad", quad)
+    monkeypatch.setattr(marglik, "ila_log_marglik_robust_g", score)
     cfg = ScorerConfig(method=MarglikMethod.ILA_ROBUST_G)
     trace = run_chain(data, Kernel.NORMAL,
                       ChainConfig(iterations=400, burn_in=100, seed=3), cfg)
@@ -309,3 +332,30 @@ def test_chain_survives_one_failed_robust_g_quadrature(monkeypatch):
     assert all(math.isfinite(log_ml) for key, (log_ml, _) in trace.visited.items()
                if key != target)
     assert target not in {key for _, _, key in trace.samples}
+
+
+_GK_MODELS = ("2000", "3000", "1100", "4400", "3100", "3300", "2222", "3210",
+              "3310", "3330", "3331", "3333")
+
+
+@pytest.mark.parametrize("n", [30, 500, 5000])
+def test_robust_g_rule_matches_adaptive_quadrature(n):
+    """The fixed Gauss-Kronrod rule agrees with SciPy's adaptive quadrature
+    over the same range and tail, for models with 1 to 8 coefficients."""
+    data, _ = simulate_dataset(SimConfig(
+        n=n, p=4, truth=Gamma.from_key("3300"), alpha=np.array([1.0, 0.5, 0.0, 0.0]),
+        beta=np.array([0.5, -1.0, 0.0, 0.0]), target_censoring=0.25, seed=1))
+    X = (data.X - data.X.mean(axis=0)) / data.X.std(axis=0)
+    data = Dataset(t=data.t, delta=data.delta, X=X, names=data.names)
+    cp = CommonPrior()
+    dims = set()
+    for key in _GK_MODELS:
+        gamma = Gamma.from_key(key)
+        fit = fit_mle(gamma, data, Kernel.NORMAL)
+        assert fit.ok, key
+        dims.add(dim_coef(gamma))
+        new = ila_log_marglik_robust_g(gamma, data, Kernel.NORMAL, cp, fit=fit).log_ml
+        ref = oracles.robust_g_quad_reference(gamma, data, Kernel.NORMAL, cp, fit=fit).log_ml
+        assert np.isfinite(ref)
+        assert abs(new - ref) <= 1e-10, key
+    assert dims == set(range(1, 9))

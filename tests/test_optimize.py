@@ -209,3 +209,27 @@ def test_derivatives_where_the_linear_predictor_is_clipped():
     assert np.allclose(g, fd_g, rtol=1e-6, atol=1e-9 * np.max(np.abs(fd_g)))
     assert np.allclose(H, fd_H, rtol=0.0, atol=1e-6 * np.max(np.abs(fd_H)))
     assert np.allclose(H, fd_Hg, rtol=1e-6, atol=1e-9 * np.max(np.abs(fd_Hg)))
+
+
+TINY = Dataset(t=np.array([1.3, 2.1, 0.6, 3.5, 1.9]),
+               delta=np.array([1.0, 1.0, 1.0, 0.0, 1.0]),
+               X=np.array([[0.5, -1.2, 0.3], [-0.7, 0.4, 1.1], [1.4, 0.9, -0.8],
+                           [-0.2, -0.6, 0.2], [0.1, 1.5, -1.4]]),
+               names=("a", "b", "c"))
+
+
+@pytest.mark.parametrize("key", ["333", "444", "121"])
+def test_model_with_more_parameters_than_events_is_not_fitted(key):
+    gamma = Gamma.from_key(key)
+    assert dim_psi(gamma) > TINY.n_events == 4
+    for fit in (fit_mle(gamma, TINY, Kernel.NORMAL),
+                fit_map(gamma, TINY, Kernel.NORMAL, CoefficientPrior(), CommonPrior())):
+        assert fit.status is FitStatus.TOO_FEW_EVENTS and not fit.ok
+        assert fit.n_evals == 0 and fit.objective == -np.inf
+
+
+def test_model_with_as_many_parameters_as_events_is_fitted():
+    gamma = Gamma.from_key("300")
+    assert dim_psi(gamma) == TINY.n_events
+    fit = fit_mle(gamma, TINY, Kernel.NORMAL)
+    assert fit.status is not FitStatus.TOO_FEW_EVENTS and fit.n_evals > 0
