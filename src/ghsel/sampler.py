@@ -226,6 +226,10 @@ def propose(gamma: Gamma, rng: np.random.Generator) -> Proposal:
 # ---------------------------------------------------------------------------
 # chain driver
 
+class ImpossibleStartError(ValueError):
+    """A chain's starting model has no finite score (its fit failed)."""
+
+
 @dataclass(frozen=True)
 class ChainConfig:
     iterations: int = 20000
@@ -339,7 +343,7 @@ def run_chain(data: Dataset, kernel: Kernel,
         trace.visited[gamma.key] = (log_ml, log_prior)
         score = log_ml + log_prior
         if score == -math.inf:
-            raise ValueError(f"initial model {gamma.key} has an impossible score")
+            raise ImpossibleStartError(f"initial model {gamma.key} has an impossible score")
         for it in range(config.iterations):
             gamma, score = mh_step(gamma, score, scorer, prior_cfg, rng, trace)
             trace.n_steps += 1

@@ -3,10 +3,12 @@ hazard model by inverse transform, and administrative censoring.
 
 The hazard is h(t|x) = h0(t*exp(x~'a)) * exp(x'b); solving H(t|x) = E with
 E ~ Exp(1) gives t = H0^{-1}(E * exp(x~'a - x'b)) * exp(-x~'a).  Two baseline
-families are supported for generation: log-location-scale (closed-form
-quantile per kernel, evaluated in log space so huge cumulative-hazard draws
-do not overflow) and the power generalized Weibull, which has a closed-form
-inverse cumulative hazard.
+families are supported for generation: log-location-scale (the kernel
+quantile evaluated from log q, so huge cumulative-hazard draws do not
+overflow: in closed form for the logistic, sech and t2 kernels, and by the
+Newton steps of `baseline._normal_quantile_exp` for the normal kernel) and
+the power generalized Weibull, which has a closed-form inverse cumulative
+hazard.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baseline import Kernel, _special
+from .baseline import Kernel, _normal_quantile_exp
 from .ghlik import Dataset
 from .modelspace import Gamma, HazardClass
 
@@ -74,7 +76,7 @@ def _kernel_quantile_exp(log_q, kernel: Kernel):
     """Kernel quantile F^{-1}(q) evaluated from log q, stable for q near 0."""
     log_q = np.asarray(log_q, dtype=float)
     if kernel is Kernel.NORMAL:
-        return _special().ndtri_exp(log_q)
+        return _normal_quantile_exp(log_q)
     if kernel is Kernel.LOGISTIC:
         return log_q - np.log1p(-np.exp(log_q))
     if kernel is Kernel.SECH:

@@ -75,6 +75,25 @@ def mp_quantile(p, kernel):
     return float(mp.findroot(lambda x: mp_F(x, kernel) - mp.mpf(p), mp.mpf(0)))
 
 
+def mp_normal_log_sf(u):
+    """log Phi(-u), in a form that keeps full precision on both sides."""
+    u = mp.mpf(u)
+    return mp.log(mp.ncdf(-u)) if u > 0 else mp.log1p(-mp.ncdf(u))
+
+
+def mp_normal_quantile(log_q, start):
+    """The normal quantile of q given log q (an mpf, or a double taken as
+    exact), found in 50 digits by solving log Phi(-z) = log min(q, 1 - q);
+    `start` (a double, from any rough inverse) only seeds the root finder."""
+    log_q = mp.mpf(log_q)
+    lower = log_q < -mp.log(2)
+    target = log_q if lower else mp.log(-mp.expm1(log_q))
+    if target == -mp.log(2):
+        return 0.0
+    z = mp.findroot(lambda z: mp.log(mp.ncdf(-z)) - target, mp.mpf(-start if lower else start))
+    return float(-z if lower else z)
+
+
 def mp_dlogf(u, kernel):
     """f'(u)/f(u) by high-precision differentiation of log f."""
     return float(mp.diff(lambda x: mp.log(mp_f(x, kernel)), mp.mpf(u)))

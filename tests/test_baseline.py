@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 import oracles
 from ghsel import baseline
@@ -109,3 +110,47 @@ def test_density_normalisation_consistency(u, ki):
     fd = (baseline.log_F_neg(u + h, kernel) - baseline.log_F_neg(u - h, kernel)) / (2 * h)
     assert fd == pytest.approx(-baseline.ratio_f_over_Fneg(u, kernel),
                                rel=2e-5, abs=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# the normal kernel in NumPy against mpmath
+
+_TINY = np.finfo(float).tiny
+
+
+def _assert_rel(got, ref, rel):
+    """Relative error within `rel` wherever the reference is a normal double;
+    below the smallest normal double, agreement to within that."""
+    got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
+    bad = np.abs(got - ref) > rel * np.abs(ref) + _TINY
+    assert not bad.any(), list(zip(got[bad][:5], ref[bad][:5]))
+
+
+def test_normal_log_F_neg_matches_mpmath_on_dense_grid():
+    u = np.concatenate([np.linspace(-40.0, 40.0, 4001), [-50.0, 50.0, -300.0, 300.0]])
+    ref = [float(oracles.mp_normal_log_sf(x)) for x in u]
+    _assert_rel(baseline.log_F_neg(u, Kernel.NORMAL), ref, 1e-13)
+
+
+def test_normal_ratio_f_over_Fneg_matches_mpmath():
+    import mpmath as mp
+    u = np.linspace(-40.0, 300.0, 3401)
+    ref = [float(mp.npdf(x) / mp.ncdf(-mp.mpf(x))) for x in u]
+    _assert_rel(baseline.ratio_f_over_Fneg(u, Kernel.NORMAL), ref, 1e-12)
+
+
+def test_normal_quantile_matches_mpmath():
+    """From p = 1e-300 to 1 - 1e-16, including points within 1e-12 of 1/2."""
+    import mpmath as mp
+    p = np.concatenate([np.geomspace(1e-300, 0.5, 121), 1.0 - np.geomspace(1e-16, 0.5, 61),
+                        0.5 + np.geomspace(1e-12, 0.2, 13), 0.5 - np.geomspace(1e-12, 0.2, 13)])
+    ref = [oracles.mp_normal_quantile(mp.log(x), special.ndtri(x)) for x in p]
+    _assert_rel(baseline.quantile(p, Kernel.NORMAL), ref, 1e-12)
+    assert baseline.quantile(0.5, Kernel.NORMAL) == 0.0
+
+
+def test_logistic_closed_forms_are_stable():
+    u = np.array([-800.0, -40.0, -1.0, 0.0, 1e-8, 3.0, 40.0, 800.0])
+    _assert_rel(baseline.ratio_f_over_Fneg(u, Kernel.LOGISTIC), special.expit(u), 1e-15)
+    p = np.array([1e-300, 1e-10, 0.2, 0.25, 0.5 - 1e-12, 0.5, 0.7, 1.0 - 1e-16])
+    _assert_rel(baseline.quantile(p, Kernel.LOGISTIC), special.logit(p), 1e-14)

@@ -1,13 +1,17 @@
+import ast
 import csv
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ghsel
 import oracles
@@ -190,6 +194,30 @@ def test_data_without_events_is_rejected(tmp_path, capsys):
         assert "no events" in capsys.readouterr().err
 
 
+def test_data_with_one_event_is_rejected(tmp_path, capsys):
+    """With one event even the two-parameter null model cannot be fitted."""
+    path = tmp_path / "one_event.csv"
+    write_csv(path, [[1.0 + i, int(i == 7), 0.1 * i, (-1) ** i] for i in range(20)])
+    with pytest.raises(CliError, match="only one event"):
+        read_dataset(str(path))
+    for command in ("select", "enumerate"):
+        assert run([command, path, "--out", tmp_path / command]) == 2
+        assert "only one event" in capsys.readouterr().err
+
+
+def test_data_on_which_no_model_can_be_fitted_is_rejected(tmp_path, capsys):
+    """Two events 2e-16 apart in log time and no other data: the null
+    model's likelihood grows as its scale shrinks, so its fit fails, and so
+    does every other model's; both commands stop with a message."""
+    path = tmp_path / "tied.csv"
+    write_csv(path, [[1.0, 1, 0.0], [math.exp(2.220446049250313e-16), 1, 0.0]],
+              header=("time", "status", "x"))
+    assert run(["select", path, "--out", tmp_path / "select"]) == 2
+    assert "initial model 0 has an impossible score" in capsys.readouterr().err
+    assert run(["enumerate", path]) == 2
+    assert "no model could be fitted" in capsys.readouterr().err
+
+
 def test_header_only_csv_is_rejected(tmp_path, capsys):
     path = tmp_path / "header.csv"
     write_csv(path, [])
@@ -199,13 +227,16 @@ def test_header_only_csv_is_rejected(tmp_path, capsys):
     assert "no data rows" in capsys.readouterr().err
 
 
+# 5 rows, 4 events, p = 3
+FIVE_ROWS = [[1.3, 1, 0.5, -1.2, 0.3], [2.1, 1, -0.7, 0.4, 1.1], [0.6, 1, 1.4, 0.9, -0.8],
+             [3.5, 0, -0.2, -0.6, 0.2], [1.9, 1, 0.1, 1.5, -1.4]]
+
+
 def test_models_with_more_parameters_than_events_get_no_mass(tmp_path, capsys):
     """5 rows, 4 events, p = 3: every model with more than 4 parameters
     (2 + its coefficients) scores -inf, in the exact table and in a chain."""
     path = tmp_path / "tiny.csv"
-    write_csv(path, [[1.3, 1, 0.5, -1.2, 0.3], [2.1, 1, -0.7, 0.4, 1.1],
-                     [0.6, 1, 1.4, 0.9, -0.8], [3.5, 0, -0.2, -0.6, 0.2],
-                     [1.9, 1, 0.1, 1.5, -1.4]], header=("time", "status", "a", "b", "c"))
+    write_csv(path, FIVE_ROWS, header=("time", "status", "a", "b", "c"))
     assert run(["enumerate", path]) == 0
     rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
     assert len(rows) == 71
@@ -257,51 +288,82 @@ def test_trace_writer_matches_reference_writer(tmp_path):
 
 
 _SCIPY_PROBE = """
-import concurrent.futures as cf, json, sys
+import json, os, sys
 import ghsel.cli
 
-pool_saw = []
 
-class Pool(cf.ProcessPoolExecutor):
-    def __init__(self, *args, **kwargs):
-        pool_saw.append("scipy.special" in sys.modules)
-        super().__init__(*args, **kwargs)
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
-cf.ProcessPoolExecutor = Pool
+
+run_replicate = ghsel.cli._run_replicate
+
+
+def _run_replicate(job):
+    # each replicate reports what the process that ran it holds afterwards
+    result = run_replicate(job)
+    # one write of under PIPE_BUF bytes: the workers' lines cannot interleave
+    os.write(1, ("worker " + json.dumps(scipy_modules()) + "\\n").encode())
+    return result
+
+
+ghsel.cli._run_replicate = _run_replicate
 if len(sys.argv) > 1:
     assert ghsel.cli.main(sys.argv[1:]) == 0
-print(json.dumps({"scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
-                  "pool_saw_special": pool_saw}))
+print("main", json.dumps(scipy_modules()))
 """
 
 
 def _scipy_probe(*argv):
-    """Run the CLI in a fresh process; the SciPy modules it ended with and,
-    for each process pool it made, whether scipy.special was loaded then."""
+    """Run the CLI in a fresh process; the SciPy modules loaded at its end in
+    the main process and, after each replicate, in the process that ran it."""
     env = {**os.environ, "PYTHONPATH": str(Path(ghsel.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *map(str, argv)],
                           env=env, capture_output=True, text=True, check=True)
-    return json.loads(done.stdout.splitlines()[-1])
+    loaded = {"main": [], "worker": []}
+    for line in done.stdout.splitlines():
+        who, _, modules = line.partition(" ")
+        if who in loaded:
+            loaded[who].append(json.loads(modules))
+    return loaded
 
 
-def test_scipy_is_loaded_only_by_the_kernels_and_scores_that_use_it(tmp_path):
-    """Importing the CLI loads no SciPy, nor does a t2 product-prior run; the
-    robust-g score loads no scipy.integrate; a normal-kernel replicate loads
-    scipy.special before its pool forks, so the workers inherit it."""
+def test_no_command_loads_scipy(tmp_path):
+    """Importing the CLI, a normal-kernel robust-g select, a logistic select,
+    simulate, and a two-worker replicate (in the parent and in each worker)
+    all end with no SciPy module loaded."""
     sim = tmp_path / "sim.csv"
-    run(["simulate", "--out", sim, "--n", 60, "--p", 2, "--seed", 1])
     chain = ("--iters", 200, "--burnin", 50)
-    assert _scipy_probe()["scipy"] == []
-    t2 = _scipy_probe("select", sim, "--out", tmp_path / "t2", "--prior", "product",
-                      "--baseline", "t2", *chain)
-    assert t2["scipy"] == []
-    robust = _scipy_probe("select", sim, "--out", tmp_path / "robust", "--robust-g",
-                          *chain)
-    assert "scipy.special" in robust["scipy"]
-    assert "scipy.integrate" not in robust["scipy"]
-    rep = _scipy_probe("replicate", "--reps", 2, "--workers", 2, "--n", 60, "--p", 2,
-                       "--out", tmp_path / "rep.json", *chain)
-    assert rep["pool_saw_special"] == [True]
+    probes = {  # simulate first: the two selects read its output
+        "import": (),
+        "simulate": ("simulate", "--out", sim, "--n", 60, "--p", 2, "--seed", 1),
+        "robust-g": ("select", sim, "--out", tmp_path / "robust", "--robust-g", *chain),
+        "logistic": ("select", sim, "--out", tmp_path / "logistic",
+                     "--baseline", "logistic", *chain),
+        "replicate": ("replicate", "--reps", 2, "--workers", 2, "--n", 60, "--p", 2,
+                      "--out", tmp_path / "rep.json", *chain),
+    }
+    for name, argv in probes.items():
+        loaded = _scipy_probe(*argv)
+        assert loaded["main"] == [[]], name
+        assert all(modules == [] for modules in loaded["worker"]), name
+    assert len(loaded["worker"]) == 2
+
+
+def test_package_source_imports_no_scipy():
+    """No module of the package imports SciPy, at any depth of its code."""
+    src = Path(ghsel.__file__).parent
+    modules = sorted(src.glob("*.py"))
+    assert len(modules) > 10
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "scipy" for n in names), (path.name, node.lineno)
 
 
 def test_config_file_and_override(tmp_path):
@@ -391,3 +453,84 @@ def test_replicate_scoring_matches_score_selection():
     from ghsel.summarize import score_selection
     sel, truth = Gamma.from_key("2020"), Gamma.from_key("2200")
     assert score_selection(sel, truth) == (0.5, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# edge cases and a property test of `select`
+
+def _edge_case_rows(case):
+    rng = np.random.default_rng(11)
+    if case == "n5-p3":
+        return FIVE_ROWS
+    n = 30
+    t = rng.gamma(2.0, 1.0, n)
+    x = rng.standard_normal((n, 3))
+    if case == "duplicate-columns":
+        x[:, 2] = x[:, 0]
+    elif case == "times-1e-8-to-1e8":
+        t = 10.0 ** rng.permutation(np.linspace(-8.0, 8.0, n))
+    elif case == "constant-column":
+        x[:, 1] = 3.0
+    status = (rng.random(n) < 0.8).astype(int)
+    status[:2] = 1
+    return [[ti, si, *xi] for ti, si, xi in zip(t, status, x)]
+
+
+def _floats(obj):
+    if isinstance(obj, float):
+        yield obj
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from _floats(value)
+    elif isinstance(obj, list):
+        for value in obj:
+            yield from _floats(value)
+
+
+def _check_select_outputs(out):
+    """summary.json holds no NaN and both probability tables sum to 1."""
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    assert not any(math.isnan(v) for v in _floats(summary))
+    for table in ("model_probs_frequency", "model_probs_renormalized"):
+        assert abs(math.fsum(summary[table].values()) - 1.0) <= 1e-9, table
+
+
+@pytest.mark.parametrize("flags", [("--robust-g",), ("--baseline", "logistic"),
+                                   ("--prior", "product", "--baseline", "t2"),
+                                   ("--baseline", "sech")],
+                         ids=["normal-robust-g", "logistic", "t2-product", "sech"])
+@pytest.mark.parametrize("case", ["n5-p3", "duplicate-columns", "times-1e-8-to-1e8",
+                                  "constant-column"])
+def test_select_edge_cases(tmp_path, case, flags):
+    """Awkward data runs to the end, free of RuntimeWarnings (which pytest
+    turns into errors here), with well-formed outputs."""
+    path = tmp_path / "data.csv"
+    write_csv(path, _edge_case_rows(case), header=("time", "status", "a", "b", "c"))
+    out = tmp_path / "run"
+    assert run(["select", path, "--out", out, "--iters", 400, "--burnin", 100,
+                *flags]) == 0
+    _check_select_outputs(out)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_select_on_random_small_datasets(data):
+    """On any small dataset `select` either succeeds with well-formed outputs
+    or stops with a load error (exit code 2)."""
+    n = data.draw(st.integers(2, 12), label="n")
+    p = data.draw(st.integers(1, 3), label="p")
+    log_t = data.draw(st.lists(st.floats(-6.0, 6.0), min_size=n, max_size=n), label="log_t")
+    status = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n), label="status")
+    x = data.draw(st.lists(st.lists(st.floats(-5.0, 5.0), min_size=p, max_size=p),
+                           min_size=n, max_size=n), label="x")
+    kernel = data.draw(st.sampled_from([k.value for k in Kernel]), label="kernel")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        write_csv(path, [[math.exp(lt), s, *xi] for lt, s, xi in zip(log_t, status, x)],
+                  header=("time", "status", *(f"x{j}" for j in range(p))))
+        out = Path(tmp) / "run"
+        code = run(["select", path, "--out", out, "--baseline", kernel,
+                    "--iters", 120, "--burnin", 40])
+        assert code in (0, 2)
+        if code == 0:
+            _check_select_outputs(out)

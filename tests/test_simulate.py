@@ -25,6 +25,17 @@ def test_covariate_autocorrelation_structure():
     assert np.allclose(X.std(axis=0), 1.0, atol=0.02)
 
 
+def test_normal_quantile_exp_matches_mpmath():
+    """log q from -700 to -1e-16, including points within 1e-12 of log(1/2)."""
+    from scipy import special
+    log_q = np.concatenate([-np.geomspace(1e-16, 700.0, 241),
+                            -math.log(2.0) + np.geomspace(1e-12, 0.2, 9),
+                            -math.log(2.0) - np.geomspace(1e-12, 0.2, 9)])
+    ref = [oracles.mp_normal_quantile(x, special.ndtri_exp(x)) for x in log_q]
+    got = _kernel_quantile_exp(log_q, Kernel.NORMAL)
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
+
+
 @pytest.mark.parametrize("kernel", list(Kernel))
 def test_kernel_quantile_exp_matches_quantile(kernel):
     from ghsel import baseline
