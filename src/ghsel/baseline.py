@@ -82,8 +82,8 @@ def log_F_neg(u, kernel: Kernel):
     if kernel is Kernel.NORMAL:
         out = _log_normal_sf(u.reshape(-1)).reshape(u.shape)
     elif kernel is Kernel.LOGISTIC:
-        # log F(-u) = -log(1 + e^u)
-        out = -np.logaddexp(0.0, u)
+        # log F(-u) = -log(1 + e^u) = -(max(u, 0) + log(1 + e^-|u|))
+        out = -(np.maximum(u, 0.0) + np.log1p(np.exp(-np.abs(u))))
     elif kernel is Kernel.SECH:
         x = 0.5 * np.pi * u
         pos = _log_arctan_exp_neg(np.where(u >= 0, x, 0.0)) + np.log(2.0 / np.pi)

@@ -425,7 +425,7 @@ def _run_replicate(rep_args):
         trace = sampler.run_chain(data, kernel, chain_cfg, scorer_cfg,
                                   ModelPriorConfig(), scorer=scorer)
     except sampler.ImpossibleStartError as exc:
-        raise CliError(f"{args.data}: {exc}: its fit failed, so the chain cannot start") from None
+        raise CliError(f"seed {rep_seed}: {exc}: its fit failed, so the chain cannot start") from None
     renorm = summarize.probs_renormalized(trace)
     hz = summarize.hazard_posterior(renorm)
     pip_any, _ = summarize.pip(renorm)

@@ -2,9 +2,18 @@
 
 The likelihood is evaluated in the coordinates Psi = (nu, theta0, theta, eta)
 where exp(nu) = 1/sigma, theta0 = mu/sigma, theta = -alpha/sigma and
-eta = -beta.  Tied-effect (code-4) models carry only theta; eta is the
-deterministic function exp(-nu) * theta and derivatives are propagated by the
-chain rule so that a single generic code path serves every hazard class.
+eta = -beta; tied-effect (code-4) models carry only theta, with
+eta = exp(-nu) * theta.
+
+Each observation's term depends on Psi only through two linear predictors,
+u = exp(nu) log t - theta0 - Xt theta and lin = exp(-nu) Xt theta - Xh eta
+(identically zero for tied-effect and null models).  A pass takes each
+term's first and second derivatives in (u, lin) from the kernel functions,
+and the chain rule maps them to Psi: the gradients of u and lin are linear
+in the row z = (log t, 1, x) of the model's columns, so the gradient is one
+product with the design matrix Z and the Hessian one product with the table
+of column products Z_a Z_b, plus the terms of the second derivatives of u
+and lin in nu.
 
 A fit builds the model's `Design` once and calls `evaluate` for the value,
 gradient and Hessian in one pass; `loglik`, `grad_loglik` and `hess_loglik`
@@ -35,6 +44,10 @@ class Dataset:
     X: np.ndarray
     names: tuple
     log_t: np.ndarray = field(init=False, repr=False)
+    n_events: int = field(init=False, repr=False)
+    delta_log_t: float = field(init=False, repr=False)       # sum of log t over events
+    event_log_t_mean: float = field(init=False, repr=False)  # mean and sd of log t over
+    event_log_t_sd: float = field(init=False, repr=False)    # events (all, if under 2)
 
     def __post_init__(self):
         t = np.ascontiguousarray(np.asarray(self.t, dtype=float))
@@ -60,7 +73,15 @@ class Dataset:
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "names", names)
-        object.__setattr__(self, "log_t", np.log(t))
+        log_t = np.log(t)
+        event_log_t = log_t[delta == 1.0]
+        if event_log_t.size < 2:
+            event_log_t = log_t
+        for name, value in (("log_t", log_t), ("n_events", int(delta.sum())),
+                            ("delta_log_t", float(delta @ log_t)),
+                            ("event_log_t_mean", float(np.mean(event_log_t))),
+                            ("event_log_t_sd", float(np.std(event_log_t)))):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
@@ -69,10 +90,6 @@ class Dataset:
     @property
     def p(self) -> int:
         return self.X.shape[1]
-
-    @property
-    def n_events(self) -> int:
-        return int(self.delta.sum())
 
 
 def time_level_columns(gamma: Gamma) -> tuple:
@@ -99,14 +116,30 @@ def dim_psi(gamma: Gamma) -> int:
 
 @dataclass(frozen=True)
 class Design:
-    """One model's view of a dataset, built once per fit: contiguous copies of
-    its time-level and hazard-level columns.  Tied-effect (AFT) models use
-    their time-level columns at both levels."""
+    """One model's view of a dataset, built once per fit.
+
+    `Xt` and `Xh` are contiguous copies of the model's time-level and
+    hazard-level columns; tied-effect (AFT) models use their time-level
+    columns at both levels.  The rows of `Z` are log t, 1 and the union of
+    those columns, and the rows of `pairs` the products Z_a Z_b, a <= b.
+    Row i of `jac` holds the gradients of u and lin in Z's basis,
+    [d u / d Psi_i | d lin / d Psi_i], without the entries that depend on
+    Psi: exp(nu) at (0, 0), exp(-nu) at `theta_idx` and -exp(-nu) theta in
+    row 0 at Xt's columns of the lin block.  `w_index` unpacks the
+    weighted pair sums into [[S_uu, S_ul], [S_ul, S_ll]].
+    """
     data: Dataset
     kernel: Kernel
     aft: bool
     Xt: np.ndarray
     Xh: np.ndarray
+    has_lin: bool          # False for tied-effect and null models: lin = 0
+    Z: np.ndarray
+    pairs: np.ndarray
+    w_index: np.ndarray
+    jac: np.ndarray
+    t_pos: np.ndarray      # the rows of Z that are Xt's columns
+    theta_idx: tuple       # the entries d lin / d theta of jac
 
     @property
     def q(self) -> int:
@@ -121,39 +154,65 @@ def design(gamma: Gamma, data: Dataset, kernel: Kernel) -> Design:
     if gamma.p != data.p:
         raise DimensionError(f"model over {gamma.p} variables, data has {data.p}")
     aft = classify(gamma) is HazardClass.AFT
-    Xt = np.ascontiguousarray(data.X[:, list(time_level_columns(gamma))])
-    Xh = Xt if aft else np.ascontiguousarray(data.X[:, list(hazard_level_columns(gamma))])
-    return Design(data, kernel, aft, Xt, Xh)
+    t_cols, h_cols = list(time_level_columns(gamma)), list(hazard_level_columns(gamma))
+    cols = sorted(set(t_cols) | set(h_cols))
+    Xt = np.ascontiguousarray(data.X[:, t_cols])
+    Xh = Xt if aft else np.ascontiguousarray(data.X[:, h_cols])
+    q, m = len(t_cols), 2 + len(cols)
+    has_lin = bool(cols) and not aft
+    Z = np.empty((m, data.n))
+    Z[0] = data.log_t
+    Z[1] = 1.0
+    Z[2:] = data.X[:, cols].T
+    a, b = np.triu_indices(m)
+    w_index = np.empty((m, m), dtype=np.intp)
+    w_index[a, b] = w_index[b, a] = np.arange(a.size)
+    if has_lin:  # the pair sums of rows uu, ul and ll
+        k = a.size
+        w_index = np.block([[w_index, w_index + k], [w_index + k, w_index + 2 * k]])
+    t_pos = np.array([2 + cols.index(j) for j in t_cols], dtype=np.intp)
+    theta_rows = np.arange(2, 2 + q)
+    # d u / d Psi: exp(nu) log t on nu, -1 on theta0 and on each theta; and
+    # d lin / d Psi: -exp(-nu) Xt theta on nu, exp(-nu) Xt on theta, -Xh on eta
+    jac = np.zeros((2 + q + (0 if aft else len(h_cols)), 2 * m if has_lin else m))
+    jac[1, 1] = -1.0
+    jac[theta_rows, t_pos] = -1.0
+    jac[range(2 + q, 2 + q + len(h_cols)), [m + 2 + cols.index(j) for j in h_cols]] = -1.0
+    return Design(data, kernel, aft, Xt, Xh, has_lin, Z, Z[a] * Z[b], w_index, jac,
+                  t_pos, (theta_rows, m + t_pos))
 
 
 def evaluate(des: Design, psi, order: int = 2):
     """Log-likelihood at psi with its gradient (order >= 1) and Hessian
     (order 2): returns (value, grad, hess), None past the requested order.
 
-    One pass computes the linear predictors and the kernel functions once and
-    shares them among all three.  Tied-effect models are evaluated in the
-    generic coordinates with eta = exp(-nu) * theta and mapped back by the
-    chain rule.
+    One pass computes the linear predictors u and lin and the kernel
+    functions once.  Each observation's term
+    delta (nu - log t + lin + log f(u)) + (exp(lin) - delta) log F(-u)
+    is differentiated once and twice in (u, lin), and the chain rule through
+    the design's tables gives the gradient and Hessian in Psi.
     """
     psi = np.asarray(psi, dtype=float).reshape(-1)
     if psi.shape[0] != des.dim:
         raise DimensionError(f"psi has length {psi.shape[0]}, model needs {des.dim}")
-    data, kernel, Xt, Xh, q = des.data, des.kernel, des.Xt, des.Xh, des.q
-    delta, lt = data.delta, data.log_t
+    data, kernel, q = des.data, des.kernel, des.q
+    delta = data.delta
     nu, theta0, theta = float(psi[0]), float(psi[1]), psi[2:2 + q]
     e_nu, e_mnu = np.exp(nu), np.exp(-nu)
-    eta = e_mnu * theta if des.aft else psi[2 + q:]
-    a = Xt @ theta
-    u = e_nu * lt - a - theta0
-    lin_raw = e_mnu * a - Xh @ eta
-    lin = np.clip(lin_raw, -LINPRED_CLAMP, LINPRED_CLAMP)
-    v = np.exp(lin)
+    a = des.Xt @ theta
+    u = e_nu * data.log_t - a - theta0
     lf = baseline.log_f(u, kernel)
     lF = baseline.log_F_neg(u, kernel)
+    val = data.n_events * nu - data.delta_log_t
+    if des.has_lin:
+        lin_raw = e_mnu * a - des.Xh @ psi[2 + q:]
+        lin = np.clip(lin_raw, -LINPRED_CLAMP, LINPRED_CLAMP)
+        v = np.exp(lin)
+        val = val + float(delta @ lin)
+    else:
+        v = 1.0
     vd = v - delta
-    n_events = data.n_events
-    val = (n_events * nu - float(delta @ lt) + float(delta @ lin)
-           + float(delta @ lf) + float(lF @ vd))
+    val = val + float(delta @ lf) + float(lF @ vd)
     if not np.isfinite(val):
         val = -np.inf
     if order == 0:
@@ -166,68 +225,46 @@ def evaluate(des: Design, psi, order: int = 2):
     if tail.any():
         r1[tail] = baseline.ratio_f_over_Fneg(u[tail], kernel)
     rp = baseline.ratio_fprime_over_f(u, kernel)
-    # where the clip is active lin is constant, so every term through lin
-    # (delta_lin, lFv and r1v below) is zero there
-    live = lin == lin_raw
-    delta_lin = delta * live
-    lFv = lF * v * live
-    g_nu = (n_events - e_mnu * float(delta_lin @ a) + e_nu * float((delta * rp) @ lt)
-            - e_nu * float((r1 * vd) @ lt) - e_mnu * float(lFv @ a))
-    g_t0 = -float(delta @ rp) + float(r1 @ vd)
-    g_theta = Xt.T @ (delta_lin * e_mnu - delta * rp + r1 * vd + lFv * e_mnu)
-    g_eta = Xh.T @ (-delta_lin - lFv)
-    g = np.concatenate(([g_nu, g_t0], g_theta, g_eta))
+    # rows: the first derivatives in u and lin (d1), the second in (u, u),
+    # (u, lin) and (lin, lin) (d2); where the clip is active lin is constant,
+    # so every term through it is zero there
+    k = 2 if des.has_lin else 1
+    d1 = np.empty((k, data.n))
+    np.multiply(delta, rp, out=d1[0])
+    d1[0] -= r1 * vd
+    jac = des.jac.copy()
+    jac[0, 0] = e_nu
+    if des.has_lin:
+        live = lin == lin_raw
+        v_live = v * live
+        l_ll = lF * v_live
+        np.multiply(delta, live, out=d1[1])
+        d1[1] += l_ll
+        jac[des.theta_idx] = e_mnu
+        jac[0, des.theta_idx[1]] = -e_mnu * theta
+    z = d1 @ des.Z.T  # Z' l_u (and Z' l_lin)
+    g = jac @ z.ravel()
+    g[0] += data.n_events
     if order == 1:
-        return val, (_aft_jacobian(nu, theta).T @ g if des.aft else g), None
+        return val, g, None
 
     rs = baseline.ratio_fsecond_over_f(u, kernel)
-    D2 = rs - rp * rp
-    E2 = rp * r1 + r1 * r1  # f'/F(-u) + (f/F(-u))^2
-    r1v = r1 * v * live
-    k = g.size
-    H = np.empty((k, k))
-    H[0, 0] = (e_mnu * float(delta_lin @ a) + e_nu ** 2 * float((delta * D2) @ (lt * lt))
-               + e_nu * float((delta * rp) @ lt) - e_nu ** 2 * float((E2 * vd) @ (lt * lt))
-               - e_nu * float((r1 * vd) @ lt) + e_mnu * float((lFv * (1.0 + a * e_mnu)) @ a)
-               + 2.0 * float((r1v * a) @ lt))
-    H[1, 1] = float(delta @ D2) - float(E2 @ vd)
-    H[0, 1] = H[1, 0] = (-e_nu * float((delta * D2) @ lt) - e_mnu * float(r1v @ a)
-                         + e_nu * float((E2 * vd) @ lt))
-    t, h = slice(2, 2 + q), slice(2 + q, k)
-    H[t, t] = Xt.T @ ((delta * D2 - E2 * vd + 2.0 * e_mnu * r1v
-                       + e_mnu ** 2 * lFv)[:, None] * Xt)
-    H[1, t] = H[t, 1] = Xt.T @ (delta * D2 + e_mnu * r1v - E2 * vd)
-    H[0, t] = H[t, 0] = Xt.T @ (-delta_lin * e_mnu - e_nu * delta * D2 * lt - e_mnu * r1v * a
-                                + e_nu * E2 * vd * lt - e_mnu * lFv * (a * e_mnu + 1.0)
-                                - r1v * lt)
-    H[h, h] = Xh.T @ (lFv[:, None] * Xh)
-    H[1, h] = H[h, 1] = -(Xh.T @ r1v)
-    H[0, h] = H[h, 0] = Xh.T @ (e_nu * r1v * lt + e_mnu * lFv * a)
-    H[t, h] = Xt.T @ ((-r1v - e_mnu * lFv)[:, None] * Xh)
-    H[h, t] = H[t, h].T
-    if not des.aft:
-        return val, g, H
-    # tied effects: chain rule through eta = exp(-nu) * theta, plus the
-    # second-derivative terms of eta
-    J = _aft_jacobian(nu, theta)
-    H = J.T @ H @ J
-    H[0, 0] += float(g_eta @ (e_mnu * theta))
-    H[0, 2:] -= e_mnu * g_eta
-    H[2:, 0] -= e_mnu * g_eta
-    return val, J.T @ g, H
-
-
-def _aft_jacobian(nu, theta):
-    """Jacobian of (nu, theta0, theta, eta(nu, theta)) w.r.t. (nu, theta0, theta)."""
-    m = theta.size
-    e_mnu = np.exp(-nu)
-    J = np.zeros((2 + 2 * m, 2 + m))
-    J[0, 0] = 1.0
-    J[1, 1] = 1.0
-    J[2:2 + m, 2:] = np.eye(m)
-    J[2 + m:, 0] = -e_mnu * theta
-    J[2 + m:, 2:] = e_mnu * np.eye(m)
-    return J
+    d2 = np.empty((2 * k - 1, data.n))
+    np.multiply(delta, rs - rp * rp, out=d2[0])
+    d2[0] -= (rp * r1 + r1 * r1) * vd
+    if des.has_lin:
+        d2[1] = -r1 * v_live
+        d2[2] = l_ll
+    H = jac @ (d2 @ des.pairs.T).ravel()[des.w_index] @ jac.T
+    # the second derivatives of u and lin: exp(nu) log t in (nu, nu), and
+    # exp(-nu) Xt theta in (nu, nu) and -exp(-nu) Xt in (nu, theta) for lin
+    H[0, 0] += e_nu * z[0, 0]
+    if des.has_lin:
+        z_t = e_mnu * z[1, des.t_pos]
+        H[0, 0] += float(theta @ z_t)
+        H[0, 2:2 + q] -= z_t
+        H[2:2 + q, 0] -= z_t
+    return val, g, H
 
 
 def loglik(psi, gamma: Gamma, data: Dataset, kernel: Kernel) -> float:

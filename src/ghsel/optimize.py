@@ -57,11 +57,7 @@ class FitRecord:
 def default_init(gamma: Gamma, data: Dataset) -> np.ndarray:
     """Moment-matching start: null-model lognormal fit on uncensored times,
     zero coefficients."""
-    lt = data.log_t[data.delta == 1.0]
-    if lt.size < 2:
-        lt = data.log_t
-    m = float(np.mean(lt))
-    s = float(np.std(lt))
+    m, s = data.event_log_t_mean, data.event_log_t_sd
     if not np.isfinite(s) or s < 1e-8:
         s = 1.0
     psi = np.zeros(dim_psi(gamma))

@@ -7,6 +7,13 @@ class), a two-index swap with a special (1,2) <-> (0,3)/(3,0) exchange, a
 single-index role change, and a whole-model role change that crosses hazard
 structures.  Forward and reverse proposal densities are tracked exactly so
 the acceptance ratio is correct across structure boundaries.
+
+A proposal is a pure function of the current model, the move and the integer
+draws, so each model keeps a table of its proposal paths: the running sums of
+its move probabilities, and one tree per move whose nodes hold the arguments
+of the next draw and whose leaves hold the finished proposal with its log
+Hastings ratio.  The move rules fill a path the first time a step draws it;
+every later step makes the same draws and looks the proposal up.
 """
 
 from __future__ import annotations
@@ -67,44 +74,82 @@ def move_distribution(gamma: Gamma) -> dict:
 
 
 @dataclass(frozen=True)
-class _MoveTable:
-    """`move_distribution` of one state as `propose` reads it: each move's
-    probability, and the running sums over `_MOVE_ORDER` that the move draw
-    is compared with, accumulated in the order `select_move` always used."""
-    ad: float
-    ad_gh: float
-    swap: float
-    change: float
-    change_all: float
-    cum: tuple
-    last: MoveKind  # the last move with positive probability
-
-
-_TABLES: dict = {}  # Gamma -> its _MoveTable; models are interned, so one per model
-
-
-def _moves(gamma: Gamma) -> _MoveTable:
-    table = _TABLES.get(gamma)
-    if table is None:
-        dist = move_distribution(gamma)
-        probs = [dist.get(mk, 0.0) for mk in _MOVE_ORDER]
-        table = _TABLES.setdefault(gamma, _MoveTable(
-            *probs[1:], cum=tuple(itertools.accumulate(probs)),
-            last=next(mk for mk in reversed(_MOVE_ORDER) if mk in dist)))
-    return table
-
-
-def select_move(gamma: Gamma, rng: np.random.Generator) -> MoveKind:
-    table = _moves(gamma)
-    i = bisect.bisect_right(table.cum, rng.random())
-    return _MOVE_ORDER[i] if i < len(_MOVE_ORDER) else table.last
-
-
-@dataclass(frozen=True)
 class Proposal:
     gamma: Gamma
     log_hastings: float  # log q_rev - log q_fwd; -inf forces rejection
     move: MoveKind
+
+
+_PATHS: dict = {}  # Gamma -> its proposal table; models are interned, so one per model
+
+
+def _paths(gamma: Gamma) -> tuple:
+    """One model's proposal table: the running sums over `_MOVE_ORDER` that
+    the move draw is compared with, accumulated in that order; the index of
+    the last move with positive probability; and a dict from a move's index
+    to its path tree.  A node of a tree is a pair: the arguments of the
+    step's next `rng.integers` call, and a dict from each value it has
+    returned to the subtree below; a leaf is the proposal."""
+    table = _PATHS.get(gamma)
+    if table is None:
+        dist = move_distribution(gamma)
+        table = _PATHS.setdefault(gamma, (
+            tuple(itertools.accumulate(dist.get(mk, 0.0) for mk in _MOVE_ORDER)),
+            max(i for i, mk in enumerate(_MOVE_ORDER) if mk in dist), {}))
+    return table
+
+
+def propose(gamma: Gamma, rng: np.random.Generator) -> Proposal:
+    """Draw a move and its integer draws, and return the proposal they name.
+
+    The draws are those of the move rules, in their order and with their
+    bounds: the path tree supplies the arguments of each draw, and its leaf
+    the proposal.  A path not drawn before is filled by the move rules."""
+    cum, last, trees = _paths(gamma)
+    i = bisect.bisect_right(cum, rng.random())
+    if i == len(_MOVE_ORDER):
+        i = last
+    node = trees.get(i)
+    drawn = []
+    while node.__class__ is tuple:
+        args, branches = node
+        drawn.append(int(rng.integers(*args)))
+        node = branches.get(drawn[-1])
+    return node if node is not None else _fill(gamma, i, trees, drawn, rng)
+
+
+class _Recorder:
+    """The generator the move rules draw from while a path is filled: it
+    returns the draws the step has already made, then draws from the step's
+    own generator, and records the arguments and value of every draw."""
+
+    def __init__(self, rng, drawn):
+        self._rng, self._drawn, self.calls = rng, drawn, []
+
+    def integers(self, *args):
+        k = len(self.calls)
+        x = self._drawn[k] if k < len(self._drawn) else int(self._rng.integers(*args))
+        self.calls.append((args, x))
+        return x
+
+
+def _fill(gamma: Gamma, i: int, trees: dict, drawn: list, rng) -> Proposal:
+    """Run the move rules along the path that begins with `drawn`, finish its
+    draws from `rng`, and store the path in the model's trees."""
+    rec = _Recorder(rng, drawn)
+    prop = _move_rules(gamma, _MOVE_ORDER[i], rec)
+    branches, key = trees, i
+    for args, x in rec.calls:
+        node = branches.get(key)
+        if node is None:
+            node = branches[key] = (args, {})
+        branches, key = node[1], x
+    branches[key] = prop
+    return prop
+
+
+def _prob(gamma: Gamma, move: MoveKind) -> float:
+    return move_distribution(gamma).get(move, 0.0)
 
 
 def _self_loop(gamma: Gamma, move: MoveKind) -> Proposal:
@@ -115,11 +160,11 @@ _OTHER_ROLES = {1: (2, 3), 2: (1, 3), 3: (1, 2)}  # CHANGE: the codes a role may
 _OTHER_STRUCTURES = {1: (2, 4), 2: (1, 4)}        # CHANGE_ALL from an AH or PH state
 
 
-def propose(gamma: Gamma, rng: np.random.Generator) -> Proposal:
+def _move_rules(gamma: Gamma, move: MoveKind, rng) -> Proposal:
+    """The proposal of `move` from `gamma`, with the integer draws taken from
+    `rng` in the order the rules need them."""
     p = gamma.p
     cls = gamma.hazard_class
-    here = _moves(gamma)
-    move = select_move(gamma, rng)
 
     if move is MoveKind.A_NULL:
         j = int(rng.integers(p))
@@ -127,9 +172,9 @@ def propose(gamma: Gamma, rng: np.random.Generator) -> Proposal:
         gp = gamma.replace(j, v)
         q_fwd = 1.0 / (4.0 * p)
         if gp.hazard_class is HazardClass.GH:
-            q_rev = _moves(gp).ad_gh / len(get_valid_idx(gp))
+            q_rev = _prob(gp, MoveKind.AD_GH) / len(get_valid_idx(gp))
         else:
-            q_rev = _moves(gp).ad / p
+            q_rev = _prob(gp, MoveKind.AD) / p
         return Proposal(gp, math.log(q_rev) - math.log(q_fwd), move)
 
     if move is MoveKind.AD:
@@ -139,11 +184,11 @@ def propose(gamma: Gamma, rng: np.random.Generator) -> Proposal:
         else:
             # the included variables of an AH, PH or AFT state share one code
             gp = gamma.replace(j, gamma.codes[gamma.active[0]])
-        q_fwd = here.ad / p
+        q_fwd = _prob(gamma, MoveKind.AD) / p
         if gp.hazard_class is HazardClass.NULL:
             q_rev = 1.0 / (4.0 * p)
         else:
-            q_rev = _moves(gp).ad / p
+            q_rev = _prob(gp, MoveKind.AD) / p
         return Proposal(gp, math.log(q_rev) - math.log(q_fwd), move)
 
     if move is MoveKind.AD_GH:
@@ -155,15 +200,15 @@ def propose(gamma: Gamma, rng: np.random.Generator) -> Proposal:
         j = int(valid[int(rng.integers(len(valid)))])
         if gamma.codes[j] > 0:
             gp = gamma.replace(j, 0)
-            q_fwd = here.ad_gh / len(valid)
+            q_fwd = _prob(gamma, MoveKind.AD_GH) / len(valid)
             if gp.hazard_class is HazardClass.NULL:
                 q_rev = 1.0 / (4.0 * p)
             else:
-                q_rev = _moves(gp).ad_gh / len(get_valid_idx(gp)) / 3.0
+                q_rev = _prob(gp, MoveKind.AD_GH) / len(get_valid_idx(gp)) / 3.0
         else:
             gp = gamma.replace(j, int(rng.integers(1, 4)))
-            q_fwd = here.ad_gh / len(valid) / 3.0
-            q_rev = _moves(gp).ad_gh / len(get_valid_idx(gp))
+            q_fwd = _prob(gamma, MoveKind.AD_GH) / len(valid) / 3.0
+            q_rev = _prob(gp, MoveKind.AD_GH) / len(get_valid_idx(gp))
         return Proposal(gp, math.log(q_rev) - math.log(q_fwd), move)
 
     if move is MoveKind.CHANGE:
@@ -171,8 +216,8 @@ def propose(gamma: Gamma, rng: np.random.Generator) -> Proposal:
         j = int(active[int(rng.integers(len(active)))])
         choices = _OTHER_ROLES[gamma.codes[j]]
         gp = gamma.replace(j, choices[int(rng.integers(len(choices)))])
-        q_fwd = here.change / len(active) / 2.0
-        q_rev = _moves(gp).change / len(active) / 2.0
+        q_fwd = _prob(gamma, MoveKind.CHANGE) / len(active) / 2.0
+        q_rev = _prob(gp, MoveKind.CHANGE) / len(active) / 2.0
         return Proposal(gp, math.log(q_rev) - math.log(q_fwd), move)
 
     if move is MoveKind.SWAP:
@@ -190,10 +235,10 @@ def propose(gamma: Gamma, rng: np.random.Generator) -> Proposal:
             new1, new2 = ((1, 2), (2, 1))[int(rng.integers(2))]
         gp = gamma.replace(j1, new1).replace(j2, new2)
         n_other_rev = p - gp.count(new1)
-        q_fwd = here.swap / p / len(others)
+        q_fwd = _prob(gamma, MoveKind.SWAP) / p / len(others)
         if v1 + v2 == 3:
             q_fwd /= 2.0
-        q_rev = _moves(gp).swap / p / n_other_rev
+        q_rev = _prob(gp, MoveKind.SWAP) / p / n_other_rev
         if new1 + new2 == 3:
             q_rev /= 2.0
         return Proposal(gp, math.log(q_rev) - math.log(q_fwd), move)
@@ -202,24 +247,24 @@ def propose(gamma: Gamma, rng: np.random.Generator) -> Proposal:
     if cls is HazardClass.AFT:
         v = int(rng.integers(1, 4))
         gp = Gamma(tuple(v if c == 4 else 0 for c in gamma.codes))
-        q_fwd = here.change_all / 3.0
+        q_fwd = _prob(gamma, MoveKind.CHANGE_ALL) / 3.0
         if gp.hazard_class is HazardClass.GH:
-            q_rev = _moves(gp).change_all
+            q_rev = _prob(gp, MoveKind.CHANGE_ALL)
         else:
-            q_rev = _moves(gp).change_all / 2.0
+            q_rev = _prob(gp, MoveKind.CHANGE_ALL) / 2.0
     elif cls is HazardClass.GH:
         gp = Gamma(tuple(4 if c == 3 else c for c in gamma.codes))
-        q_fwd = here.change_all
-        q_rev = _moves(gp).change_all / 3.0
+        q_fwd = _prob(gamma, MoveKind.CHANGE_ALL)
+        q_rev = _prob(gp, MoveKind.CHANGE_ALL) / 3.0
     else:
         choices = _OTHER_STRUCTURES[gamma.codes[gamma.active[0]]]
         v = choices[int(rng.integers(len(choices)))]
         gp = Gamma(tuple(v if c != 0 else 0 for c in gamma.codes))
-        q_fwd = here.change_all / 2.0
+        q_fwd = _prob(gamma, MoveKind.CHANGE_ALL) / 2.0
         if gp.hazard_class is HazardClass.AFT:
-            q_rev = _moves(gp).change_all / 3.0
+            q_rev = _prob(gp, MoveKind.CHANGE_ALL) / 3.0
         else:
-            q_rev = _moves(gp).change_all / 2.0
+            q_rev = _prob(gp, MoveKind.CHANGE_ALL) / 2.0
     return Proposal(gp, math.log(q_rev) - math.log(q_fwd), MoveKind.CHANGE_ALL)
 
 
@@ -251,21 +296,29 @@ class ChainConfig:
 class ChainTrace:
     samples: list = field(default_factory=list)   # (chain, iteration, gamma key)
     visited: dict = field(default_factory=dict)   # key -> (log_ml, log_prior)
-    accept_count: dict = field(default_factory=dict)
-    propose_count: dict = field(default_factory=dict)
+    proposed: list = field(default_factory=lambda: [0] * len(_MOVE_ORDER))  # by move index
+    accepted: list = field(default_factory=lambda: [0] * len(_MOVE_ORDER))
     n_steps: int = 0
 
     @property
     def keys(self):
         return [k for _, _, k in self.samples]
 
+    @property
+    def propose_count(self) -> dict:
+        return {mk: n for mk, n in zip(_MOVE_ORDER, self.proposed) if n}
+
+    @property
+    def accept_count(self) -> dict:
+        return {mk: n for mk, n in zip(_MOVE_ORDER, self.accepted) if n}
+
     def acceptance_rate(self, move: MoveKind | None = None) -> float:
         if move is None:
-            acc = sum(self.accept_count.values())
-            tot = sum(self.propose_count.values())
+            acc = sum(self.accepted)
+            tot = sum(self.proposed)
         else:
-            acc = self.accept_count.get(move, 0)
-            tot = self.propose_count.get(move, 0)
+            i = _MOVE_ORDER.index(move)
+            acc, tot = self.accepted[i], self.proposed[i]
         return acc / tot if tot else 0.0
 
 
@@ -296,22 +349,20 @@ def mh_step(gamma: Gamma, score: float, scorer, prior_cfg: ModelPriorConfig,
     """One accept/reject update.  `score` is log_ml + log_prior of the
     current state; returns the (possibly unchanged) state and its score."""
     prop = propose(gamma, rng)
-    trace.propose_count[prop.move] = trace.propose_count.get(prop.move, 0) + 1
+    i = _MOVE_ORDER.index(prop.move)
+    trace.proposed[i] += 1
     if prop.log_hastings == -math.inf:
         return gamma, score
-    key = prop.gamma.key
-    if key in trace.visited:
-        log_ml, log_prior = trace.visited[key]
-    else:
-        log_ml = scorer.score(prop.gamma).log_ml
-        log_prior = log_model_prior(prop.gamma, prior_cfg)
-        trace.visited[key] = (log_ml, log_prior)
-    new_score = log_ml + log_prior
+    scores = trace.visited.get(prop.gamma.key)
+    if scores is None:
+        scores = trace.visited[prop.gamma.key] = (
+            scorer.score(prop.gamma).log_ml, log_model_prior(prop.gamma, prior_cfg))
+    new_score = scores[0] + scores[1]
     if new_score == -math.inf:
         return gamma, score
     log_acc = new_score - score + prop.log_hastings
     if log_acc >= 0.0 or math.log(rng.random()) < log_acc:
-        trace.accept_count[prop.move] = trace.accept_count.get(prop.move, 0) + 1
+        trace.accepted[i] += 1
         return prop.gamma, new_score
     return gamma, score
 

@@ -8,14 +8,21 @@ internals.  The exceptions are the helpers over the packed coefficient vector
 package's column bookkeeping, `write_trace_jsonl`, the reference for the
 CLI's trace file, and `robust_g_quad_reference`, the robust hyper-g score by
 adaptive quadrature over the package's own fit and closed form: only tests
-need them.
+need them.  `evaluate_reference`, `propose_reference` and
+`run_chain_reference` keep the package's earlier likelihood pass (generic
+coordinates and hand-expanded Hessian blocks) and MH step (a proposal built
+and its Hastings ratio computed on every step), over the package's kernels
+and move distribution, as references for the per-observation and per-model
+tables that replaced them.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import mpmath as mp
 import numpy as np
@@ -23,12 +30,14 @@ from scipy import integrate
 from scipy import optimize as sopt
 from scipy import stats
 
-from ghsel import marglik, optimize, priors
+from ghsel import baseline, marglik, optimize, priors
 from ghsel.baseline import Kernel
-from ghsel.ghlik import (DimensionError, dim_coef, dim_psi, hazard_level_columns,
-                         hess_loglik, time_level_columns)
+from ghsel.ghlik import (LINPRED_CLAMP, DimensionError, dim_coef, dim_psi,
+                         hazard_level_columns, hess_loglik, time_level_columns)
 from ghsel.marglik import ILAFactor, MarglikRecord, ila_log_marglik
-from ghsel.modelspace import Gamma, classify
+from ghsel.modelspace import (Gamma, HazardClass, ModelPriorConfig, classify,
+                              get_valid_idx, log_model_prior)
+from ghsel.sampler import _MOVE_ORDER, MoveKind, Proposal, move_distribution
 from ghsel.priors import RankDeficiencyError
 
 mp.mp.dps = 50
@@ -449,6 +458,314 @@ def write_trace_jsonl(path, trace):
                 "class": classify(Gamma.from_key(key)).value,
                 "log_ml": log_ml, "log_prior": log_prior,
                 "chain": chain}, sort_keys=True) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# the likelihood pass and the proposal as the package computed them before
+# their per-observation and per-model tables: references for the tables
+
+def evaluate_reference(des, psi, order: int = 2):
+    """The package's `ghlik.evaluate` before the per-observation chain rule:
+    log-likelihood at psi with its gradient (order >= 1) and Hessian (order
+    2), the Hessian assembled from hand-expanded weighted Gram blocks.
+
+    One pass computes the linear predictors and the kernel functions once and
+    shares them among all three.  Tied-effect models are evaluated in the
+    generic coordinates with eta = exp(-nu) * theta and mapped back by the
+    chain rule.
+    """
+    psi = np.asarray(psi, dtype=float).reshape(-1)
+    if psi.shape[0] != des.dim:
+        raise DimensionError(f"psi has length {psi.shape[0]}, model needs {des.dim}")
+    data, kernel, Xt, Xh, q = des.data, des.kernel, des.Xt, des.Xh, des.q
+    delta, lt = data.delta, data.log_t
+    nu, theta0, theta = float(psi[0]), float(psi[1]), psi[2:2 + q]
+    e_nu, e_mnu = np.exp(nu), np.exp(-nu)
+    eta = e_mnu * theta if des.aft else psi[2 + q:]
+    a = Xt @ theta
+    u = e_nu * lt - a - theta0
+    lin_raw = e_mnu * a - Xh @ eta
+    lin = np.clip(lin_raw, -LINPRED_CLAMP, LINPRED_CLAMP)
+    v = np.exp(lin)
+    lf = baseline.log_f(u, kernel)
+    lF = baseline.log_F_neg(u, kernel)
+    vd = v - delta
+    n_events = data.n_events
+    val = (n_events * nu - float(delta @ lt) + float(delta @ lin)
+           + float(delta @ lf) + float(lF @ vd))
+    if not np.isfinite(val):
+        val = -np.inf
+    if order == 0:
+        return val, None, None
+
+    # f/F(-u) from the two logs the value needed; far in the right tail both
+    # logs are large and nearly equal, so there the ratio is evaluated directly
+    r1 = np.exp(lf - lF)
+    tail = u > 30.0
+    if tail.any():
+        r1[tail] = baseline.ratio_f_over_Fneg(u[tail], kernel)
+    rp = baseline.ratio_fprime_over_f(u, kernel)
+    # where the clip is active lin is constant, so every term through lin
+    # (delta_lin, lFv and r1v below) is zero there
+    live = lin == lin_raw
+    delta_lin = delta * live
+    lFv = lF * v * live
+    g_nu = (n_events - e_mnu * float(delta_lin @ a) + e_nu * float((delta * rp) @ lt)
+            - e_nu * float((r1 * vd) @ lt) - e_mnu * float(lFv @ a))
+    g_t0 = -float(delta @ rp) + float(r1 @ vd)
+    g_theta = Xt.T @ (delta_lin * e_mnu - delta * rp + r1 * vd + lFv * e_mnu)
+    g_eta = Xh.T @ (-delta_lin - lFv)
+    g = np.concatenate(([g_nu, g_t0], g_theta, g_eta))
+    if order == 1:
+        return val, (_aft_jacobian(nu, theta).T @ g if des.aft else g), None
+
+    rs = baseline.ratio_fsecond_over_f(u, kernel)
+    D2 = rs - rp * rp
+    E2 = rp * r1 + r1 * r1  # f'/F(-u) + (f/F(-u))^2
+    r1v = r1 * v * live
+    k = g.size
+    H = np.empty((k, k))
+    H[0, 0] = (e_mnu * float(delta_lin @ a) + e_nu ** 2 * float((delta * D2) @ (lt * lt))
+               + e_nu * float((delta * rp) @ lt) - e_nu ** 2 * float((E2 * vd) @ (lt * lt))
+               - e_nu * float((r1 * vd) @ lt) + e_mnu * float((lFv * (1.0 + a * e_mnu)) @ a)
+               + 2.0 * float((r1v * a) @ lt))
+    H[1, 1] = float(delta @ D2) - float(E2 @ vd)
+    H[0, 1] = H[1, 0] = (-e_nu * float((delta * D2) @ lt) - e_mnu * float(r1v @ a)
+                         + e_nu * float((E2 * vd) @ lt))
+    t, h = slice(2, 2 + q), slice(2 + q, k)
+    H[t, t] = Xt.T @ ((delta * D2 - E2 * vd + 2.0 * e_mnu * r1v
+                       + e_mnu ** 2 * lFv)[:, None] * Xt)
+    H[1, t] = H[t, 1] = Xt.T @ (delta * D2 + e_mnu * r1v - E2 * vd)
+    H[0, t] = H[t, 0] = Xt.T @ (-delta_lin * e_mnu - e_nu * delta * D2 * lt - e_mnu * r1v * a
+                                + e_nu * E2 * vd * lt - e_mnu * lFv * (a * e_mnu + 1.0)
+                                - r1v * lt)
+    H[h, h] = Xh.T @ (lFv[:, None] * Xh)
+    H[1, h] = H[h, 1] = -(Xh.T @ r1v)
+    H[0, h] = H[h, 0] = Xh.T @ (e_nu * r1v * lt + e_mnu * lFv * a)
+    H[t, h] = Xt.T @ ((-r1v - e_mnu * lFv)[:, None] * Xh)
+    H[h, t] = H[t, h].T
+    if not des.aft:
+        return val, g, H
+    # tied effects: chain rule through eta = exp(-nu) * theta, plus the
+    # second-derivative terms of eta
+    J = _aft_jacobian(nu, theta)
+    H = J.T @ H @ J
+    H[0, 0] += float(g_eta @ (e_mnu * theta))
+    H[0, 2:] -= e_mnu * g_eta
+    H[2:, 0] -= e_mnu * g_eta
+    return val, J.T @ g, H
+
+
+def _aft_jacobian(nu, theta):
+    """Jacobian of (nu, theta0, theta, eta(nu, theta)) w.r.t. (nu, theta0, theta)."""
+    m = theta.size
+    e_mnu = np.exp(-nu)
+    J = np.zeros((2 + 2 * m, 2 + m))
+    J[0, 0] = 1.0
+    J[1, 1] = 1.0
+    J[2:2 + m, 2:] = np.eye(m)
+    J[2 + m:, 0] = -e_mnu * theta
+    J[2 + m:, 2:] = e_mnu * np.eye(m)
+    return J
+
+
+@dataclass(frozen=True)
+class _MoveTable:
+    """`move_distribution` of one state as `propose` reads it: each move's
+    probability, and the running sums over `_MOVE_ORDER` that the move draw
+    is compared with, accumulated in the order `select_move` always used."""
+    ad: float
+    ad_gh: float
+    swap: float
+    change: float
+    change_all: float
+    cum: tuple
+    last: MoveKind  # the last move with positive probability
+
+
+_TABLES: dict = {}  # Gamma -> its _MoveTable; models are interned, so one per model
+
+
+def _moves(gamma: Gamma) -> _MoveTable:
+    table = _TABLES.get(gamma)
+    if table is None:
+        dist = move_distribution(gamma)
+        probs = [dist.get(mk, 0.0) for mk in _MOVE_ORDER]
+        table = _TABLES.setdefault(gamma, _MoveTable(
+            *probs[1:], cum=tuple(itertools.accumulate(probs)),
+            last=next(mk for mk in reversed(_MOVE_ORDER) if mk in dist)))
+    return table
+
+
+def select_move(gamma: Gamma, rng) -> MoveKind:
+    table = _moves(gamma)
+    i = bisect.bisect_right(table.cum, rng.random())
+    return _MOVE_ORDER[i] if i < len(_MOVE_ORDER) else table.last
+
+
+def _self_loop(gamma: Gamma, move: MoveKind) -> Proposal:
+    return Proposal(gamma, -math.inf, move)
+
+
+_OTHER_ROLES = {1: (2, 3), 2: (1, 3), 3: (1, 2)}  # CHANGE: the codes a role may become
+_OTHER_STRUCTURES = {1: (2, 4), 2: (1, 4)}        # CHANGE_ALL from an AH or PH state
+
+
+def propose_reference(gamma: Gamma, rng) -> Proposal:
+    p = gamma.p
+    cls = gamma.hazard_class
+    here = _moves(gamma)
+    move = select_move(gamma, rng)
+
+    if move is MoveKind.A_NULL:
+        j = int(rng.integers(p))
+        v = int(rng.integers(1, 5))
+        gp = gamma.replace(j, v)
+        q_fwd = 1.0 / (4.0 * p)
+        if gp.hazard_class is HazardClass.GH:
+            q_rev = _moves(gp).ad_gh / len(get_valid_idx(gp))
+        else:
+            q_rev = _moves(gp).ad / p
+        return Proposal(gp, math.log(q_rev) - math.log(q_fwd), move)
+
+    if move is MoveKind.AD:
+        j = int(rng.integers(p))
+        if gamma.codes[j] > 0:
+            gp = gamma.replace(j, 0)
+        else:
+            # the included variables of an AH, PH or AFT state share one code
+            gp = gamma.replace(j, gamma.codes[gamma.active[0]])
+        q_fwd = here.ad / p
+        if gp.hazard_class is HazardClass.NULL:
+            q_rev = 1.0 / (4.0 * p)
+        else:
+            q_rev = _moves(gp).ad / p
+        return Proposal(gp, math.log(q_rev) - math.log(q_fwd), move)
+
+    if move is MoveKind.AD_GH:
+        valid = get_valid_idx(gamma)
+        if not valid:
+            # only possible in two-variable (1,2)-type states; treated as a
+            # forced rejection so the kernel stays well-defined
+            return _self_loop(gamma, move)
+        j = int(valid[int(rng.integers(len(valid)))])
+        if gamma.codes[j] > 0:
+            gp = gamma.replace(j, 0)
+            q_fwd = here.ad_gh / len(valid)
+            if gp.hazard_class is HazardClass.NULL:
+                q_rev = 1.0 / (4.0 * p)
+            else:
+                q_rev = _moves(gp).ad_gh / len(get_valid_idx(gp)) / 3.0
+        else:
+            gp = gamma.replace(j, int(rng.integers(1, 4)))
+            q_fwd = here.ad_gh / len(valid) / 3.0
+            q_rev = _moves(gp).ad_gh / len(get_valid_idx(gp))
+        return Proposal(gp, math.log(q_rev) - math.log(q_fwd), move)
+
+    if move is MoveKind.CHANGE:
+        active = gamma.active
+        j = int(active[int(rng.integers(len(active)))])
+        choices = _OTHER_ROLES[gamma.codes[j]]
+        gp = gamma.replace(j, choices[int(rng.integers(len(choices)))])
+        q_fwd = here.change / len(active) / 2.0
+        q_rev = _moves(gp).change / len(active) / 2.0
+        return Proposal(gp, math.log(q_rev) - math.log(q_fwd), move)
+
+    if move is MoveKind.SWAP:
+        j1 = int(rng.integers(p))
+        v1 = gamma.codes[j1]
+        others = [j for j in range(p) if gamma.codes[j] != v1]
+        assert others, "swap selected in a state where all codes are equal"
+        j2 = int(others[int(rng.integers(len(others)))])
+        v2 = gamma.codes[j2]
+        if v1 + v2 != 3:
+            new1, new2 = v2, v1
+        elif v1 in (1, 2):
+            new1, new2 = ((0, 3), (3, 0))[int(rng.integers(2))]
+        else:
+            new1, new2 = ((1, 2), (2, 1))[int(rng.integers(2))]
+        gp = gamma.replace(j1, new1).replace(j2, new2)
+        n_other_rev = p - gp.count(new1)
+        q_fwd = here.swap / p / len(others)
+        if v1 + v2 == 3:
+            q_fwd /= 2.0
+        q_rev = _moves(gp).swap / p / n_other_rev
+        if new1 + new2 == 3:
+            q_rev /= 2.0
+        return Proposal(gp, math.log(q_rev) - math.log(q_fwd), move)
+
+    # whole-model role change
+    if cls is HazardClass.AFT:
+        v = int(rng.integers(1, 4))
+        gp = Gamma(tuple(v if c == 4 else 0 for c in gamma.codes))
+        q_fwd = here.change_all / 3.0
+        if gp.hazard_class is HazardClass.GH:
+            q_rev = _moves(gp).change_all
+        else:
+            q_rev = _moves(gp).change_all / 2.0
+    elif cls is HazardClass.GH:
+        gp = Gamma(tuple(4 if c == 3 else c for c in gamma.codes))
+        q_fwd = here.change_all
+        q_rev = _moves(gp).change_all / 3.0
+    else:
+        choices = _OTHER_STRUCTURES[gamma.codes[gamma.active[0]]]
+        v = choices[int(rng.integers(len(choices)))]
+        gp = Gamma(tuple(v if c != 0 else 0 for c in gamma.codes))
+        q_fwd = here.change_all / 2.0
+        if gp.hazard_class is HazardClass.AFT:
+            q_rev = _moves(gp).change_all / 3.0
+        else:
+            q_rev = _moves(gp).change_all / 2.0
+    return Proposal(gp, math.log(q_rev) - math.log(q_fwd), MoveKind.CHANGE_ALL)
+
+
+def _mh_step_reference(gamma, score, scorer, prior_cfg, rng, trace):
+    prop = propose_reference(gamma, rng)
+    trace.propose_count[prop.move] = trace.propose_count.get(prop.move, 0) + 1
+    if prop.log_hastings == -math.inf:
+        return gamma, score
+    key = prop.gamma.key
+    if key in trace.visited:
+        log_ml, log_prior = trace.visited[key]
+    else:
+        log_ml = scorer.score(prop.gamma).log_ml
+        log_prior = log_model_prior(prop.gamma, prior_cfg)
+        trace.visited[key] = (log_ml, log_prior)
+    new_score = log_ml + log_prior
+    if new_score == -math.inf:
+        return gamma, score
+    log_acc = new_score - score + prop.log_hastings
+    if log_acc >= 0.0 or math.log(rng.random()) < log_acc:
+        trace.accept_count[prop.move] = trace.accept_count.get(prop.move, 0) + 1
+        return prop.gamma, new_score
+    return gamma, score
+
+
+@dataclass
+class ReferenceTrace:
+    samples: list = field(default_factory=list)
+    visited: dict = field(default_factory=dict)
+    propose_count: dict = field(default_factory=dict)
+    accept_count: dict = field(default_factory=dict)
+
+
+def run_chain_reference(p: int, config, scorer,
+                        prior_cfg: ModelPriorConfig = ModelPriorConfig()) -> ReferenceTrace:
+    """`sampler.run_chain` from the null model (or `config.init_gamma`) with
+    the step as it was before the path tables: `propose_reference`, and the
+    per-move counts kept in dicts keyed by move."""
+    trace = ReferenceTrace()
+    for chain_idx, rng in enumerate(np.random.default_rng(config.seed).spawn(config.n_chains)):
+        gamma = config.init_gamma if config.init_gamma is not None else Gamma((0,) * p)
+        log_ml = scorer.score(gamma).log_ml
+        log_prior = log_model_prior(gamma, prior_cfg)
+        trace.visited[gamma.key] = (log_ml, log_prior)
+        score = log_ml + log_prior
+        for it in range(config.iterations):
+            gamma, score = _mh_step_reference(gamma, score, scorer, prior_cfg, rng, trace)
+            if it >= config.burn_in and (it - config.burn_in) % config.thin == 0:
+                trace.samples.append((chain_idx, it, gamma.key))
+    return trace
 
 
 # frozen high-precision reference values (computed with mpmath at 50 digits)

@@ -38,7 +38,7 @@ class FakeRng:
 
 
 def move_u(gamma: Gamma, move: MoveKind) -> float:
-    """A uniform draw that lands select_move on `move`."""
+    """A uniform draw that lands the move draw of `propose` on `move`."""
     from ghsel.sampler import _MOVE_ORDER
     dist = move_distribution(gamma)
     acc = 0.0

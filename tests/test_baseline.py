@@ -149,6 +149,14 @@ def test_normal_quantile_matches_mpmath():
     assert baseline.quantile(0.5, Kernel.NORMAL) == 0.0
 
 
+def test_logistic_log_F_neg_matches_mpmath_on_dense_grid():
+    import mpmath as mp
+    u = np.linspace(-800.0, 800.0, 16001)
+    # -log(1 + e^u) through log1p: log of 1 + e^u loses e^u below the working precision
+    ref = [-float(mp.log1p(mp.exp(x))) for x in u]
+    _assert_rel(baseline.log_F_neg(u, Kernel.LOGISTIC), ref, 1e-15)
+
+
 def test_logistic_closed_forms_are_stable():
     u = np.array([-800.0, -40.0, -1.0, 0.0, 1e-8, 3.0, 40.0, 800.0])
     _assert_rel(baseline.ratio_f_over_Fneg(u, Kernel.LOGISTIC), special.expit(u), 1e-15)

@@ -422,6 +422,29 @@ def test_replicate_smoke(tmp_path, capsys):
     assert "replicates: 3 ok" in text
 
 
+def test_replicate_whose_chain_cannot_start_is_reported(tmp_path, capsys, monkeypatch):
+    """A replicate whose initial model has no score fails alone, and its
+    FAILED line names its seed and the impossible start."""
+    run_chain = cli.sampler.run_chain
+
+    def failing(data, kernel, config, *args, **kwargs):
+        if config.seed == 1001:
+            raise cli.sampler.ImpossibleStartError("initial model 0000 has an impossible score")
+        return run_chain(data, kernel, config, *args, **kwargs)
+
+    monkeypatch.setattr(cli.sampler, "run_chain", failing)
+    out = tmp_path / "rep.json"
+    assert run(["replicate", "--reps", "3", "--workers", "1", "--n", 100, "--p", 2,
+                "--truth", "ph", "--iters", "200", "--burnin", "50", "--seed", 1,
+                "--out", out]) == 0
+    report = json.loads(out.read_text())
+    assert [r["seed"] for r in report["replicates"]] == [1, 2001]
+    assert report["aggregate"]["reps_failed"] == 1
+    (line,) = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("FAILED")]
+    assert "seed 1001" in line and "impossible score" in line
+    assert "is not defined" not in line
+
+
 def _replicate_records(out, *flags):
     assert run(["replicate", "--reps", "1", "--n", 150, "--p", 4, "--truth", "ph",
                 "--censoring", "0.2", "--iters", "600", "--burnin", "200",

@@ -3,10 +3,10 @@ import pytest
 
 import oracles
 from ghsel.baseline import Kernel
-from ghsel.ghlik import (Dataset, DimensionError, dim_coef, dim_psi,
-                         grad_loglik, hazard_level_columns, hess_loglik,
-                         loglik, time_level_columns)
-from ghsel.modelspace import Gamma
+from ghsel.ghlik import (LINPRED_CLAMP, Dataset, DimensionError, design, dim_coef,
+                         dim_psi, evaluate, grad_loglik, hazard_level_columns,
+                         hess_loglik, loglik, time_level_columns)
+from ghsel.modelspace import Gamma, enumerate_models
 
 KERNELS = list(Kernel)
 
@@ -134,3 +134,35 @@ def test_observed_fisher_is_negated_hessian():
     psi = np.array([0.1, 0.5, 0.2, -0.3])
     assert np.allclose(oracles.observed_fisher(psi, g, data, Kernel.SECH),
                        -hess_loglik(psi, g, data, Kernel.SECH))
+
+
+def _assert_pass_matches_reference(des, psi):
+    got = evaluate(des, psi)
+    ref = oracles.evaluate_reference(des, psi)
+    assert got[0] == pytest.approx(ref[0], rel=1e-10)
+    for x, r in zip(got[1:], ref[1:]):
+        np.testing.assert_allclose(x, r, rtol=1e-10, atol=1e-10 * np.max(np.abs(r)))
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_evaluate_matches_reference_pass_on_every_model(kernel):
+    """The chain-rule pass gives the value, gradient and Hessian of the
+    earlier pass (generic coordinates, hand-expanded Hessian blocks) for all
+    71 models at p = 3, at three random points each."""
+    data = make_data(seed=13, n=60)
+    rng = np.random.default_rng(17)
+    for g in enumerate_models(3):
+        des = design(g, data, kernel)
+        for _ in range(3):
+            _assert_pass_matches_reference(des, rng.normal(0.0, 0.5, dim_psi(g)))
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_evaluate_matches_reference_pass_where_lin_is_clipped(kernel):
+    data = make_data(seed=13, n=60)
+    des = design(Gamma.from_key("330"), data, kernel)
+    psi = np.array([-6.0, 0.2, 1.5, -1.5, 0.5, 0.5])
+    lin = np.exp(-psi[0]) * (des.Xt @ psi[2:4]) - des.Xh @ psi[4:]
+    assert np.any(lin > LINPRED_CLAMP) and np.any(lin < -LINPRED_CLAMP)
+    assert np.any(np.abs(lin) < LINPRED_CLAMP)
+    _assert_pass_matches_reference(des, psi)

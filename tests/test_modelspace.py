@@ -136,13 +136,12 @@ def test_replace_and_active():
 _STATE_TABLES = """
 import json, sys
 from ghsel.modelspace import Gamma, HazardClass, get_valid_idx
-from ghsel.sampler import _moves
+from ghsel.sampler import _MOVE_ORDER, _paths
 out = {}
 for key in json.loads(sys.argv[1]):
     g = Gamma.from_key(key)
-    t = _moves(g)
-    out[key] = [g.hazard_class.value, list(t.cum), t.last.value,
-                [t.ad, t.ad_gh, t.swap, t.change, t.change_all],
+    cum, last, _ = _paths(g)
+    out[key] = [g.hazard_class.value, list(cum), _MOVE_ORDER[last].value,
                 list(get_valid_idx(g)) if g.hazard_class is HazardClass.GH else None]
 print(json.dumps(out, sort_keys=True))
 """

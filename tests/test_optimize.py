@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import oracles
+from ghsel import ghlik
 from ghsel.baseline import Kernel
 from ghsel.ghlik import (LINPRED_CLAMP, Dataset, design, dim_psi, evaluate,
                          grad_loglik, hess_loglik, loglik)
-from ghsel.modelspace import Gamma
+from ghsel.modelspace import Gamma, enumerate_models
 from ghsel.optimize import (MAX_ITER, FitRecord, FitStatus, default_init,
                             fit_map, fit_mle)
 from ghsel.priors import (CoefficientPrior, CommonPrior, map_log_prior,
@@ -233,3 +234,20 @@ def test_model_with_as_many_parameters_as_events_is_fitted():
     assert dim_psi(gamma) == TINY.n_events
     fit = fit_mle(gamma, TINY, Kernel.NORMAL)
     assert fit.status is not FitStatus.TOO_FEW_EVENTS and fit.n_evals > 0
+
+
+@pytest.mark.parametrize("fitter,kernel", [("mle", Kernel.NORMAL), ("map", Kernel.STUDENT_T2)])
+def test_fits_take_the_path_of_the_reference_pass(fitter, kernel, monkeypatch):
+    """Every model at p = 3 takes as many evaluations, ends with the same
+    status and reaches the same objective as a fit through the earlier
+    likelihood pass."""
+    cfg = SimConfig(n=300, p=3, truth=Gamma.from_key("310"), alpha=np.array([0.5, 0.0, 0.0]),
+                    beta=np.array([0.0, -0.5, 0.0]), target_censoring=0.25, seed=4)
+    data, _ = simulate_dataset(cfg)
+    models = list(enumerate_models(3))
+    fits = [_fit(fitter, g, data, kernel) for g in models]
+    monkeypatch.setattr(ghlik, "evaluate", oracles.evaluate_reference)
+    for g, fit in zip(models, fits):
+        ref = _fit(fitter, g, data, kernel)
+        assert (fit.n_evals, fit.status) == (ref.n_evals, ref.status), g.key
+        assert fit.objective == pytest.approx(ref.objective, rel=0.0, abs=1e-8)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 import proposal_audit
 from ghsel.baseline import Kernel
 from ghsel.ghlik import Dataset
@@ -152,3 +153,36 @@ def test_init_gamma_and_screening():
                        screening_init=True)
     t2 = run_chain(data, Kernel.NORMAL, cfg2)
     assert len(t2.samples) == 40
+
+
+class KeyScorer:
+    """A fixed pseudo-random log marginal likelihood per model key, with
+    every seventh model impossible (the null model never is)."""
+
+    class Rec:
+        def __init__(self, log_ml):
+            self.log_ml = log_ml
+
+    def score(self, gamma):
+        code = int(gamma.key, 5)
+        if code % 7 == 3:
+            return self.Rec(-math.inf)
+        return self.Rec(4.0 * math.sin(12.9898 * code) - 0.5 * gamma.n_active)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("scorer", [ConstantScorer(), KeyScorer()], ids=["constant", "by-key"])
+def test_chain_matches_reference_chain(p, seed, scorer):
+    """The table-driven step retains, visits and counts exactly what the step
+    that builds a proposal and its Hastings ratio each time does."""
+    rng = np.random.default_rng(seed)
+    data = Dataset(t=rng.gamma(2, 1, 10), delta=np.ones(10),
+                   X=rng.standard_normal((10, p)), names=())
+    cfg = ChainConfig(iterations=5000, burn_in=1000, thin=1, n_chains=2, seed=seed)
+    got = run_chain(data, Kernel.NORMAL, cfg, scorer=scorer)
+    ref = oracles.run_chain_reference(p, cfg, scorer)
+    assert got.samples == ref.samples
+    assert got.visited == ref.visited
+    assert got.propose_count == ref.propose_count
+    assert got.accept_count == ref.accept_count
