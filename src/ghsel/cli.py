@@ -8,15 +8,17 @@ Subcommands:
 
 Dataset CSV format: header `time,status,<name1>,...`; `time` positive,
 `status` 0/1, remaining columns numeric covariates.  Covariates are centred
-and scaled by default (disable with --no-standardize).  A flat key=value
-config file may supply any long-flag value; explicit flags win.
+and scaled by default (disable with --no-standardize).  A key=value config
+file may set any common option, read like its flag; explicit flags win.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import ctypes
+import functools
 import json
 import math
 import sys
@@ -54,6 +56,8 @@ def read_dataset(path: str, standardize: bool = True) -> Dataset:
         if len(header) < 2 or header[0] != "time" or header[1] != "status":
             raise CliError(f"{path}: header must start with 'time,status', got {header[:2]}")
         names = tuple(header[2:])
+        if not names:
+            raise CliError(f"{path}: no covariate columns")
         t, delta, rows = [], [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
@@ -61,25 +65,21 @@ def read_dataset(path: str, standardize: bool = True) -> Dataset:
             if len(row) != len(header):
                 raise CliError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
             try:
-                ti = float(row[0])
+                ti, *xs = map(float, (row[0], *row[2:]))
             except ValueError:
-                raise CliError(f"{path}:{lineno}: non-numeric time {row[0]!r}") from None
+                raise CliError(f"{path}:{lineno}: non-numeric value") from None
             if not (ti > 0 and math.isfinite(ti)):
                 raise CliError(f"{path}:{lineno}: time must be positive and finite, got {row[0]}")
             if row[1] not in ("0", "1", "0.0", "1.0"):
                 raise CliError(f"{path}:{lineno}: status must be 0 or 1, got {row[1]!r}")
-            try:
-                xs = [float(v) for v in row[2:]]
-            except ValueError:
-                raise CliError(f"{path}:{lineno}: non-numeric covariate value") from None
+            if not all(map(math.isfinite, xs)):
+                raise CliError(f"{path}:{lineno}: covariates must be finite")
             t.append(ti)
             delta.append(float(row[1]))
             rows.append(xs)
     if not rows:
         raise CliError(f"{path}: no data rows")
     X = np.asarray(rows, dtype=float)
-    if X.ndim != 2 or X.shape[1] != len(names):
-        raise CliError(f"{path}: no covariate columns found")
     n_events = int(sum(delta))
     if n_events == 0:
         # every fit would report converged and the posterior would be the
@@ -103,10 +103,9 @@ def _standardized(X: np.ndarray) -> np.ndarray:
 
 
 def write_dataset(path: str, data: Dataset):
-    names = data.names or tuple(f"x{j + 1}" for j in range(data.p))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["time", "status", *names])
+        writer.writerow(["time", "status", *data.names])
         for i in range(data.n):
             writer.writerow([repr(float(data.t[i])), int(data.delta[i]),
                              *[repr(float(v)) for v in data.X[i]]])
@@ -115,7 +114,59 @@ def write_dataset(path: str, data: Dataset):
 # ---------------------------------------------------------------------------
 # configuration assembly
 
+# Each common option once: name -> (type or tuple of choices, default, help).
+# The table builds the flags and reads the config file with the same types
+# and choices.
+_OPTIONS = {
+    "prior": (("lcm", "product"), "lcm", "marginal-likelihood route"),
+    "g": (float, 1.0, "curvature-matching prior scale g_E"),
+    "gct": (float, 1.0, "product prior time-level scale"),
+    "gch": (float, 1.0, "product prior hazard-level scale"),
+    "robust_g": (bool, False, "integrate g_E under the robust hyper-g prior"),
+    "baseline": (tuple(k.value for k in Kernel), "normal", "baseline kernel"),
+    "iters": (int, 20000, "chain iterations"),
+    "burnin": (int, 10000, "iterations discarded before sampling"),
+    "thin": (int, 2, "keep every thin-th iteration after the burn-in"),
+    "chains": (int, 1, "independent chains"),
+    "seed": (int, 0, "random seed"),
+    "level": (float, 0.9, "credible-set level"),
+    "no_standardize": (bool, False, "keep the covariates as they are"),
+    "screening_init": (bool, False, "start the chain from a screening model"),
+}
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _add_common_flags(ap: argparse.ArgumentParser):
+    ap.add_argument("--config", default=None, help="flat key=value config file")
+    for name, (kind, default, help_) in _OPTIONS.items():
+        flag = "--" + name.replace("_", "-")
+        if kind is bool:
+            ap.add_argument(flag, action="store_true", default=None, help=help_)
+        else:
+            typed = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+            ap.add_argument(flag, default=None, help=f"{help_} (default {default})", **typed)
+
+
+def _parse(kind, text: str):
+    """A config-file value read as the option's flag reads it; a ValueError
+    says what the value must be."""
+    if kind is bool:
+        if text.lower() in _BOOLS:
+            return _BOOLS[text.lower()]
+        raise ValueError("1/0, true/false or yes/no")
+    if isinstance(kind, tuple):
+        if text in kind:
+            return text
+        raise ValueError("one of " + ", ".join(kind))
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"of type {kind.__name__}") from None
+
+
 def _read_config_file(path: str) -> dict:
+    """The options a key=value file sets, each read with its flag's type or
+    choices; a boolean is 1/0, true/false or yes/no."""
     out = {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = line.strip()
@@ -124,57 +175,26 @@ def _read_config_file(path: str) -> dict:
         if "=" not in line:
             raise CliError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
-        out[key.strip().replace("-", "_")] = value.strip()
+        key, value = key.strip().replace("-", "_"), value.strip()
+        if key not in _OPTIONS:
+            raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
+            out[key] = _parse(_OPTIONS[key][0], value)
+        except ValueError as exc:
+            raise CliError(f"{path}:{lineno}: {key} must be {exc}, got {value!r}") from None
     return out
 
 
-def add_common_flags(ap: argparse.ArgumentParser):
-    ap.add_argument("--config", default=None, help="flat key=value config file")
-    ap.add_argument("--prior", choices=["lcm", "product"], default=None)
-    ap.add_argument("--g", type=float, default=None, help="curvature-matching prior scale g_E")
-    ap.add_argument("--gct", type=float, default=None, help="product prior time-level scale")
-    ap.add_argument("--gch", type=float, default=None, help="product prior hazard-level scale")
-    ap.add_argument("--robust-g", action="store_true", default=None,
-                    help="integrate g_E under the robust hyper-g prior")
-    ap.add_argument("--baseline", choices=[k.value for k in Kernel], default=None)
-    ap.add_argument("--iters", type=int, default=None)
-    ap.add_argument("--burnin", type=int, default=None)
-    ap.add_argument("--thin", type=int, default=None)
-    ap.add_argument("--chains", type=int, default=None)
-    ap.add_argument("--seed", type=int, default=None)
-    ap.add_argument("--level", type=float, default=None, help="credible-set level")
-    ap.add_argument("--no-standardize", action="store_true", default=None)
-    ap.add_argument("--screening-init", action="store_true", default=None)
-
-
-_DEFAULTS = {
-    "prior": "lcm", "g": 1.0, "gct": 1.0, "gch": 1.0, "robust_g": False,
-    "baseline": "normal", "iters": 20000, "burnin": 10000, "thin": 2,
-    "chains": 1, "seed": 0, "level": 0.9, "no_standardize": False,
-    "screening_init": False,
-}
-
-
-def _to_bool(s) -> bool:
-    return s if isinstance(s, bool) else s.lower() in ("1", "true", "yes")
-
-
-_CASTS = {"g": float, "gct": float, "gch": float, "level": float,
-          "iters": int, "burnin": int, "thin": int, "chains": int, "seed": int,
-          "robust_g": _to_bool, "no_standardize": _to_bool, "screening_init": _to_bool}
-
-
 def resolve_options(args: argparse.Namespace) -> dict:
-    opts = dict(_DEFAULTS)
+    """Every common option: its flag if given, else its config-file value,
+    else its default."""
+    opts = {name: default for name, (_, default, _) in _OPTIONS.items()}
     if getattr(args, "config", None):
-        for key, val in _read_config_file(args.config).items():
-            if key not in opts:
-                raise CliError(f"unknown config key {key!r}")
-            opts[key] = _CASTS.get(key, str)(val)
+        opts.update(_read_config_file(args.config))
     for key in opts:
         val = getattr(args, key, None)
         if val is not None:
-            opts[key] = _CASTS.get(key, lambda v: v)(val)
+            opts[key] = val
     return opts
 
 
@@ -197,6 +217,23 @@ def build_chain_config(opts: dict) -> ChainConfig:
                        seed=opts["seed"], screening_init=opts["screening_init"])
 
 
+def _options(args) -> dict:
+    """The common options, once every configuration they describe has been
+    built: a bad value is a CliError before any data is read or written."""
+    opts = resolve_options(args)
+    if min(getattr(args, "reps", 1), getattr(args, "workers", 1)) < 1:
+        raise CliError("--reps and --workers must be >= 1")
+    if opts["seed"] < 0:
+        raise CliError("--seed must be >= 0")
+    try:
+        summarize.hpm_credible_set({}, opts["level"])  # checks the level
+        build_scorer_config(opts)
+        build_chain_config(opts)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
+    return opts
+
+
 # ---------------------------------------------------------------------------
 # reporting helpers
 
@@ -205,11 +242,8 @@ def map_coefficients(gamma: Gamma, fit, names) -> dict:
     psi = fit.psi_opt
     nu, theta0 = float(psi[0]), float(psi[1])
     sigma = math.exp(-nu)
-    mu = theta0 * sigma
-    tc = time_level_columns(gamma)
-    hc = hazard_level_columns(gamma)
-    theta = psi[2:2 + len(tc)]
-    eta = psi[2 + len(tc):]
+    tc, hc = time_level_columns(gamma), hazard_level_columns(gamma)
+    theta, eta = psi[2:2 + len(tc)], psi[2 + len(tc):]
     alpha = {names[j]: -sigma * float(th) for j, th in zip(tc, theta)}
     if classify(gamma) is HazardClass.AFT:
         beta = dict(alpha)
@@ -219,12 +253,12 @@ def map_coefficients(gamma: Gamma, fit, names) -> dict:
         "psi": {"nu": nu, "theta0": theta0,
                 "theta": {names[j]: float(v) for j, v in zip(tc, theta)},
                 "eta": {names[j]: float(v) for j, v in zip(hc, eta)}},
-        "natural": {"mu": mu, "sigma": sigma, "alpha": alpha, "beta": beta},
+        "natural": {"mu": theta0 * sigma, "sigma": sigma, "alpha": alpha, "beta": beta},
     }
 
 
-def _summary_payload(model_probs_freq, model_probs_renorm, level, scorer, data,
-                     trace=None):
+def _summary_payload(model_probs_freq, model_probs_renorm, level, scorer, trace):
+    names = scorer.data.names
     hz = summarize.hazard_posterior(model_probs_renorm)
     pip_any, pip_role = summarize.pip(model_probs_renorm)
     hpm = summarize.hpm_credible_set(model_probs_renorm, level)
@@ -234,26 +268,22 @@ def _summary_payload(model_probs_freq, model_probs_renorm, level, scorer, data,
         "model_probs_frequency": model_probs_freq,
         "model_probs_renormalized": model_probs_renorm,
         "hazard_probs": {cls.value: prob for cls, prob in hz.items()},
-        "pip_any": {data.names[j]: float(v) for j, v in enumerate(pip_any)},
-        "pip_by_role": {data.names[j]: [float(v) for v in row]
+        "pip_any": {names[j]: float(v) for j, v in enumerate(pip_any)},
+        "pip_by_role": {names[j]: [float(v) for v in row]
                         for j, row in enumerate(pip_role)},
         "hpm_set": [{"gamma": k, "prob": float(v)} for k, v in hpm],
         "hpm_level": level,
         "top_model": top_key,
         "top_model_class": classify(top_gamma).value,
+        "acceptance_rate": trace.acceptance_rate(),
+        "acceptance_by_move": {mk.value: trace.acceptance_rate(mk) for mk in sampler.MoveKind
+                               if trace.propose_count.get(mk)},
+        "n_retained": len(trace.samples),
+        "n_visited": len(trace.visited),
     }
-    if scorer is not None:
-        rec = scorer.score(top_gamma)
-        if rec.fit is not None and rec.fit.ok:
-            payload["top_model_coefficients"] = map_coefficients(
-                top_gamma, rec.fit, data.names)
-    if trace is not None:
-        payload["acceptance_rate"] = trace.acceptance_rate()
-        payload["acceptance_by_move"] = {
-            mk.value: trace.acceptance_rate(mk) for mk in sampler.MoveKind
-            if trace.propose_count.get(mk)}
-        payload["n_retained"] = len(trace.samples)
-        payload["n_visited"] = len(trace.visited)
+    rec = scorer.score(top_gamma)
+    if rec.fit is not None and rec.fit.ok:
+        payload["top_model_coefficients"] = map_coefficients(top_gamma, rec.fit, names)
     return payload
 
 
@@ -264,8 +294,7 @@ def _write_json(path: str, payload):
 
 
 def _write_probs_csv(path: str, freq: dict, renorm: dict):
-    keys = sorted(set(freq) | set(renorm),
-                  key=lambda k: (-renorm.get(k, 0.0), k))
+    keys = sorted(set(freq) | set(renorm), key=lambda k: (-renorm.get(k, 0.0), k))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["gamma", "class", "prob_frequency", "prob_renormalized"])
@@ -305,36 +334,43 @@ def _write_trace_jsonl(path: str, trace):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_select(args) -> int:
-    opts = resolve_options(args)
-    data = read_dataset(args.data, standardize=not opts["no_standardize"])
+def _select(data: Dataset, opts: dict, seed: int, label: str):
+    """Standardise the covariates (unless --no-standardize), then run the
+    chain with `seed` under a scorer of its own; returns (scorer, trace).  A
+    chain that cannot start is a CliError that begins with `label`."""
+    if not opts["no_standardize"]:
+        data = Dataset(t=data.t, delta=data.delta, X=_standardized(data.X), names=data.names)
     kernel = Kernel(opts["baseline"])
     scorer_cfg = build_scorer_config(opts)
-    chain_cfg = build_chain_config(opts)
     scorer = ModelScorer(data, kernel, scorer_cfg)
     try:
-        trace = sampler.run_chain(data, kernel, chain_cfg, scorer_cfg,
-                                  ModelPriorConfig(), scorer=scorer)
+        trace = sampler.run_chain(data, kernel, build_chain_config({**opts, "seed": seed}),
+                                  scorer_cfg, ModelPriorConfig(), scorer=scorer)
     except sampler.ImpossibleStartError as exc:
-        raise CliError(f"{args.data}: {exc}: its fit failed, so the chain cannot start") from None
+        raise CliError(f"{label}: {exc}: its fit failed, so the chain cannot start") from None
+    return scorer, trace
+
+
+def cmd_select(args, opts) -> int:
+    scorer, trace = _select(read_dataset(args.data, standardize=False), opts, opts["seed"],
+                            args.data)
     freq = summarize.probs_frequency(trace)
     renorm = summarize.probs_renormalized(trace)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_trace_jsonl(str(out / "trace.jsonl"), trace)
-    payload = _summary_payload(freq, renorm, opts["level"], scorer, data, trace)
+    payload = _summary_payload(freq, renorm, opts["level"], scorer, trace)
     _write_json(str(out / "summary.json"), payload)
     _write_probs_csv(str(out / "model_probs.csv"), freq, renorm)
     pip_any, pip_role = summarize.pip(renorm)
-    _write_pip_csv(str(out / "pip.csv"), data.names, pip_any, pip_role)
+    _write_pip_csv(str(out / "pip.csv"), scorer.data.names, pip_any, pip_role)
     print(f"top model {payload['top_model']} ({payload['top_model_class']}); "
           f"{payload['n_retained']} retained samples, "
           f"{payload['n_visited']} models visited")
     return 0
 
 
-def cmd_enumerate(args) -> int:
-    opts = resolve_options(args)
+def cmd_enumerate(args, opts) -> int:
     data = read_dataset(args.data, standardize=not opts["no_standardize"])
     if data.p > ENUMERATION_CAP and not args.force:
         raise CliError(f"enumeration over p={data.p} exceeds cap {ENUMERATION_CAP}; "
@@ -355,53 +391,39 @@ def cmd_enumerate(args) -> int:
     w = np.where(finite, np.exp(scores - m), 0.0)
     w /= w.sum()
     order = np.argsort(-w, kind="stable")
-    out_path = args.out or "-"
     lines = [["gamma", "class", "log_ml", "log_prior", "posterior"]]
     for i in order:
         key, cls, lm, lp = rows[i]
         lines.append([key, cls, repr(float(lm)), repr(float(lp)), repr(float(w[i]))])
-    if out_path == "-":
-        for line in lines:
-            print(",".join(str(v) for v in line))
-    else:
-        with open(out_path, "w", newline="", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows(lines)
+    else:
+        for line in lines:
+            print(",".join(line))
     return 0
 
 
-_TRUTH_CLASSES = {"ph": HazardClass.PH, "ah": HazardClass.AH,
-                  "aft": HazardClass.AFT, "gh": HazardClass.GH}
+def _sim_config(args, opts) -> SimConfig:
+    """The simulation settings, checked before the protocol's truth is drawn
+    up (which needs p >= 1); a bad value is a CliError."""
+    try:
+        if args.pgw:
+            baseline = simulate.PGWBaseline()
+        else:
+            baseline = LogLocationScaleBaseline(mu=args.mu, sigma=args.sigma,
+                                                kernel=Kernel(opts["baseline"]))
+        cfg = SimConfig(n=args.n, p=args.p, truth=None, alpha=[0.0] * args.p,
+                        beta=[0.0] * args.p, baseline=baseline, rho=args.rho,
+                        target_censoring=args.censoring, seed=opts["seed"])
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
+    truth, alpha, beta = protocol_truth(args.p, HazardClass[args.truth.upper()], strict=False)
+    return replace(cfg, truth=truth, alpha=alpha, beta=beta)
 
 
-def _sim_config(args, opts, seed) -> SimConfig:
-    cls = _TRUTH_CLASSES[args.truth]
-    truth, alpha, beta = protocol_truth(args.p, cls, strict=False)
-    if args.pgw:
-        baseline = simulate.PGWBaseline()
-    else:
-        baseline = LogLocationScaleBaseline(mu=args.mu, sigma=args.sigma,
-                                            kernel=Kernel(opts["baseline"]))
-    return SimConfig(n=args.n, p=args.p, truth=truth, alpha=alpha, beta=beta,
-                     baseline=baseline, rho=args.rho,
-                     target_censoring=args.censoring, seed=seed)
-
-
-def add_sim_flags(ap):
-    ap.add_argument("--n", type=int, default=1000)
-    ap.add_argument("--p", type=int, default=10)
-    ap.add_argument("--truth", choices=sorted(_TRUTH_CLASSES), default="ph")
-    ap.add_argument("--censoring", type=float, default=0.25)
-    ap.add_argument("--rho", type=float, default=0.7)
-    ap.add_argument("--mu", type=float, default=1.55)
-    ap.add_argument("--sigma", type=float, default=0.7)
-    ap.add_argument("--pgw", action="store_true",
-                    help="generate from the power generalized Weibull baseline")
-
-
-def cmd_simulate(args) -> int:
-    opts = resolve_options(args)
-    cfg = _sim_config(args, opts, opts["seed"])
-    data, truth = simulate_dataset(cfg)
+def cmd_simulate(args, opts) -> int:
+    data, truth = simulate_dataset(_sim_config(args, opts))
     write_dataset(args.out, data)
     sidecar = Path(args.out).with_suffix(".truth.json")
     _write_json(str(sidecar), truth)
@@ -414,18 +436,7 @@ def _run_replicate(rep_args):
     """One replicate: simulate, select, score.  Module-level for pickling."""
     (opts, sim_cfg, rep_seed) = rep_args
     data, truth = simulate_dataset(replace(sim_cfg, seed=rep_seed))
-    if not opts["no_standardize"]:
-        data = Dataset(t=data.t, delta=data.delta, X=_standardized(data.X),
-                       names=data.names)
-    kernel = Kernel(opts["baseline"])
-    scorer_cfg = build_scorer_config(opts)
-    chain_cfg = build_chain_config({**opts, "seed": rep_seed})
-    scorer = ModelScorer(data, kernel, scorer_cfg)
-    try:
-        trace = sampler.run_chain(data, kernel, chain_cfg, scorer_cfg,
-                                  ModelPriorConfig(), scorer=scorer)
-    except sampler.ImpossibleStartError as exc:
-        raise CliError(f"seed {rep_seed}: {exc}: its fit failed, so the chain cannot start") from None
+    _, trace = _select(data, opts, rep_seed, f"seed {rep_seed}")
     renorm = summarize.probs_renormalized(trace)
     hz = summarize.hazard_posterior(renorm)
     pip_any, _ = summarize.pip(renorm)
@@ -434,43 +445,31 @@ def _run_replicate(rep_args):
     sens, spec = summarize.score_selection(top, truth_gamma)
     truth_cls = classify(truth_gamma)
     modal_cls = max(hz.items(), key=lambda kv: kv[1])[0]
-    return {
-        "seed": rep_seed,
-        "top_model": top.key,
-        "sensitivity": sens,
-        "specificity": spec,
-        "modal_class": modal_cls.value,
-        "true_class_prob": hz[truth_cls],
-        "modal_class_correct": modal_cls is truth_cls,
-        "pip": [float(v) for v in pip_any],
-    }
+    return {"seed": rep_seed, "top_model": top.key, "sensitivity": sens, "specificity": spec,
+            "modal_class": modal_cls.value, "true_class_prob": hz[truth_cls],
+            "modal_class_correct": modal_cls is truth_cls, "pip": [float(v) for v in pip_any]}
 
 
-def cmd_replicate(args) -> int:
-    opts = resolve_options(args)
-    sim_cfg = _sim_config(args, opts, opts["seed"])
+def cmd_replicate(args, opts) -> int:
+    sim_cfg = _sim_config(args, opts)
     sim_dict = {"n": sim_cfg.n, "p": sim_cfg.p, "truth": sim_cfg.truth.key,
                 "alpha": sim_cfg.alpha.tolist(), "beta": sim_cfg.beta.tolist(),
                 "baseline": simulate._baseline_dict(sim_cfg.baseline),
                 "rho": sim_cfg.rho, "censoring": sim_cfg.target_censoring}
     jobs = [(opts, sim_cfg, opts["seed"] + 1000 * r) for r in range(args.reps)]
     results, failures = [], []
-    if args.workers > 1:
-        import concurrent.futures as cf
-        with cf.ProcessPoolExecutor(max_workers=args.workers) as pool:
-            futs = {pool.submit(_run_replicate, job): i for i, job in enumerate(jobs)}
-            for fut in cf.as_completed(futs):
-                try:
-                    results.append(fut.result())
-                except Exception as exc:  # individual failures logged, run continues
-                    failures.append(f"replicate {futs[fut]}: {exc}")
-    else:
-        for i, job in enumerate(jobs):
+    with contextlib.ExitStack() as stack:
+        if args.workers > 1:
+            import concurrent.futures as cf
+            pool = stack.enter_context(cf.ProcessPoolExecutor(max_workers=args.workers))
+            outcomes = [pool.submit(_run_replicate, job).result for job in jobs]
+        else:
+            outcomes = [functools.partial(_run_replicate, job) for job in jobs]
+        for i, outcome in enumerate(outcomes):  # in seed order, however they run
             try:
-                results.append(_run_replicate(job))
-            except Exception as exc:
+                results.append(outcome())
+            except Exception as exc:  # a failed replicate is reported, the study goes on
                 failures.append(f"replicate {i}: {exc}")
-    results.sort(key=lambda r: r["seed"])
     for msg in failures:
         print(f"FAILED {msg}", file=sys.stderr)
     if not results:
@@ -482,8 +481,7 @@ def cmd_replicate(args) -> int:
         "mean_specificity": float(np.mean([r["specificity"] for r in results])),
         "modal_class_correct": int(sum(r["modal_class_correct"] for r in results)),
         "mean_true_class_prob": float(np.mean([r["true_class_prob"] for r in results])),
-        "mean_pip": [float(v) for v in
-                     np.mean([r["pip"] for r in results], axis=0)],
+        "mean_pip": [float(v) for v in np.mean([r["pip"] for r in results], axis=0)],
     }
     payload = {"config": {"sim": sim_dict, "options": opts, "reps": args.reps},
                "replicates": results, "aggregate": agg}
@@ -506,33 +504,33 @@ def build_parser() -> argparse.ArgumentParser:
         description="Bayesian variable and hazard-structure selection for "
                     "right-censored time-to-event data")
     sub = ap.add_subparsers(dest="command", required=True)
-
     p_sel = sub.add_parser("select", help="run the selection sampler on a CSV")
     p_sel.add_argument("data")
     p_sel.add_argument("--out", default="ghsel_out")
-    add_common_flags(p_sel)
-    p_sel.set_defaults(func=cmd_select)
-
     p_enum = sub.add_parser("enumerate", help="exact posterior over all models")
     p_enum.add_argument("data")
     p_enum.add_argument("--out", default=None)
     p_enum.add_argument("--force", action="store_true")
-    add_common_flags(p_enum)
-    p_enum.set_defaults(func=cmd_enumerate)
-
     p_sim = sub.add_parser("simulate", help="generate a dataset CSV + truth JSON")
     p_sim.add_argument("--out", required=True)
-    add_sim_flags(p_sim)
-    add_common_flags(p_sim)
-    p_sim.set_defaults(func=cmd_simulate)
-
     p_rep = sub.add_parser("replicate", help="Monte-Carlo study")
     p_rep.add_argument("--reps", type=int, default=20)
     p_rep.add_argument("--workers", type=int, default=1)
     p_rep.add_argument("--out", default=None)
-    add_sim_flags(p_rep)
-    add_common_flags(p_rep)
-    p_rep.set_defaults(func=cmd_replicate)
+    for sim in (p_sim, p_rep):
+        sim.add_argument("--n", type=int, default=1000)
+        sim.add_argument("--p", type=int, default=10)
+        sim.add_argument("--truth", choices=("aft", "ah", "gh", "ph"), default="ph")
+        sim.add_argument("--censoring", type=float, default=0.25)
+        sim.add_argument("--rho", type=float, default=0.7)
+        sim.add_argument("--mu", type=float, default=1.55)
+        sim.add_argument("--sigma", type=float, default=0.7)
+        sim.add_argument("--pgw", action="store_true",
+                         help="generate from the power generalized Weibull baseline")
+    for command, func in ((p_sel, cmd_select), (p_enum, cmd_enumerate),
+                          (p_sim, cmd_simulate), (p_rep, cmd_replicate)):
+        _add_common_flags(command)
+        command.set_defaults(func=func)
     return ap
 
 
@@ -561,8 +559,8 @@ def main(argv=None) -> int:
     _keep_freed_heap()
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except CliError as exc:
+        return args.func(args, _options(args))
+    except (CliError, OSError) as exc:  # OSError: an input or output path
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

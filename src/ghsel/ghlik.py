@@ -11,9 +11,9 @@ u = exp(nu) log t - theta0 - Xt theta and lin = exp(-nu) Xt theta - Xh eta
 term's first and second derivatives in (u, lin) from the kernel functions,
 and the chain rule maps them to Psi: the gradients of u and lin are linear
 in the row z = (log t, 1, x) of the model's columns, so the gradient is one
-product with the design matrix Z and the Hessian one product with the table
-of column products Z_a Z_b, plus the terms of the second derivatives of u
-and lin in nu.
+product with the design matrix Z, the first rows of the table of column
+products Z_a Z_b, and the Hessian one product with that table, plus the
+terms of the second derivatives of u and lin in nu.
 
 A fit builds the model's `Design` once and calls `evaluate` for the value,
 gradient and Hessian in one pass; `loglik`, `grad_loglik` and `hess_loglik`
@@ -120,8 +120,9 @@ class Design:
 
     `Xt` and `Xh` are contiguous copies of the model's time-level and
     hazard-level columns; tied-effect (AFT) models use their time-level
-    columns at both levels.  The rows of `Z` are log t, 1 and the union of
-    those columns, and the rows of `pairs` the products Z_a Z_b, a <= b.
+    columns at both levels.  The m rows of Z are log t, 1 and the union of
+    those columns, and the rows of `pairs` the products Z_a Z_b, a <= b,
+    Z's own rows first (Z_0 Z_1, Z_1 Z_1, Z_1 Z_j), so that Z is `pairs[:m]`.
     Row i of `jac` holds the gradients of u and lin in Z's basis,
     [d u / d Psi_i | d lin / d Psi_i], without the entries that depend on
     Psi: exp(nu) at (0, 0), exp(-nu) at `theta_idx` and -exp(-nu) theta in
@@ -134,7 +135,6 @@ class Design:
     Xt: np.ndarray
     Xh: np.ndarray
     has_lin: bool          # False for tied-effect and null models: lin = 0
-    Z: np.ndarray
     pairs: np.ndarray
     w_index: np.ndarray
     jac: np.ndarray
@@ -160,11 +160,12 @@ def design(gamma: Gamma, data: Dataset, kernel: Kernel) -> Design:
     Xh = Xt if aft else np.ascontiguousarray(data.X[:, h_cols])
     q, m = len(t_cols), 2 + len(cols)
     has_lin = bool(cols) and not aft
-    Z = np.empty((m, data.n))
-    Z[0] = data.log_t
-    Z[1] = 1.0
-    Z[2:] = data.X[:, cols].T
-    a, b = np.triu_indices(m)
+    z_rows = [(0, 1), *((1, j) for j in range(1, m))]
+    a, b = np.array(z_rows + [(i, j) for i in range(m) for j in range(i, m)
+                              if (i, j) not in z_rows]).T
+    pairs = np.empty((a.size, data.n))
+    pairs[0], pairs[1], pairs[2:m] = data.log_t, 1.0, data.X[:, cols].T
+    np.multiply(pairs[a[m:]], pairs[b[m:]], out=pairs[m:])
     w_index = np.empty((m, m), dtype=np.intp)
     w_index[a, b] = w_index[b, a] = np.arange(a.size)
     if has_lin:  # the pair sums of rows uu, ul and ll
@@ -178,7 +179,7 @@ def design(gamma: Gamma, data: Dataset, kernel: Kernel) -> Design:
     jac[1, 1] = -1.0
     jac[theta_rows, t_pos] = -1.0
     jac[range(2 + q, 2 + q + len(h_cols)), [m + 2 + cols.index(j) for j in h_cols]] = -1.0
-    return Design(data, kernel, aft, Xt, Xh, has_lin, Z, Z[a] * Z[b], w_index, jac,
+    return Design(data, kernel, aft, Xt, Xh, has_lin, pairs, w_index, jac,
                   t_pos, (theta_rows, m + t_pos))
 
 
@@ -242,7 +243,7 @@ def evaluate(des: Design, psi, order: int = 2):
         d1[1] += l_ll
         jac[des.theta_idx] = e_mnu
         jac[0, des.theta_idx[1]] = -e_mnu * theta
-    z = d1 @ des.Z.T  # Z' l_u (and Z' l_lin)
+    z = d1 @ des.pairs[:des.jac.shape[1] // k].T  # Z' l_u (and Z' l_lin)
     g = jac @ z.ravel()
     g[0] += data.n_events
     if order == 1:

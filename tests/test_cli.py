@@ -74,6 +74,26 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def test_unusable_inputs_are_load_errors(tmp_path, capsys):
+    """A CSV without covariate columns, a non-finite covariate and a missing
+    data or config file stop `select` with exit code 2 and one error line."""
+    no_x = tmp_path / "no_x.csv"
+    write_csv(no_x, [[1.0, 1], [2.0, 1], [3.0, 0]], header=("time", "status"))
+    inf_x = tmp_path / "inf_x.csv"
+    write_csv(inf_x, [[1.0, 1, 0.5, 1.0], [2.0, 1, float("inf"), 2.0]])
+    with pytest.raises(CliError, match="no covariate columns"):
+        read_dataset(str(no_x))
+    with pytest.raises(CliError, match=":3: covariates must be finite"):
+        read_dataset(str(inf_x))
+    out = tmp_path / "out"
+    for argv in ([no_x], [inf_x], [tmp_path / "missing.csv"],
+                 [inf_x, "--config", tmp_path / "missing.cfg"]):
+        assert run(["select", *argv, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 def test_simulate_and_truth_sidecar(tmp_path):
     out = tmp_path / "sim.csv"
     assert run(["simulate", "--out", out, "--n", 80, "--p", 4,
@@ -389,6 +409,110 @@ def test_config_file_and_override(tmp_path):
         cli.resolve_options(args)
 
 
+# the options when none is set, as `replicate` writes them to report.json
+OPTION_DEFAULTS = {
+    "prior": "lcm", "g": 1.0, "gct": 1.0, "gch": 1.0, "robust_g": False,
+    "baseline": "normal", "iters": 20000, "burnin": 10000, "thin": 2,
+    "chains": 1, "seed": 0, "level": 0.9, "no_standardize": False,
+    "screening_init": False,
+}
+# a value other than the default for every common option, as a flag reads it
+NON_DEFAULT = {
+    "prior": ("product", "product"), "g": ("2.5", 2.5), "gct": ("3", 3.0),
+    "gch": ("0.5", 0.5), "robust_g": ("true", True), "baseline": ("t2", "t2"),
+    "iters": ("300", 300), "burnin": ("100", 100), "thin": ("3", 3),
+    "chains": ("2", 2), "seed": ("7", 7), "level": ("0.5", 0.5),
+    "no_standardize": ("yes", True), "screening_init": ("1", True),
+}
+
+
+def _typed(opts):
+    return {key: (type(value), value) for key, value in opts.items()}
+
+
+def test_one_table_drives_flags_and_config_file(tmp_path):
+    """Every common option gives the same resolved options, with the same
+    types, as a flag and as a config key spelled with '-' or '_'."""
+    ap = cli.build_parser()
+    assert _typed(cli.resolve_options(ap.parse_args(["select", "x"]))) == _typed(OPTION_DEFAULTS)
+    assert set(NON_DEFAULT) == set(cli._OPTIONS) == set(OPTION_DEFAULTS)
+    for key, (text, value) in NON_DEFAULT.items():
+        flag = "--" + key.replace("_", "-")
+        argv = [flag] if isinstance(value, bool) else [flag, text]
+        resolved = [cli.resolve_options(ap.parse_args(["select", "x", *argv]))]
+        for spelling in (key, key.replace("_", "-")):
+            cfg = tmp_path / f"{spelling}.cfg"
+            cfg.write_text(f"# one option\n{spelling} = {text}\n")
+            resolved.append(cli.resolve_options(
+                ap.parse_args(["select", "x", "--config", str(cfg)])))
+        expected = _typed({**OPTION_DEFAULTS, key: value})
+        assert all(_typed(opts) == expected for opts in resolved), key
+
+
+@pytest.mark.parametrize("text, value", [("1", True), ("true", True), ("Yes", True),
+                                         ("0", False), ("FALSE", False), ("no", False)])
+def test_config_booleans(tmp_path, text, value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"robust-g={text}\n")
+    ap = cli.build_parser()
+    assert cli.resolve_options(ap.parse_args(["select", "x", "--config", str(cfg)]))[
+        "robust_g"] is value
+    flagged = ap.parse_args(["select", "x", "--config", str(cfg), "--robust-g"])
+    assert cli.resolve_options(flagged)["robust_g"] is True  # the flag wins
+
+
+# Bad input: (command, option, value).  Common options are also given as a
+# config-file line; a boolean flag carries no value, so robust_g is only
+# given in the file.
+COMMON_BAD = [("prior", "foo"), ("robust_g", "maybe"), ("baseline", "foo"),
+              ("iters", "abc"), ("level", "1.5"), ("iters", "0"), ("burnin", "20000"),
+              ("thin", "0"), ("chains", "0"), ("g", "-1"), ("seed", "-1")]
+# what an error line says of an option whose name it does not spell out
+MENTION = {"iters": "iter", "burnin": "burn", "g": "g hyperparameters", "p": "n and p"}
+BAD_INPUT = (
+    [("select", "config", key, value) for key, value in COMMON_BAD]
+    + [("select", "flag", key, value) for key, value in COMMON_BAD if key != "robust_g"]
+    + [(command, "flag", key, value) for command in ("simulate", "replicate")
+       for key, value in (("p", "0"), ("censoring", "1.5"), ("rho", "1"))]
+    + [("replicate", "flag", "workers", "0"), ("replicate", "flag", "reps", "0")])
+
+
+@pytest.mark.parametrize("command, form, key, value", BAD_INPUT,
+                         ids=[f"{c}-{f}-{k}={v}" for c, f, k, v in BAD_INPUT])
+def test_bad_input_stops_before_any_work(tmp_path, capsys, monkeypatch, command, form,
+                                         key, value):
+    """Exit code 2 with one error line that names the option, before a
+    chain starts or a file is written."""
+    started = []
+
+    def no_chain(*args, **kwargs):
+        started.append(args)
+        raise AssertionError("a chain started")
+
+    monkeypatch.setattr(cli.sampler, "run_chain", no_chain)
+    data = tmp_path / "data.csv"
+    write_csv(data, FIVE_ROWS, header=("time", "status", "a", "b", "c"))
+    out = tmp_path / {"select": "out", "simulate": "out.csv", "replicate": "out.json"}[command]
+    argv = [command, *([data] if command == "select" else []), "--out", out]
+    if form == "flag":
+        argv += ["--" + key.replace("_", "-"), value]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        argv += ["--config", cfg]
+    try:
+        code = run(argv)
+    except SystemExit as exc:  # argparse rejects a bad flag itself
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2 and not started
+    (line,) = [line for line in err.splitlines() if "error:" in line]
+    assert MENTION.get(key, key) in line
+    assert "Traceback" not in err and "FAILED" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["data.csv", *(["run.cfg"] if form == "config" else [])])
+
+
 def test_prior_flag_combinations():
     ap = cli.build_parser()
     opts = cli.resolve_options(ap.parse_args(["select", "x", "--prior", "product",
@@ -443,6 +567,34 @@ def test_replicate_whose_chain_cannot_start_is_reported(tmp_path, capsys, monkey
     (line,) = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("FAILED")]
     assert "seed 1001" in line and "impossible score" in line
     assert "is not defined" not in line
+
+
+def _replicate_report(tmp_path, capsys, workers):
+    out = tmp_path / f"rep-w{workers}.json"
+    assert run(["replicate", "--reps", "3", "--workers", workers, "--n", 80, "--p", 2,
+                "--truth", "ph", "--iters", "200", "--burnin", "50", "--seed", 1,
+                "--out", out]) == 0
+    failed = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("FAILED")]
+    return out.read_bytes(), failed
+
+
+def test_replicate_report_does_not_depend_on_workers(tmp_path, capsys, monkeypatch):
+    """One loop collects the replicates, serially or in the pool: the same
+    report.json either way, and the same FAILED line for a failing seed."""
+    serial, pooled = (_replicate_report(tmp_path, capsys, w) for w in (1, 2))
+    assert serial == pooled and serial[1] == []
+    run_chain = cli.sampler.run_chain
+
+    def failing(data, kernel, config, *args, **kwargs):
+        if config.seed == 1001:
+            raise ValueError("no chain for seed 1001")
+        return run_chain(data, kernel, config, *args, **kwargs)
+
+    monkeypatch.setattr(cli.sampler, "run_chain", failing)  # forked workers inherit it
+    serial, pooled = (_replicate_report(tmp_path, capsys, w) for w in (1, 2))
+    assert serial == pooled
+    assert serial[1] == ["FAILED replicate 1: no chain for seed 1001"]
+    assert json.loads(serial[0])["aggregate"]["reps_failed"] == 1
 
 
 def _replicate_records(out, *flags):
