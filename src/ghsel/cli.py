@@ -199,15 +199,16 @@ def resolve_options(args: argparse.Namespace) -> dict:
 
 
 def build_scorer_config(opts: dict) -> ScorerConfig:
+    """The scorer's configuration; every g option is checked, whichever
+    prior reads it."""
+    coef = CoefficientPrior(g_e=opts["g"], g_ct=opts["gct"], g_ch=opts["gch"])
     if opts["prior"] == "lcm":
         method = (MarglikMethod.ILA_ROBUST_G if opts["robust_g"]
                   else MarglikMethod.ILA)
-        coef = CoefficientPrior(g_e=opts["g"])
     else:
         if opts["robust_g"]:
             raise CliError("--robust-g applies to the lcm prior only")
         method = MarglikMethod.LA
-        coef = CoefficientPrior(g_ct=opts["gct"], g_ch=opts["gch"])
     return ScorerConfig(method=method, coef_prior=coef, common=CommonPrior())
 
 
@@ -352,12 +353,12 @@ def _select(data: Dataset, opts: dict, seed: int, label: str):
 
 
 def cmd_select(args, opts) -> int:
-    scorer, trace = _select(read_dataset(args.data, standardize=False), opts, opts["seed"],
-                            args.data)
+    data = read_dataset(args.data, standardize=False)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)  # a bad output path stops before the chain
+    scorer, trace = _select(data, opts, opts["seed"], args.data)
     freq = summarize.probs_frequency(trace)
     renorm = summarize.probs_renormalized(trace)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _write_trace_jsonl(str(out / "trace.jsonl"), trace)
     payload = _summary_payload(freq, renorm, opts["level"], scorer, trace)
     _write_json(str(out / "summary.json"), payload)
@@ -378,29 +379,31 @@ def cmd_enumerate(args, opts) -> int:
     kernel = Kernel(opts["baseline"])
     scorer = ModelScorer(data, kernel, build_scorer_config(opts))
     prior_cfg = ModelPriorConfig()
-    rows = []
-    for gamma in enumerate_models(data.p, cap=max(data.p, ENUMERATION_CAP)):
-        rec = scorer.score(gamma)
-        rows.append((gamma.key, classify(gamma).value, rec.log_ml,
-                     log_model_prior(gamma, prior_cfg)))
-    scores = np.array([lm + lp for _, _, lm, lp in rows])
-    finite = np.isfinite(scores)
-    if not finite.any():
-        raise CliError(f"{args.data}: no model could be fitted")
-    m = scores[finite].max()
-    w = np.where(finite, np.exp(scores - m), 0.0)
-    w /= w.sum()
-    order = np.argsort(-w, kind="stable")
-    lines = [["gamma", "class", "log_ml", "log_prior", "posterior"]]
-    for i in order:
-        key, cls, lm, lp = rows[i]
-        lines.append([key, cls, repr(float(lm)), repr(float(lp)), repr(float(w[i]))])
-    if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
+    # a bad output path stops before any model is scored
+    with (open(args.out, "w", newline="", encoding="utf-8") if args.out
+          else contextlib.nullcontext()) as fh:
+        rows = []
+        for gamma in enumerate_models(data.p, cap=max(data.p, ENUMERATION_CAP)):
+            rec = scorer.score(gamma)
+            rows.append((gamma.key, classify(gamma).value, rec.log_ml,
+                         log_model_prior(gamma, prior_cfg)))
+        scores = np.array([lm + lp for _, _, lm, lp in rows])
+        finite = np.isfinite(scores)
+        if not finite.any():
+            raise CliError(f"{args.data}: no model could be fitted")
+        m = scores[finite].max()
+        w = np.where(finite, np.exp(scores - m), 0.0)
+        w /= w.sum()
+        order = np.argsort(-w, kind="stable")
+        lines = [["gamma", "class", "log_ml", "log_prior", "posterior"]]
+        for i in order:
+            key, cls, lm, lp = rows[i]
+            lines.append([key, cls, repr(float(lm)), repr(float(lp)), repr(float(w[i]))])
+        if fh is None:
+            for line in lines:
+                print(",".join(line))
+        else:
             csv.writer(fh).writerows(lines)
-    else:
-        for line in lines:
-            print(",".join(line))
     return 0
 
 

@@ -15,9 +15,8 @@ product with the design matrix Z, the first rows of the table of column
 products Z_a Z_b, and the Hessian one product with that table, plus the
 terms of the second derivatives of u and lin in nu.
 
-A fit builds the model's `Design` once and calls `evaluate` for the value,
-gradient and Hessian in one pass; `loglik`, `grad_loglik` and `hess_loglik`
-are thin calls into the same pass.
+`evaluate` is the one likelihood pass: a fit builds the model's `Design`
+once and calls it for the value, gradient and Hessian together.
 """
 
 from __future__ import annotations
@@ -266,26 +265,3 @@ def evaluate(des: Design, psi, order: int = 2):
         H[0, 2:2 + q] -= z_t
         H[2:2 + q, 0] -= z_t
     return val, g, H
-
-
-def loglik(psi, gamma: Gamma, data: Dataset, kernel: Kernel) -> float:
-    return evaluate(design(gamma, data, kernel), psi, 0)[0]
-
-
-def grad_loglik(psi, gamma: Gamma, data: Dataset, kernel: Kernel) -> np.ndarray:
-    return evaluate(design(gamma, data, kernel), psi, 1)[1]
-
-
-def hess_loglik(psi, gamma: Gamma, data: Dataset, kernel: Kernel) -> np.ndarray:
-    return evaluate(design(gamma, data, kernel), psi, 2)[2]
-
-
-def fisher_blocks(J: np.ndarray):
-    """Split an observed-Fisher matrix into the (nu, theta0) 2x2 block, the
-    coefficient block, and the two cross vectors."""
-    J = np.asarray(J, dtype=float)
-    top = J[:2, :2]
-    coef = J[2:, 2:]
-    cross_nu = J[2:, 0]
-    cross_t0 = J[2:, 1]
-    return top, coef, cross_nu, cross_t0

@@ -1,19 +1,19 @@
 """Approximate log marginal likelihoods per model.
 
-`ScorerConfig.method` alone selects how a model is scored; the coefficient
-prior's fields only give the scales the chosen method reads.  The
+`ModelScorer.score` is the one way a model is scored: it fits the model once,
+and `ScorerConfig.method` alone selects the closed form applied to that fit;
+the coefficient prior's fields only give the scales the method reads.  The
 integrated-Laplace route (ILA) expands the log-likelihood (not the
 log-posterior) at the MLE and integrates the Gaussian curvature-matching prior
 analytically, leaving a closed form in the fitted Fisher blocks.  The closed
 form is factorised once per fitted model into a g-free part (`ILAFactor`) and
 a 2x2 closed form at n*g, so the fixed Gauss-Kronrod rule that extends it to
 the robust hyper-g prior on the scale g (ILA_RobustG) costs one evaluation of
-that closed form over the array of its nodes.  The plain Laplace route (LA) evaluates the penalised objective
-at the MAP under the product prior.
+that closed form over the array of its nodes.  The plain Laplace route (LA)
+evaluates the penalised objective at the MAP under the product prior.
 
 All values are log marginal likelihoods with the prior normalising constants
-included; LA leaves out one model-independent log(2*pi) (see
-`la_log_marglik`).
+included; LA leaves out one model-independent log(2*pi) (see `_la_log_ml`).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ghlik, optimize, priors
+from . import optimize, priors
 from .baseline import Kernel
 from .ghlik import Dataset, dim_coef
 from .modelspace import Gamma
@@ -48,10 +48,6 @@ class MarglikRecord:
     fit: FitRecord | None
 
 
-def _failed(fit: FitRecord | None) -> MarglikRecord:
-    return MarglikRecord(-math.inf, fit)
-
-
 # ---------------------------------------------------------------------------
 # integrated-Laplace core
 
@@ -68,11 +64,12 @@ class ILAFactor:
     """
 
     def __init__(self, ell_hat: float, psi_hat: np.ndarray, J: np.ndarray, d: int):
-        top, coef, cross_nu, cross_t0 = ghlik.fisher_blocks(J)
+        J = np.asarray(J, dtype=float)
+        coef, cross_nu, cross_t0 = J[2:, 2:], J[2:, 0], J[2:, 1]
         psi_hat = np.asarray(psi_hat, dtype=float)
         self.ell_hat, self.d = float(ell_hat), d
         self.nu_hat, self.t0_hat = float(psi_hat[0]), float(psi_hat[1])
-        self.top = (float(top[0, 0]), float(top[0, 1]), float(top[1, 1]))
+        self.top = (float(J[0, 0]), float(J[0, 1]), float(J[1, 1]))
         self.schur = (0.0, 0.0, 0.0)
         self.kappa_cross, self.kappa_J = (0.0, 0.0), 0.0
         if d > 0:
@@ -84,13 +81,13 @@ class ILAFactor:
             self.kappa_cross = (float(kappa_hat @ cross_nu), float(kappa_hat @ cross_t0))
             self.kappa_J = float(kappa_hat @ (coef @ kappa_hat))
 
-    def terms(self, ng, cp: CommonPrior):
-        """(log_ml, (P11, P12, P22), (h1, h2), C) at ng = n*g: the posterior
-        precision P and linear term h of (nu, theta0) and the constant C of
-        the completed square.  ng is a float or an array of values, and each
-        entry of the result has its shape; a float takes its logarithms from
-        `math`, so a fixed-g score does not depend on NumPy's rounding.
-        Raises LinAlgError if P is not positive definite at any ng."""
+    def log_ml(self, ng, cp: CommonPrior):
+        """The closed form at ng = n*g, a float or an array of values with
+        the result in its shape; a float takes its logarithms from `math`,
+        so a fixed-g score does not depend on NumPy's rounding.  Completes
+        the square in (nu, theta0) under the posterior precision P and
+        linear term h.  Raises LinAlgError if P is not positive definite at
+        any ng."""
         xp = np if np.ndim(ng) else math
         nu_hat, t0_hat = self.nu_hat, self.t0_hat
         shrink = ng / (1.0 + ng)
@@ -120,40 +117,16 @@ class ILAFactor:
         l22 = xp.sqrt(l22_sq)
         w1 = h1 / l11
         w2 = (h2 - l21 * w1) / l22
-        log_ml = (self.ell_hat - 0.5 * self.d * xp.log1p(ng) - xp.log(l11 * l22)
-                  + 0.5 * (w1 * w1 + w2 * w2) + C - 0.5 * math.log(cp.K * var_nu))
-        return log_ml, (p11, p12, p22), (h1, h2), C
-
-    def log_ml(self, ng, cp: CommonPrior):
-        return self.terms(ng, cp)[0]
+        return (self.ell_hat - 0.5 * self.d * xp.log1p(ng) - xp.log(l11 * l22)
+                + 0.5 * (w1 * w1 + w2 * w2) + C - 0.5 * math.log(cp.K * var_nu))
 
 
 def ila_from_fit(ell_hat: float, psi_hat: np.ndarray, J: np.ndarray, d: int,
-                 n: int, g_e: float, cp: CommonPrior):
-    """Closed-form log marginal likelihood given a fitted model.
-
-    Returns (log_ml, P, h, C).  Raises numpy.linalg.LinAlgError if a required
-    block is not positive definite.
-    """
-    log_ml, (p11, p12, p22), h, C = ILAFactor(ell_hat, psi_hat, J, d).terms(n * g_e, cp)
-    return log_ml, np.array([[p11, p12], [p12, p22]]), np.array(h), C
-
-
-def ila_log_marglik(gamma: Gamma, data: Dataset, kernel: Kernel, g_e: float,
-                    cp: CommonPrior, fit: FitRecord | None = None) -> MarglikRecord:
-    if fit is None:
-        fit = optimize.fit_mle(gamma, data, kernel)
-    if not fit.ok:
-        return _failed(fit)
-    d = dim_coef(gamma)
-    try:
-        log_ml = ila_from_fit(fit.objective, fit.psi_opt, fit.fisher, d,
-                              data.n, g_e, cp)[0]
-    except np.linalg.LinAlgError:
-        return _failed(fit)
-    if not np.isfinite(log_ml):
-        return _failed(fit)
-    return MarglikRecord(log_ml, fit)
+                 n: int, g_e: float, cp: CommonPrior) -> float:
+    """Closed-form log marginal likelihood of a fitted model at a fixed g.
+    Raises numpy.linalg.LinAlgError if a required block is not positive
+    definite."""
+    return ILAFactor(ell_hat, psi_hat, J, d).log_ml(n * g_e, cp)
 
 
 # Gauss-Kronrod G7/K15 on [-1, 1] (QUADPACK's qk15): the 15 Kronrod nodes in
@@ -195,80 +168,51 @@ def _gauss_kronrod(log_f, lo: float, hi: float):
     return M, float(np.sum(kronrod)), float(np.sum(np.abs(kronrod - gauss)))
 
 
-def ila_log_marglik_robust_g(gamma: Gamma, data: Dataset, kernel: Kernel,
-                             cp: CommonPrior, fit: FitRecord | None = None) -> MarglikRecord:
-    """Marginal likelihood with the scale g integrated out under the robust
-    hyper-g prior.  The model is fitted and its closed form factorised once;
-    the integral over y = log(g + 1/n) up to ROBUST_G_CUTOFF is a fixed
-    Gauss-Kronrod rule whose nodes take one array evaluation of the closed
-    form, and the rest is an analytic tail.  A quadrature whose error
-    estimate misses ROBUST_G_RTOL gives a failed record."""
-    if fit is None:
-        fit = optimize.fit_mle(gamma, data, kernel)
-    if not fit.ok:
-        return _failed(fit)
-    d = dim_coef(gamma)
-    n = data.n
-    if d == 0:
-        # the closed form is g-free for the null model, so the integral is exact
-        return ila_log_marglik(gamma, data, kernel, 1.0, cp, fit=fit)
+def _robust_g_log_ml(fit: FitRecord, d: int, n: int, cp: CommonPrior) -> float:
+    """Log marginal likelihood of a fitted model with d > 0 coefficients,
+    with the scale g integrated out under the robust hyper-g prior.  The
+    closed form is factorised once; the integral over y = log(g + 1/n) up to
+    ROBUST_G_CUTOFF is a fixed Gauss-Kronrod rule whose nodes take one array
+    evaluation of the closed form, and the rest is an analytic tail.  NaN if
+    the quadrature's error estimate misses ROBUST_G_RTOL; raises
+    numpy.linalg.LinAlgError as the closed form does."""
 
     def log_integrand(y):
         # dg = e^y dy
         g = np.exp(y) - 1.0 / n
         return factor.log_ml(n * g, cp) + priors.robust_g_logpdf(g, n, d) + y
 
-    bound = priors.robust_g_support_bound(n, d)
-    y_lo = math.log(bound + 1.0 / n) + 1e-12
+    factor = ILAFactor(fit.objective, fit.psi_opt, fit.fisher, d)
+    y_lo = math.log(priors.robust_g_support_bound(n, d) + 1.0 / n) + 1e-12
     y_hi = math.log(ROBUST_G_CUTOFF + 1.0 / n)
-    try:
-        factor = ILAFactor(fit.objective, fit.psi_opt, fit.fisher, d)
-        M, val, err = _gauss_kronrod(log_integrand, y_lo, y_hi)
-        if not np.isfinite(val) or val <= 0 or err > ROBUST_G_RTOL * max(val, 1e-300):
-            return _failed(fit)
-        # analytic tail beyond the cutoff: the closed form saturates in g, so
-        # exp(log_ml(g)) ~ exp(m_sat) * (1 + n g)^{-d/2} with m_sat the g-free part
-        g_big = 1e250
-        m_sat = factor.log_ml(n * g_big, cp) + 0.5 * d * math.log1p(n * g_big)
-        c_r = math.sqrt((1.0 + n) / (n * (d + 1.0)))
-        log_tail = (m_sat + math.log(c_r / (d + 1.0)) - 0.5 * d * math.log(n)
-                    - 0.5 * (d + 1.0) * math.log(ROBUST_G_CUTOFF + 1.0 / n))
-        total = M + math.log(val + math.exp(log_tail - M))
-    except np.linalg.LinAlgError:
-        return _failed(fit)
-    return MarglikRecord(total, fit)
+    M, val, err = _gauss_kronrod(log_integrand, y_lo, y_hi)
+    if not np.isfinite(val) or val <= 0 or err > ROBUST_G_RTOL * max(val, 1e-300):
+        return math.nan
+    # analytic tail beyond the cutoff: the closed form saturates in g, so
+    # exp(log_ml(g)) ~ exp(m_sat) * (1 + n g)^{-d/2} with m_sat the g-free part
+    g_big = 1e250
+    m_sat = factor.log_ml(n * g_big, cp) + 0.5 * d * math.log1p(n * g_big)
+    c_r = math.sqrt((1.0 + n) / (n * (d + 1.0)))
+    log_tail = (m_sat + math.log(c_r / (d + 1.0)) - 0.5 * d * math.log(n)
+                - 0.5 * (d + 1.0) * math.log(ROBUST_G_CUTOFF + 1.0 / n))
+    return M + math.log(val + math.exp(log_tail - M))
 
 
 # ---------------------------------------------------------------------------
 # plain Laplace under the product prior
 
-def la_log_marglik(gamma: Gamma, data: Dataset, kernel: Kernel,
-                   coef_prior: CoefficientPrior, cp: CommonPrior,
-                   fit: FitRecord | None = None) -> MarglikRecord:
+def _la_log_ml(fit: FitRecord, d: int) -> float:
     """Laplace evidence at the MAP of the penalised objective.
 
     The determinant is of the full (2+d)-dimensional penalised curvature,
     but the 2*pi exponent is d/2, not the standard (2+d)/2: the value is the
     standard Laplace approximation minus log(2*pi), a model-independent
-    constant that leaves every posterior ratio unchanged.
+    constant that leaves every posterior ratio unchanged.  Raises
+    numpy.linalg.LinAlgError if the curvature is not positive definite.
     """
-    if fit is None:
-        try:
-            fit = optimize.fit_map(gamma, data, kernel, coef_prior, cp)
-        except RankDeficiencyError:
-            return _failed(None)
-    if not fit.ok:
-        return _failed(fit)
-    d = dim_coef(gamma)
-    try:
-        L = np.linalg.cholesky(fit.fisher)
-    except np.linalg.LinAlgError:
-        return _failed(fit)
+    L = np.linalg.cholesky(fit.fisher)
     logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
-    log_ml = fit.objective + d / 2.0 * LOG_2PI - 0.5 * logdet
-    if not np.isfinite(log_ml):
-        return _failed(fit)
-    return MarglikRecord(log_ml, fit)
+    return fit.objective + d / 2.0 * LOG_2PI - 0.5 * logdet
 
 
 # ---------------------------------------------------------------------------
@@ -308,19 +252,35 @@ class ModelScorer:
         self.cache = MarglikCache()
 
     def score(self, gamma: Gamma) -> MarglikRecord:
+        """The model's record: one fit (the MAP under the product prior for
+        LA, else the MLE) and the method's closed form applied to it.  A
+        failed fit, a block that is not positive definite or a value that is
+        not finite gives log_ml = -inf."""
         hit = self.cache.get(gamma.key)
         if hit is not None:
             return hit
-        cfg = self.config
-        if cfg.method is MarglikMethod.ILA:
-            rec = ila_log_marglik(gamma, self.data, self.kernel,
-                                  cfg.coef_prior.g_e, cfg.common)
-        elif cfg.method is MarglikMethod.ILA_ROBUST_G:
-            rec = ila_log_marglik_robust_g(gamma, self.data, self.kernel, cfg.common)
-        elif cfg.method is MarglikMethod.LA:
-            rec = la_log_marglik(gamma, self.data, self.kernel, cfg.coef_prior,
-                                 cfg.common)
-        else:
-            raise ValueError(f"unknown method {cfg.method}")
+        cfg, data, method = self.config, self.data, self.config.method
+        d = dim_coef(gamma)
+        try:
+            if method is MarglikMethod.LA:
+                fit = optimize.fit_map(gamma, data, self.kernel, cfg.coef_prior, cfg.common)
+            else:
+                fit = optimize.fit_mle(gamma, data, self.kernel)
+        except RankDeficiencyError:
+            fit = None
+        log_ml = -math.inf
+        if fit is not None and fit.ok:
+            try:
+                if method is MarglikMethod.LA:
+                    log_ml = _la_log_ml(fit, d)
+                elif method is MarglikMethod.ILA_ROBUST_G and d > 0:
+                    log_ml = _robust_g_log_ml(fit, d, data.n, cfg.common)
+                else:  # fixed g, or the null model, whose closed form is g-free
+                    g_e = cfg.coef_prior.g_e if method is MarglikMethod.ILA else 1.0
+                    log_ml = ila_from_fit(fit.objective, fit.psi_opt, fit.fisher, d,
+                                          data.n, g_e, cfg.common)
+            except np.linalg.LinAlgError:
+                pass
+        rec = MarglikRecord(log_ml if np.isfinite(log_ml) else -math.inf, fit)
         self.cache.put(gamma.key, rec)
         return rec

@@ -38,8 +38,8 @@ class CoefficientPrior:
     g_ch: float = 1.0
 
     def __post_init__(self):
-        if min(self.g_e, self.g_ct, self.g_ch) <= 0:
-            raise ValueError("g hyperparameters must be positive")
+        if not all(0 < g < math.inf for g in (self.g_e, self.g_ct, self.g_ch)):
+            raise ValueError("g hyperparameters must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -32,8 +32,10 @@ class LogLocationScaleBaseline:
     kernel: Kernel = Kernel.NORMAL
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError("sigma must be positive and finite")
+        if not math.isfinite(self.mu):
+            raise ValueError("mu must be finite")
 
     def inverse_cumhaz(self, w: np.ndarray) -> np.ndarray:
         # H0(t) = w  <=>  t = exp(mu + sigma * Finv(1 - e^{-w})); by kernel

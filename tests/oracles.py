@@ -33,8 +33,8 @@ from scipy import stats
 from ghsel import baseline, marglik, optimize, priors
 from ghsel.baseline import Kernel
 from ghsel.ghlik import (LINPRED_CLAMP, DimensionError, dim_coef, dim_psi,
-                         hazard_level_columns, hess_loglik, time_level_columns)
-from ghsel.marglik import ILAFactor, MarglikRecord, ila_log_marglik
+                         design, evaluate, hazard_level_columns, time_level_columns)
+from ghsel.marglik import ILAFactor, MarglikRecord, ila_from_fit
 from ghsel.modelspace import (Gamma, HazardClass, ModelPriorConfig, classify,
                               get_valid_idx, log_model_prior)
 from ghsel.sampler import _MOVE_ORDER, MoveKind, Proposal, move_distribution
@@ -212,7 +212,7 @@ def project_init(psi_prev, gamma_prev, gamma_new, data) -> np.ndarray:
 
 
 def observed_fisher(psi, gamma, data, kernel: Kernel) -> np.ndarray:
-    return -hess_loglik(psi, gamma, data, kernel)
+    return -evaluate(design(gamma, data, kernel), psi)[2]
 
 
 def lcm_prior_cov(gamma, data, g_e: float, fisher) -> np.ndarray:
@@ -348,7 +348,7 @@ def scipy_maximise(fn, grad, x0):
 # the robust hyper-g score by adaptive quadrature
 
 def robust_g_quad_reference(gamma, data, kernel, cp, fit=None):
-    """`marglik.ila_log_marglik_robust_g` as it was with SciPy's adaptive
+    """The robust hyper-g score as it was with SciPy's adaptive
     `quad` on y = log(g + 1/n): a 60-point scan for the peak, then `quad`
     with the peak as a break point, each node a scalar closed form, and the
     same analytic tail beyond `marglik.ROBUST_G_CUTOFF`."""
@@ -360,7 +360,8 @@ def robust_g_quad_reference(gamma, data, kernel, cp, fit=None):
     n = data.n
     if d == 0:
         # the closed form is g-free for the null model, so the integral is exact
-        return ila_log_marglik(gamma, data, kernel, 1.0, cp, fit=fit)
+        return MarglikRecord(ila_from_fit(fit.objective, fit.psi_opt, fit.fisher, 0, n,
+                                          1.0, cp), fit)
 
     def log_integrand(g: float) -> float:
         lp = priors.robust_g_logpdf(g, n, d)
@@ -405,8 +406,7 @@ def robust_g_quad_reference(gamma, data, kernel, cp, fit=None):
 # integrated-Laplace closed form, evaluated afresh at each g
 
 def ila_closed_form_at_g(ell_hat, psi_hat, J, d, n, g_e, cp):
-    """(log_ml, P, h, C) of the integrated-Laplace closed form at one g,
-    refactorising the coefficient block of J every time.  Raises
+    """The integrated-Laplace closed form at one g, refactorising the coefficient block of J every time.  Raises
     numpy.linalg.LinAlgError if a required block is not positive definite."""
     J = np.asarray(J, dtype=float)
     psi_hat = np.asarray(psi_hat, dtype=float)
@@ -445,7 +445,7 @@ def ila_closed_form_at_g(ell_hat, psi_hat, J, d, n, g_e, cp):
     log_ml = (ell_hat - 0.5 * d * math.log1p(ng)
               - float(np.sum(np.log(np.diag(Lp)))) + 0.5 * float(z @ z) + C
               - 0.5 * math.log(cp.K * var_nu))
-    return log_ml, P, h, C
+    return log_ml
 
 
 def write_trace_jsonl(path, trace):

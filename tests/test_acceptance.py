@@ -14,11 +14,10 @@ import oracles
 import proposal_audit
 from ghsel import baseline as bl
 from ghsel.baseline import Kernel
-from ghsel.ghlik import Dataset, dim_psi, grad_loglik, hess_loglik, loglik
+from ghsel.ghlik import Dataset, design, dim_psi, evaluate
 from ghsel import marglik
 from ghsel.marglik import (LOG_2PI, MarglikMethod, ModelScorer, ScorerConfig,
-                           ila_from_fit, ila_log_marglik,
-                           ila_log_marglik_robust_g, la_log_marglik)
+                           ila_from_fit)
 from ghsel.modelspace import (Gamma, HazardClass, ModelPriorConfig, classify,
                               enumerate_models, log_model_prior)
 from ghsel.priors import (CoefficientPrior, CommonPrior, robust_g_logpdf,
@@ -74,12 +73,12 @@ def test_criterion_1_derivatives():
         psi = rng.normal(0.0, 0.3, dim_psi(gamma))
 
         def fn(x):
-            return loglik(x, gamma, data, kernel)
+            return evaluate(design(gamma, data, kernel), x, 0)[0]
 
-        g = grad_loglik(psi, gamma, data, kernel)
+        g = evaluate(design(gamma, data, kernel), psi, 1)[1]
         fd_g = oracles.fd_grad(fn, psi)
         max_g = max(max_g, float(np.max(np.abs(g - fd_g) / (1.0 + np.abs(fd_g)))))
-        H = hess_loglik(psi, gamma, data, kernel)
+        H = evaluate(design(gamma, data, kernel), psi)[2]
         fd_h = oracles.fd_hess(fn, psi)
         max_h = max(max_h, float(np.max(np.abs(H - fd_h) / (1.0 + np.abs(fd_h)))))
     dt = time.time() - start
@@ -184,20 +183,21 @@ def test_criterion_4_marglik_oracle():
                         target_censoring=0.2, seed=seed)
         data, _ = sim_standardized(cfg)
         assert dim_psi(gamma) <= 4
-        rec_i = ila_log_marglik(gamma, data, Kernel.NORMAL, 1.0, cp)
+        rec_i = ModelScorer(data, Kernel.NORMAL, ScorerConfig(common=cp)).score(gamma)
         ref_i = ila_quadrature_reference(gamma, data, Kernel.NORMAL, 1.0, cp,
                                          rec_i.fit)
         worst_ila = max(worst_ila, abs(rec_i.log_ml - ref_i))
-        rec_l = la_log_marglik(gamma, data, Kernel.NORMAL, prior, cp)
+        rec_l = ModelScorer(data, Kernel.NORMAL,
+                            ScorerConfig(MarglikMethod.LA, prior, cp)).score(gamma)
         log_prior = oracles.map_prior_reference(gamma, data, prior, cp)
 
         def log_post(psi, gamma=gamma, data=data, log_prior=log_prior):
-            ll = loglik(psi, gamma, data, Kernel.NORMAL)
+            ll = evaluate(design(gamma, data, Kernel.NORMAL), psi, 0)[0]
             if not np.isfinite(ll):
                 return -1e300
             return ll + log_prior(psi)
 
-        # la_log_marglik leaves out the model-independent log(2*pi)
+        # the LA score leaves out the model-independent log(2*pi)
         ref_l = oracles.gauss_hermite_log_integral(log_post, rec_l.fit.psi_opt)
         worst_la = max(worst_la, abs(rec_l.log_ml + LOG_2PI - ref_l))
 
@@ -211,7 +211,7 @@ def test_criterion_4_marglik_oracle():
         J = A @ A.T + k * np.eye(k)
         psi_hat = rng.normal(0.0, 1.0, k)
         ell_hat = float(rng.normal())
-        got, _, _, _ = ila_from_fit(ell_hat, psi_hat, J, d, 50, 2.0, cp)
+        got = ila_from_fit(ell_hat, psi_hat, J, d, 50, 2.0, cp)
         ng = 100.0
         pp = np.zeros((k, k))
         pp[0, 0] = 1.0 / cp.nu_normal_sd ** 2
@@ -384,14 +384,15 @@ def test_criterion_8_robust_hyper_g(monkeypatch):
     data, _ = sim_standardized(cfg_sim)
     cp = CommonPrior()
     null = Gamma.from_key("00")
-    fixed = ila_log_marglik(null, data, Kernel.NORMAL, 1.0, cp)
-    robust = ila_log_marglik_robust_g(null, data, Kernel.NORMAL, cp)
+    robust_cfg = ScorerConfig(MarglikMethod.ILA_ROBUST_G, common=cp)
+    fixed = ModelScorer(data, Kernel.NORMAL, ScorerConfig(common=cp)).score(null)
+    robust = ModelScorer(data, Kernel.NORMAL, robust_cfg).score(null)
     null_exact = robust.log_ml == fixed.log_ml
     g22 = Gamma.from_key("22")
     assert marglik.ROBUST_G_CUTOFF == 1e6
-    a = ila_log_marglik_robust_g(g22, data, Kernel.NORMAL, cp)
+    a = ModelScorer(data, Kernel.NORMAL, robust_cfg).score(g22)
     monkeypatch.setattr(marglik, "ROBUST_G_CUTOFF", 2e6)
-    b = ila_log_marglik_robust_g(g22, data, Kernel.NORMAL, cp)
+    b = ModelScorer(data, Kernel.NORMAL, robust_cfg).score(g22)
     delta = abs(a.log_ml - b.log_ml)
     ok = worst_int <= 1e-6 and null_exact and delta < 1e-8
     report(8, "robust hyper-g", ok,
@@ -417,8 +418,8 @@ def test_criterion_9_aft_reduction():
         theta = psi_aft[2:]
         psi_gh = np.concatenate((psi_aft[:2], theta, np.exp(-nu) * theta))
         kernel = kernels[i % 4]
-        la = loglik(psi_aft, aft, data, kernel)
-        lg = loglik(psi_gh, gh, data, kernel)
+        la = evaluate(design(aft, data, kernel), psi_aft, 0)[0]
+        lg = evaluate(design(gh, data, kernel), psi_gh, 0)[0]
         worst = max(worst, abs(la - lg) / max(1.0, abs(lg)))
     ok = worst <= 1e-12
     report(9, "tied-effect reduction identity", ok,

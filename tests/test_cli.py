@@ -466,15 +466,22 @@ def test_config_booleans(tmp_path, text, value):
 # given in the file.
 COMMON_BAD = [("prior", "foo"), ("robust_g", "maybe"), ("baseline", "foo"),
               ("iters", "abc"), ("level", "1.5"), ("iters", "0"), ("burnin", "20000"),
-              ("thin", "0"), ("chains", "0"), ("g", "-1"), ("seed", "-1")]
-# what an error line says of an option whose name it does not spell out
-MENTION = {"iters": "iter", "burnin": "burn", "g": "g hyperparameters", "p": "n and p"}
+              ("thin", "0"), ("chains", "0"), ("g", "-1"), ("seed", "-1"),
+              *((g, bad) for g in ("g", "gct", "gch") for bad in ("nan", "inf"))]
+# what an error line says of an option whose name it does not spell out; an
+# output path is named by the path itself
+MENTION = {"iters": "iter", "burnin": "burn", "g": "g hyperparameters",
+           "gct": "g hyperparameters", "gch": "g hyperparameters", "p": "n and p"}
 BAD_INPUT = (
     [("select", "config", key, value) for key, value in COMMON_BAD]
     + [("select", "flag", key, value) for key, value in COMMON_BAD if key != "robust_g"]
     + [(command, "flag", key, value) for command in ("simulate", "replicate")
-       for key, value in (("p", "0"), ("censoring", "1.5"), ("rho", "1"))]
-    + [("replicate", "flag", "workers", "0"), ("replicate", "flag", "reps", "0")])
+       for key, value in (("p", "0"), ("censoring", "1.5"), ("rho", "1"), ("sigma", "nan"),
+                          ("sigma", "inf"), ("mu", "nan"), ("mu", "inf"))]
+    + [("replicate", "flag", "workers", "0"), ("replicate", "flag", "reps", "0")]
+    # an existing file as select's output directory, and a missing directory
+    + [("select", "flag", "out", "{tmp}/data.csv"),
+       ("enumerate", "flag", "out", "{tmp}/no-such-dir/x.csv")])
 
 
 @pytest.mark.parametrize("command, form, key, value", BAD_INPUT,
@@ -482,18 +489,21 @@ BAD_INPUT = (
 def test_bad_input_stops_before_any_work(tmp_path, capsys, monkeypatch, command, form,
                                          key, value):
     """Exit code 2 with one error line that names the option, before a
-    chain starts or a file is written."""
+    chain starts, a model is scored or a file is written."""
     started = []
 
-    def no_chain(*args, **kwargs):
+    def no_work(*args, **kwargs):
         started.append(args)
-        raise AssertionError("a chain started")
+        raise AssertionError("a chain started or a model was scored")
 
-    monkeypatch.setattr(cli.sampler, "run_chain", no_chain)
+    monkeypatch.setattr(cli.sampler, "run_chain", no_work)
+    monkeypatch.setattr(cli.ModelScorer, "score", no_work)
     data = tmp_path / "data.csv"
     write_csv(data, FIVE_ROWS, header=("time", "status", "a", "b", "c"))
-    out = tmp_path / {"select": "out", "simulate": "out.csv", "replicate": "out.json"}[command]
-    argv = [command, *([data] if command == "select" else []), "--out", out]
+    value = value.format(tmp=tmp_path)
+    out = tmp_path / {"select": "out", "enumerate": "out.csv", "simulate": "out.csv",
+                      "replicate": "out.json"}[command]
+    argv = [command, *([data] if command in ("select", "enumerate") else []), "--out", out]
     if form == "flag":
         argv += ["--" + key.replace("_", "-"), value]
     else:
@@ -507,7 +517,7 @@ def test_bad_input_stops_before_any_work(tmp_path, capsys, monkeypatch, command,
     err = capsys.readouterr().err
     assert code == 2 and not started
     (line,) = [line for line in err.splitlines() if "error:" in line]
-    assert MENTION.get(key, key) in line
+    assert (value if key == "out" else MENTION.get(key, key)) in line
     assert "Traceback" not in err and "FAILED" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         ["data.csv", *(["run.cfg"] if form == "config" else [])])

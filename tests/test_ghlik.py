@@ -4,8 +4,8 @@ import pytest
 import oracles
 from ghsel.baseline import Kernel
 from ghsel.ghlik import (LINPRED_CLAMP, Dataset, DimensionError, design, dim_coef,
-                         dim_psi, evaluate, grad_loglik, hazard_level_columns,
-                         hess_loglik, loglik, time_level_columns)
+                         dim_psi, evaluate, hazard_level_columns,
+                         time_level_columns)
 from ghsel.modelspace import Gamma, enumerate_models
 
 KERNELS = list(Kernel)
@@ -59,9 +59,9 @@ def test_dimension_errors():
     data = make_data()
     g = Gamma.from_key("120")
     with pytest.raises(DimensionError):
-        loglik(np.zeros(3), g, data, Kernel.NORMAL)
+        evaluate(design(g, data, Kernel.NORMAL), np.zeros(3), 0)
     with pytest.raises(DimensionError):
-        loglik(np.zeros(4), Gamma.from_key("12"), data, Kernel.NORMAL)
+        design(Gamma.from_key("12"), data, Kernel.NORMAL)
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
@@ -76,7 +76,7 @@ def test_loglik_matches_hazard_form_oracle(kernel, key):
     mu, sigma, alpha, beta = oracles.psi_to_natural(psi, g, data.p)
     ref = oracles.natural_loglik(mu, sigma, alpha, beta, data.t, data.delta,
                                  data.X, kernel)
-    assert loglik(psi, g, data, kernel) == pytest.approx(ref, rel=1e-10)
+    assert evaluate(design(g, data, kernel), psi, 0)[0] == pytest.approx(ref, rel=1e-10)
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
@@ -88,13 +88,13 @@ def test_gradient_and_hessian_match_finite_differences(kernel, key):
     psi = rng.normal(0.0, 0.3, dim_psi(g))
 
     def fn(x):
-        return loglik(x, g, data, kernel)
+        return evaluate(design(g, data, kernel), x, 0)[0]
 
-    grad = grad_loglik(psi, g, data, kernel)
+    grad = evaluate(design(g, data, kernel), psi, 1)[1]
     fd_g = oracles.fd_grad(fn, psi)
     assert np.max(np.abs(grad - fd_g) / (1.0 + np.abs(fd_g))) < 1e-6
 
-    hess = hess_loglik(psi, g, data, kernel)
+    hess = evaluate(design(g, data, kernel), psi)[2]
     fd_h = oracles.fd_hess(fn, psi)
     assert np.max(np.abs(hess - fd_h) / (1.0 + np.abs(fd_h))) < 1e-5
     assert np.allclose(hess, hess.T)
@@ -113,8 +113,8 @@ def test_aft_reduction_identity():
         theta = psi_aft[2:]
         psi_gh = np.concatenate((psi_aft[:2], theta, np.exp(-nu) * theta))
         for kernel in KERNELS:
-            la = loglik(psi_aft, aft, data, kernel)
-            lg = loglik(psi_gh, gh, data, kernel)
+            la = evaluate(design(aft, data, kernel), psi_aft, 0)[0]
+            lg = evaluate(design(gh, data, kernel), psi_gh, 0)[0]
             assert la == pytest.approx(lg, rel=1e-13, abs=1e-12)
 
 
@@ -122,9 +122,9 @@ def test_extreme_linear_predictor_is_finite():
     data = make_data(seed=1)
     g = Gamma.from_key("330")
     psi = np.array([0.0, 0.0, 50.0, -50.0, 30.0, -30.0])
-    val = loglik(psi, g, data, Kernel.NORMAL)
+    val = evaluate(design(g, data, Kernel.NORMAL), psi, 0)[0]
     assert val == -np.inf or np.isfinite(val)
-    grad = grad_loglik(psi * 0.01, g, data, Kernel.NORMAL)
+    grad = evaluate(design(g, data, Kernel.NORMAL), psi * 0.01, 1)[1]
     assert np.all(np.isfinite(grad))
 
 
@@ -133,7 +133,7 @@ def test_observed_fisher_is_negated_hessian():
     g = Gamma.from_key("210")
     psi = np.array([0.1, 0.5, 0.2, -0.3])
     assert np.allclose(oracles.observed_fisher(psi, g, data, Kernel.SECH),
-                       -hess_loglik(psi, g, data, Kernel.SECH))
+                       -evaluate(design(g, data, Kernel.SECH), psi)[2])
 
 
 def _assert_pass_matches_reference(des, psi):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,11 +7,10 @@ from scipy import stats
 
 import oracles
 from ghsel.baseline import Kernel
-from ghsel.ghlik import Dataset, dim_coef, loglik
-from ghsel import marglik
+from ghsel.ghlik import Dataset, design, dim_coef, evaluate
+from ghsel import marglik, optimize
 from ghsel.marglik import (LOG_2PI, ILAFactor, MarglikMethod, ModelScorer,
-                           ScorerConfig, ila_from_fit, ila_log_marglik,
-                           ila_log_marglik_robust_g, la_log_marglik)
+                           ScorerConfig, ila_from_fit)
 from ghsel.modelspace import Gamma, HazardClass, enumerate_models
 from ghsel.optimize import fit_mle
 from ghsel.priors import CoefficientPrior, CommonPrior, robust_g_support_bound
@@ -29,6 +29,16 @@ def small_data(seed=0, n=30, p=2):
     return data
 
 
+ROBUST_G = MarglikMethod.ILA_ROBUST_G
+
+
+def score(gamma, data, method=MarglikMethod.ILA, coef_prior=CoefficientPrior(),
+          cp=CommonPrior()):
+    """A fresh scorer's record of one model under the normal kernel."""
+    return ModelScorer(data, Kernel.NORMAL,
+                       ScorerConfig(method, coef_prior, cp)).score(gamma)
+
+
 def ila_quadrature_reference(gamma, data, kernel, g_e, cp, fit):
     """Numerical log marginal likelihood under the exact priors the
     integrated-Laplace route assumes: normal prior on nu, N(0,K) on theta0,
@@ -41,7 +51,7 @@ def ila_quadrature_reference(gamma, data, kernel, g_e, cp, fit):
     t0_prior = stats.norm(0.0, math.sqrt(cp.K))
 
     def log_post(psi):
-        ll = loglik(psi, gamma, data, kernel)
+        ll = evaluate(design(gamma, data, kernel), psi, 0)[0]
         if not np.isfinite(ll):
             return -1e300
         lp = nu_prior.logpdf(psi[0]) + t0_prior.logpdf(psi[1])
@@ -66,7 +76,7 @@ def test_ila_exact_on_gaussian_loglik():
         psi_hat = rng.normal(0.0, 1.0, k)
         ell_hat = float(rng.normal())
 
-        got, _, _, _ = ila_from_fit(ell_hat, psi_hat, J, d, n, g_e, cp)
+        got = ila_from_fit(ell_hat, psi_hat, J, d, n, g_e, cp)
 
         # independent Gaussian algebra: integrand exp(-x'Ax/2 + b'x + c)
         ng = n * g_e
@@ -97,7 +107,7 @@ def test_ila_matches_quadrature(key):
     data = small_data()
     gamma = Gamma.from_key(key)
     cp = CommonPrior()
-    rec = ila_log_marglik(gamma, data, Kernel.NORMAL, 1.0, cp)
+    rec = score(gamma, data, cp=cp)
     assert np.isfinite(rec.log_ml)
     ref = ila_quadrature_reference(gamma, data, Kernel.NORMAL, 1.0, cp, rec.fit)
     assert abs(rec.log_ml - ref) <= 0.15
@@ -109,17 +119,17 @@ def test_la_matches_quadrature(key):
     gamma = Gamma.from_key(key)
     prior = CoefficientPrior()
     cp = CommonPrior()
-    rec = la_log_marglik(gamma, data, Kernel.NORMAL, prior, cp)
+    rec = score(gamma, data, MarglikMethod.LA, prior, cp)
     assert np.isfinite(rec.log_ml)
     log_prior = oracles.map_prior_reference(gamma, data, prior, cp)
 
     def log_post(psi):
-        ll = loglik(psi, gamma, data, Kernel.NORMAL)
+        ll = evaluate(design(gamma, data, Kernel.NORMAL), psi, 0)[0]
         if not np.isfinite(ll):
             return -1e300
         return ll + log_prior(psi)
 
-    # la_log_marglik leaves out the model-independent log(2*pi)
+    # the LA score leaves out the model-independent log(2*pi)
     ref = oracles.gauss_hermite_log_integral(log_post, rec.fit.psi_opt)
     assert abs(rec.log_ml + LOG_2PI - ref) <= 0.15
 
@@ -128,8 +138,8 @@ def test_robust_g_null_equals_fixed_g():
     data = small_data(seed=3)
     null = Gamma.from_key("00")
     cp = CommonPrior()
-    fixed = ila_log_marglik(null, data, Kernel.NORMAL, 1.0, cp)
-    robust = ila_log_marglik_robust_g(null, data, Kernel.NORMAL, cp)
+    fixed = score(null, data, cp=cp)
+    robust = score(null, data, ROBUST_G, cp=cp)
     assert robust.log_ml == fixed.log_ml
 
 
@@ -138,9 +148,9 @@ def test_robust_g_cutoff_stability(monkeypatch):
     gamma = Gamma.from_key("22")
     cp = CommonPrior()
     assert marglik.ROBUST_G_CUTOFF == 1e6
-    a = ila_log_marglik_robust_g(gamma, data, Kernel.NORMAL, cp)
+    a = score(gamma, data, ROBUST_G, cp=cp)
     monkeypatch.setattr(marglik, "ROBUST_G_CUTOFF", 2e6)
-    b = ila_log_marglik_robust_g(gamma, data, Kernel.NORMAL, cp)
+    b = score(gamma, data, ROBUST_G, cp=cp)
     assert np.isfinite(a.log_ml)
     assert abs(a.log_ml - b.log_ml) < 1e-8
 
@@ -151,7 +161,7 @@ def test_robust_g_matches_direct_integration():
     data = small_data(seed=5)
     gamma = Gamma.from_key("20")
     cp = CommonPrior()
-    rec = ila_log_marglik_robust_g(gamma, data, Kernel.NORMAL, cp)
+    rec = score(gamma, data, ROBUST_G, cp=cp)
     fit = fit_mle(gamma, data, Kernel.NORMAL)
     d = dim_coef(gamma)
     n = data.n
@@ -160,8 +170,7 @@ def test_robust_g_matches_direct_integration():
 
     def f(y):
         g = math.exp(y) - 1.0 / n
-        lm, _, _, _ = ila_from_fit(fit.objective, fit.psi_opt, fit.fisher,
-                                   d, n, g, cp)
+        lm = ila_from_fit(fit.objective, fit.psi_opt, fit.fisher, d, n, g, cp)
         return math.exp(lm + pr.robust_g_logpdf(g, n, d) + y - M)
 
     lo = math.log(pr.robust_g_support_bound(n, d) + 1.0 / n) + 1e-12
@@ -170,16 +179,22 @@ def test_robust_g_matches_direct_integration():
     assert rec.log_ml == pytest.approx(ref, abs=1e-6)
 
 
-def test_failed_fit_maps_to_minus_inf():
+def test_failed_fit_maps_to_minus_inf(monkeypatch):
+    """Every method's closed form raises LinAlgError on a fitted Fisher
+    matrix that is not positive definite, and the scorer records -inf with
+    the fit."""
     data = small_data()
     gamma = Gamma.from_key("20")
-    # impossible initial point far past the nu boundary cannot matter: check
-    # the record contract via a singular Fisher instead
-    rec = ila_log_marglik(gamma, data, Kernel.NORMAL, 1.0, CommonPrior())
-    assert np.isfinite(rec.log_ml)
-    bad = ila_from_fit  # direct closed form with an indefinite matrix raises
+    assert all(np.isfinite(score(gamma, data, method).log_ml) for method in MarglikMethod)
     with pytest.raises(np.linalg.LinAlgError):
-        bad(0.0, np.zeros(3), -np.eye(3), 1, data.n, 1.0, CommonPrior())
+        ila_from_fit(0.0, np.zeros(3), -np.eye(3), 1, data.n, 1.0, CommonPrior())
+    for name in ("fit_mle", "fit_map"):
+        def fit_indefinite(*args, real=getattr(optimize, name), **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), fisher=-np.eye(3))
+        monkeypatch.setattr(optimize, name, fit_indefinite)
+    for method in MarglikMethod:
+        rec = score(gamma, data, method)
+        assert rec.log_ml == -math.inf and rec.fit.ok, method
 
 
 def test_scorer_cache_and_fingerprint():
@@ -203,12 +218,14 @@ def test_warm_start_does_not_change_scores():
     assert warm_vals == cold_vals
 
 
-def test_score_does_not_depend_on_visit_order():
+@pytest.mark.parametrize("method", list(MarglikMethod))
+def test_score_does_not_depend_on_visit_order(method):
     """Scoring every model in enumeration order with one scorer gives exactly
-    the scores of a fresh scorer per model.  The dataset (t2 kernel, product
-    prior) is chosen because some of its models have several local maxima: a
-    fit started from the previously scored model's optimum reaches other
-    maxima, off by up to 33 log units."""
+    the scores of a fresh scorer per model, under every method.  The dataset
+    (t2 kernel) is chosen because some of its models have several local
+    maxima: under the product prior, a fit started from the previously
+    scored model's optimum reaches other maxima, off by up to 33 log
+    units."""
     p = 3
     truth, alpha, beta = protocol_truth(p, HazardClass.AFT, strict=False)
     data, _ = simulate_dataset(SimConfig(
@@ -217,7 +234,7 @@ def test_score_does_not_depend_on_visit_order():
         target_censoring=0.25, seed=2))
     X = (data.X - data.X.mean(axis=0)) / data.X.std(axis=0)
     data = Dataset(t=data.t, delta=data.delta, X=X, names=data.names)
-    cfg = ScorerConfig(method=MarglikMethod.LA)
+    cfg = ScorerConfig(method=method)
     shared = ModelScorer(data, Kernel.STUDENT_T2, cfg)
     for gamma in enumerate_models(p):
         in_order = shared.score(gamma).log_ml
@@ -242,15 +259,12 @@ def test_factorised_closed_form_matches_per_g_reference(seed, key):
                          np.logspace(-2, 250, 40)))
     refs = []
     for g in gs:
-        ref, P, h, C = oracles.ila_closed_form_at_g(fit.objective, fit.psi_opt,
-                                                    fit.fisher, d, n, g, cp)
+        ref = oracles.ila_closed_form_at_g(fit.objective, fit.psi_opt, fit.fisher,
+                                           d, n, g, cp)
         refs.append(ref)
         assert factor.log_ml(n * g, cp) == pytest.approx(ref, rel=1e-10)
-        got, P2, h2, C2 = ila_from_fit(fit.objective, fit.psi_opt, fit.fisher,
-                                       d, n, g, cp)
+        got = ila_from_fit(fit.objective, fit.psi_opt, fit.fisher, d, n, g, cp)
         assert got == pytest.approx(ref, rel=1e-10)
-        assert np.allclose(P2, P, rtol=1e-10) and np.allclose(h2, h, rtol=1e-10)
-        assert C2 == pytest.approx(C, rel=1e-10)
     # one call over the array of n*g values gives the same closed form
     assert factor.log_ml(n * gs, cp) == pytest.approx(refs, rel=1e-10)
 
@@ -268,7 +282,7 @@ def test_closed_form_raises_on_indefinite_blocks():
                 closed_form(0.0, np.zeros(3), J, 1, 30, 1.0, cp)
     for J in (neg_lead, neg_det):
         with pytest.raises(np.linalg.LinAlgError):
-            ILAFactor(0.0, np.zeros(3), J, 1).terms(np.array([1.0, 30.0]), cp)
+            ILAFactor(0.0, np.zeros(3), J, 1).log_ml(np.array([1.0, 30.0]), cp)
     with pytest.raises(np.linalg.LinAlgError):
         ILAFactor(0.0, np.zeros(3), indefinite_coef, 1)
 
@@ -292,7 +306,7 @@ def test_robust_g_quadrature_failure_gives_failed_record(monkeypatch):
     data = small_data(seed=4)
     gamma = Gamma.from_key("22")
     monkeypatch.setattr(marglik.ILAFactor, "log_ml", _nan_log_ml)
-    rec = ila_log_marglik_robust_g(gamma, data, Kernel.NORMAL, CommonPrior())
+    rec = score(gamma, data, ROBUST_G)
     assert rec.log_ml == -math.inf
     assert rec.fit.ok
 
@@ -302,10 +316,9 @@ def test_robust_g_error_estimate_above_tolerance_gives_failed_record(monkeypatch
     far above ROBUST_G_RTOL of it."""
     data = small_data(seed=4)
     gamma = Gamma.from_key("22")
-    assert np.isfinite(ila_log_marglik_robust_g(gamma, data, Kernel.NORMAL,
-                                                CommonPrior()).log_ml)
+    assert np.isfinite(score(gamma, data, ROBUST_G).log_ml)
     monkeypatch.setattr(marglik, "_GK_GAUSS", np.zeros_like(marglik._GK_GAUSS))
-    rec = ila_log_marglik_robust_g(gamma, data, Kernel.NORMAL, CommonPrior())
+    rec = score(gamma, data, ROBUST_G)
     assert rec.log_ml == -math.inf
     assert rec.fit.ok
 
@@ -314,17 +327,17 @@ def test_chain_survives_one_failed_robust_g_quadrature(monkeypatch):
     """A model whose quadrature fails scores -inf; the chain runs on."""
     data = small_data(seed=4)
     target = "22"
-    real_score = marglik.ila_log_marglik_robust_g
+    real_score = ModelScorer.score
 
-    def score(gamma, *args, **kwargs):
+    def score_failing_target(self, gamma):
         if gamma.key != target:
-            return real_score(gamma, *args, **kwargs)
+            return real_score(self, gamma)
         with monkeypatch.context() as m:
             m.setattr(marglik.ILAFactor, "log_ml", _nan_log_ml)
-            return real_score(gamma, *args, **kwargs)
+            return real_score(self, gamma)
 
-    monkeypatch.setattr(marglik, "ila_log_marglik_robust_g", score)
-    cfg = ScorerConfig(method=MarglikMethod.ILA_ROBUST_G)
+    monkeypatch.setattr(ModelScorer, "score", score_failing_target)
+    cfg = ScorerConfig(method=ROBUST_G)
     trace = run_chain(data, Kernel.NORMAL,
                       ChainConfig(iterations=400, burn_in=100, seed=3), cfg)
     assert trace.n_steps == 400
@@ -354,7 +367,7 @@ def test_robust_g_rule_matches_adaptive_quadrature(n):
         fit = fit_mle(gamma, data, Kernel.NORMAL)
         assert fit.ok, key
         dims.add(dim_coef(gamma))
-        new = ila_log_marglik_robust_g(gamma, data, Kernel.NORMAL, cp, fit=fit).log_ml
+        new = marglik._robust_g_log_ml(fit, dim_coef(gamma), data.n, cp)
         ref = oracles.robust_g_quad_reference(gamma, data, Kernel.NORMAL, cp, fit=fit).log_ml
         assert np.isfinite(ref)
         assert abs(new - ref) <= 1e-10, key

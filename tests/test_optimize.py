@@ -6,8 +6,7 @@ import pytest
 import oracles
 from ghsel import ghlik
 from ghsel.baseline import Kernel
-from ghsel.ghlik import (LINPRED_CLAMP, Dataset, design, dim_psi, evaluate,
-                         grad_loglik, hess_loglik, loglik)
+from ghsel.ghlik import LINPRED_CLAMP, Dataset, design, dim_psi, evaluate
 from ghsel.modelspace import Gamma, enumerate_models
 from ghsel.optimize import (MAX_ITER, FitRecord, FitStatus, default_init,
                             fit_map, fit_mle)
@@ -41,7 +40,7 @@ def test_fit_mle_converges_and_zeroes_gradient():
     g = Gamma.from_key("2200")
     fit = fit_mle(g, data, Kernel.NORMAL)
     assert fit.status is FitStatus.CONVERGED and fit.ok
-    grad = grad_loglik(fit.psi_opt, g, data, Kernel.NORMAL)
+    grad = evaluate(design(g, data, Kernel.NORMAL), fit.psi_opt, 1)[1]
     assert np.max(np.abs(grad)) < 1e-5 * (1 + abs(fit.objective))
     # Fisher positive definite at the optimum
     np.linalg.cholesky(fit.fisher)
@@ -78,13 +77,13 @@ def test_fit_map_product_prior():
     fit = fit_map(g, data, Kernel.NORMAL, prior, cp)
     assert fit.ok
     P, log_norm = product_prior_gaussian(g, data, prior)
-    total_grad = (grad_loglik(fit.psi_opt, g, data, Kernel.NORMAL)
+    total_grad = (evaluate(design(g, data, Kernel.NORMAL), fit.psi_opt, 1)[1]
                   + map_log_prior(fit.psi_opt, P, log_norm, cp)[1])
     assert np.max(np.abs(total_grad)) < 1e-5 * (1 + abs(fit.objective))
     # MAP objective includes the prior
     log_prior = oracles.map_prior_reference(g, data, prior, cp)
     assert fit.objective == pytest.approx(
-        loglik(fit.psi_opt, g, data, Kernel.NORMAL) + log_prior(fit.psi_opt),
+        evaluate(design(g, data, Kernel.NORMAL), fit.psi_opt, 0)[0] + log_prior(fit.psi_opt),
         rel=1e-10)
 
 
@@ -122,15 +121,14 @@ def _objective(fitter, gamma, data, kernel):
     """The fitter's objective and gradient as plain functions of psi: the
     MAP objective's prior term is the SciPy reference, its gradient
     map_log_prior's."""
+    des = design(gamma, data, kernel)
     if fitter == "mle":
-        return (lambda x: loglik(x, gamma, data, kernel),
-                lambda x: grad_loglik(x, gamma, data, kernel))
+        return (lambda x: evaluate(des, x, 0)[0], lambda x: evaluate(des, x, 1)[1])
     cp = CommonPrior()
     log_prior = oracles.map_prior_reference(gamma, data, PRODUCT, cp)
     P, log_norm = product_prior_gaussian(gamma, data, PRODUCT)
-    return (lambda x: loglik(x, gamma, data, kernel) + log_prior(x),
-            lambda x: grad_loglik(x, gamma, data, kernel)
-            + map_log_prior(x, P, log_norm, cp)[1])
+    return (lambda x: evaluate(des, x, 0)[0] + log_prior(x),
+            lambda x: evaluate(des, x, 1)[1] + map_log_prior(x, P, log_norm, cp)[1])
 
 
 def _fit(fitter, gamma, data, kernel, init=None):
@@ -181,7 +179,7 @@ def test_t2_map_from_indefinite_start_converges():
     cp = CommonPrior()
     x0 = np.array([-1.23, -0.6, -1.45, -4.66, -1.71])
     P, log_norm = product_prior_gaussian(gamma, data, PRODUCT)
-    H0 = (hess_loglik(x0, gamma, data, Kernel.STUDENT_T2)
+    H0 = (evaluate(design(gamma, data, Kernel.STUDENT_T2), x0)[2]
           + map_log_prior(x0, P, log_norm, cp)[2])
     assert np.linalg.eigvalsh(-H0).min() < 0.0
     fit = fit_map(gamma, data, Kernel.STUDENT_T2, PRODUCT, cp, init=x0)
