@@ -11,9 +11,9 @@ simulator, and a command-line interface.
 from .baseline import Kernel
 from .ghlik import Dataset
 from .marglik import MarglikMethod, ModelScorer, ScorerConfig
-from .modelspace import (Gamma, HazardClass, ModelPriorConfig, classify,
-                         enumerate_models, log_model_prior)
-from .priors import CoefficientPrior, CommonPrior
+from .modelspace import (Gamma, HazardClass, classify, enumerate_models,
+                         log_model_prior)
+from .priors import CoefficientPrior
 from .sampler import ChainConfig, ChainTrace, run_chain
 from .simulate import (LogLocationScaleBaseline, PGWBaseline, SimConfig,
                        protocol_truth, simulate_dataset)
@@ -23,8 +23,8 @@ from .summarize import (hazard_posterior, hpm_credible_set, pip,
 
 __all__ = [
     "Kernel", "Dataset", "MarglikMethod", "ModelScorer", "ScorerConfig",
-    "Gamma", "HazardClass", "ModelPriorConfig", "classify", "enumerate_models",
-    "log_model_prior", "CoefficientPrior", "CommonPrior",
+    "Gamma", "HazardClass", "classify", "enumerate_models", "log_model_prior",
+    "CoefficientPrior",
     "ChainConfig", "ChainTrace", "run_chain", "LogLocationScaleBaseline",
     "PGWBaseline", "SimConfig", "protocol_truth", "simulate_dataset",
     "hazard_posterior", "hpm_credible_set", "pip", "probs_frequency",

@@ -31,9 +31,9 @@ from . import sampler, simulate, summarize
 from .baseline import Kernel
 from .ghlik import Dataset, time_level_columns, hazard_level_columns
 from .marglik import MarglikMethod, ModelScorer, ScorerConfig
-from .modelspace import (ENUMERATION_CAP, Gamma, HazardClass, ModelPriorConfig,
-                         classify, enumerate_models, log_model_prior)
-from .priors import CoefficientPrior, CommonPrior
+from .modelspace import (ENUMERATION_CAP, Gamma, HazardClass, classify,
+                         enumerate_models, log_model_prior)
+from .priors import CoefficientPrior
 from .sampler import ChainConfig
 from .simulate import (LogLocationScaleBaseline, SimConfig, protocol_truth,
                        simulate_dataset)
@@ -46,7 +46,7 @@ class CliError(Exception):
 # ---------------------------------------------------------------------------
 # dataset I/O
 
-def read_dataset(path: str, standardize: bool = True) -> Dataset:
+def read_dataset(path: str) -> Dataset:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -89,17 +89,7 @@ def read_dataset(path: str, standardize: bool = True) -> Dataset:
         # even the null model has two parameters, more than the events, so
         # no model could be fitted
         raise CliError(f"{path}: only one event; at least 2 are needed")
-    if standardize:
-        X = _standardized(X)
     return Dataset(t=np.asarray(t), delta=np.asarray(delta), X=X, names=names)
-
-
-def _standardized(X: np.ndarray) -> np.ndarray:
-    """Columns centred and scaled to unit standard deviation (constant
-    columns are only centred)."""
-    mean, sd = X.mean(axis=0), X.std(axis=0)
-    sd[sd == 0.0] = 1.0
-    return (X - mean) / sd
 
 
 def write_dataset(path: str, data: Dataset):
@@ -209,7 +199,7 @@ def build_scorer_config(opts: dict) -> ScorerConfig:
         if opts["robust_g"]:
             raise CliError("--robust-g applies to the lcm prior only")
         method = MarglikMethod.LA
-    return ScorerConfig(method=method, coef_prior=coef, common=CommonPrior())
+    return ScorerConfig(method=method, coef_prior=coef)
 
 
 def build_chain_config(opts: dict) -> ChainConfig:
@@ -258,10 +248,10 @@ def map_coefficients(gamma: Gamma, fit, names) -> dict:
     }
 
 
-def _summary_payload(model_probs_freq, model_probs_renorm, level, scorer, trace):
+def _summary_payload(model_probs_freq, model_probs_renorm, pips, level, scorer, trace):
     names = scorer.data.names
     hz = summarize.hazard_posterior(model_probs_renorm)
-    pip_any, pip_role = summarize.pip(model_probs_renorm)
+    pip_any, pip_role = pips
     hpm = summarize.hpm_credible_set(model_probs_renorm, level)
     top_key = summarize.top_model(model_probs_renorm)
     top_gamma = Gamma.from_key(top_key)
@@ -288,10 +278,9 @@ def _summary_payload(model_probs_freq, model_probs_renorm, level, scorer, trace)
     return payload
 
 
-def _write_json(path: str, payload):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+def _write_json(fh, payload):
+    json.dump(payload, fh, sort_keys=True, indent=2)
+    fh.write("\n")
 
 
 def _write_probs_csv(path: str, freq: dict, renorm: dict):
@@ -335,36 +324,44 @@ def _write_trace_jsonl(path: str, trace):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _select(data: Dataset, opts: dict, seed: int, label: str):
-    """Standardise the covariates (unless --no-standardize), then run the
-    chain with `seed` under a scorer of its own; returns (scorer, trace).  A
-    chain that cannot start is a CliError that begins with `label`."""
+def _scorer(data: Dataset, opts: dict) -> ModelScorer:
+    """The scorer of the dataset as the options analyse it: covariates
+    centred and scaled to unit standard deviation unless --no-standardize
+    (constant columns are only centred)."""
     if not opts["no_standardize"]:
-        data = Dataset(t=data.t, delta=data.delta, X=_standardized(data.X), names=data.names)
-    kernel = Kernel(opts["baseline"])
-    scorer_cfg = build_scorer_config(opts)
-    scorer = ModelScorer(data, kernel, scorer_cfg)
+        mean, sd = data.X.mean(axis=0), data.X.std(axis=0)
+        sd[sd == 0.0] = 1.0
+        data = Dataset(t=data.t, delta=data.delta, X=(data.X - mean) / sd, names=data.names)
+    return ModelScorer(data, Kernel(opts["baseline"]), build_scorer_config(opts))
+
+
+def _select(data: Dataset, opts: dict, seed: int, label: str):
+    """Run the chain with `seed` under a scorer of its own; returns (scorer,
+    trace).  A chain that cannot start is a CliError that begins with
+    `label`."""
+    scorer = _scorer(data, opts)
     try:
-        trace = sampler.run_chain(data, kernel, build_chain_config({**opts, "seed": seed}),
-                                  scorer_cfg, ModelPriorConfig(), scorer=scorer)
+        trace = sampler.run_chain(scorer.data, scorer.kernel,
+                                  build_chain_config({**opts, "seed": seed}), scorer=scorer)
     except sampler.ImpossibleStartError as exc:
         raise CliError(f"{label}: {exc}: its fit failed, so the chain cannot start") from None
     return scorer, trace
 
 
 def cmd_select(args, opts) -> int:
-    data = read_dataset(args.data, standardize=False)
+    data = read_dataset(args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)  # a bad output path stops before the chain
     scorer, trace = _select(data, opts, opts["seed"], args.data)
     freq = summarize.probs_frequency(trace)
     renorm = summarize.probs_renormalized(trace)
+    pips = summarize.pip(renorm)
     _write_trace_jsonl(str(out / "trace.jsonl"), trace)
-    payload = _summary_payload(freq, renorm, opts["level"], scorer, trace)
-    _write_json(str(out / "summary.json"), payload)
+    payload = _summary_payload(freq, renorm, pips, opts["level"], scorer, trace)
+    with open(out / "summary.json", "w", encoding="utf-8") as fh:
+        _write_json(fh, payload)
     _write_probs_csv(str(out / "model_probs.csv"), freq, renorm)
-    pip_any, pip_role = summarize.pip(renorm)
-    _write_pip_csv(str(out / "pip.csv"), scorer.data.names, pip_any, pip_role)
+    _write_pip_csv(str(out / "pip.csv"), scorer.data.names, *pips)
     print(f"top model {payload['top_model']} ({payload['top_model_class']}); "
           f"{payload['n_retained']} retained samples, "
           f"{payload['n_visited']} models visited")
@@ -372,13 +369,11 @@ def cmd_select(args, opts) -> int:
 
 
 def cmd_enumerate(args, opts) -> int:
-    data = read_dataset(args.data, standardize=not opts["no_standardize"])
+    data = read_dataset(args.data)
     if data.p > ENUMERATION_CAP and not args.force:
         raise CliError(f"enumeration over p={data.p} exceeds cap {ENUMERATION_CAP}; "
                        f"pass --force to override")
-    kernel = Kernel(opts["baseline"])
-    scorer = ModelScorer(data, kernel, build_scorer_config(opts))
-    prior_cfg = ModelPriorConfig()
+    scorer = _scorer(data, opts)
     # a bad output path stops before any model is scored
     with (open(args.out, "w", newline="", encoding="utf-8") if args.out
           else contextlib.nullcontext()) as fh:
@@ -386,14 +381,11 @@ def cmd_enumerate(args, opts) -> int:
         for gamma in enumerate_models(data.p, cap=max(data.p, ENUMERATION_CAP)):
             rec = scorer.score(gamma)
             rows.append((gamma.key, classify(gamma).value, rec.log_ml,
-                         log_model_prior(gamma, prior_cfg)))
-        scores = np.array([lm + lp for _, _, lm, lp in rows])
-        finite = np.isfinite(scores)
-        if not finite.any():
-            raise CliError(f"{args.data}: no model could be fitted")
-        m = scores[finite].max()
-        w = np.where(finite, np.exp(scores - m), 0.0)
-        w /= w.sum()
+                         log_model_prior(gamma)))
+        try:
+            w = summarize.normalized([lm + lp for _, _, lm, lp in rows])
+        except ValueError:
+            raise CliError(f"{args.data}: no model could be fitted") from None
         order = np.argsort(-w, kind="stable")
         lines = [["gamma", "class", "log_ml", "log_prior", "posterior"]]
         for i in order:
@@ -429,7 +421,8 @@ def cmd_simulate(args, opts) -> int:
     data, truth = simulate_dataset(_sim_config(args, opts))
     write_dataset(args.out, data)
     sidecar = Path(args.out).with_suffix(".truth.json")
-    _write_json(str(sidecar), truth)
+    with open(sidecar, "w", encoding="utf-8") as fh:
+        _write_json(fh, truth)
     print(f"wrote {args.out} (n={data.n}, p={data.p}, "
           f"censoring={1 - data.n_events / data.n:.3f}) and {sidecar}")
     return 0
@@ -461,35 +454,37 @@ def cmd_replicate(args, opts) -> int:
                 "rho": sim_cfg.rho, "censoring": sim_cfg.target_censoring}
     jobs = [(opts, sim_cfg, opts["seed"] + 1000 * r) for r in range(args.reps)]
     results, failures = [], []
-    with contextlib.ExitStack() as stack:
-        if args.workers > 1:
-            import concurrent.futures as cf
-            pool = stack.enter_context(cf.ProcessPoolExecutor(max_workers=args.workers))
-            outcomes = [pool.submit(_run_replicate, job).result for job in jobs]
-        else:
-            outcomes = [functools.partial(_run_replicate, job) for job in jobs]
-        for i, outcome in enumerate(outcomes):  # in seed order, however they run
-            try:
-                results.append(outcome())
-            except Exception as exc:  # a failed replicate is reported, the study goes on
-                failures.append(f"replicate {i}: {exc}")
-    for msg in failures:
-        print(f"FAILED {msg}", file=sys.stderr)
-    if not results:
-        raise CliError("all replicates failed")
-    agg = {
-        "reps_completed": len(results),
-        "reps_failed": len(failures),
-        "mean_sensitivity": float(np.mean([r["sensitivity"] for r in results])),
-        "mean_specificity": float(np.mean([r["specificity"] for r in results])),
-        "modal_class_correct": int(sum(r["modal_class_correct"] for r in results)),
-        "mean_true_class_prob": float(np.mean([r["true_class_prob"] for r in results])),
-        "mean_pip": [float(v) for v in np.mean([r["pip"] for r in results], axis=0)],
-    }
-    payload = {"config": {"sim": sim_dict, "options": opts, "reps": args.reps},
-               "replicates": results, "aggregate": agg}
-    if args.out:
-        _write_json(args.out, payload)
+    # a bad output path stops before any replicate runs
+    with (open(args.out, "w", encoding="utf-8") if args.out
+          else contextlib.nullcontext()) as fh:
+        with contextlib.ExitStack() as stack:
+            if args.workers > 1:
+                import concurrent.futures as cf
+                pool = stack.enter_context(cf.ProcessPoolExecutor(max_workers=args.workers))
+                outcomes = [pool.submit(_run_replicate, job).result for job in jobs]
+            else:
+                outcomes = [functools.partial(_run_replicate, job) for job in jobs]
+            for i, outcome in enumerate(outcomes):  # in seed order, however they run
+                try:
+                    results.append(outcome())
+                except Exception as exc:  # a failed replicate is reported, the study goes on
+                    failures.append(f"replicate {i}: {exc}")
+        for msg in failures:
+            print(f"FAILED {msg}", file=sys.stderr)
+        if not results:
+            raise CliError("all replicates failed")
+        agg = {
+            "reps_completed": len(results),
+            "reps_failed": len(failures),
+            "mean_sensitivity": float(np.mean([r["sensitivity"] for r in results])),
+            "mean_specificity": float(np.mean([r["specificity"] for r in results])),
+            "modal_class_correct": int(sum(r["modal_class_correct"] for r in results)),
+            "mean_true_class_prob": float(np.mean([r["true_class_prob"] for r in results])),
+            "mean_pip": [float(v) for v in np.mean([r["pip"] for r in results], axis=0)],
+        }
+        if fh is not None:
+            _write_json(fh, {"config": {"sim": sim_dict, "options": opts, "reps": args.reps},
+                             "replicates": results, "aggregate": agg})
     print(f"replicates: {agg['reps_completed']} ok, {agg['reps_failed']} failed")
     print(f"modal hazard structure correct: {agg['modal_class_correct']}"
           f"/{agg['reps_completed']}")

@@ -182,9 +182,9 @@ def design(gamma: Gamma, data: Dataset, kernel: Kernel) -> Design:
                   t_pos, (theta_rows, m + t_pos))
 
 
-def evaluate(des: Design, psi, order: int = 2):
-    """Log-likelihood at psi with its gradient (order >= 1) and Hessian
-    (order 2): returns (value, grad, hess), None past the requested order.
+def evaluate(des: Design, psi):
+    """Log-likelihood at psi with its gradient and Hessian: (value, grad,
+    hess).
 
     One pass computes the linear predictors u and lin and the kernel
     functions once.  Each observation's term
@@ -215,8 +215,6 @@ def evaluate(des: Design, psi, order: int = 2):
     val = val + float(delta @ lf) + float(lF @ vd)
     if not np.isfinite(val):
         val = -np.inf
-    if order == 0:
-        return val, None, None
 
     # f/F(-u) from the two logs the value needed; far in the right tail both
     # logs are large and nearly equal, so there the ratio is evaluated directly
@@ -245,8 +243,6 @@ def evaluate(des: Design, psi, order: int = 2):
     z = d1 @ des.pairs[:des.jac.shape[1] // k].T  # Z' l_u (and Z' l_lin)
     g = jac @ z.ravel()
     g[0] += data.n_events
-    if order == 1:
-        return val, g, None
 
     rs = baseline.ratio_fsecond_over_f(u, kernel)
     d2 = np.empty((2 * k - 1, data.n))

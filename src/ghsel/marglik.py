@@ -29,7 +29,7 @@ from .baseline import Kernel
 from .ghlik import Dataset, dim_coef
 from .modelspace import Gamma
 from .optimize import FitRecord
-from .priors import CoefficientPrior, CommonPrior, RankDeficiencyError
+from .priors import NU_MEAN, NU_SD, THETA0_VAR, CoefficientPrior, RankDeficiencyError
 
 LOG_2PI = math.log(2.0 * math.pi)
 ROBUST_G_CUTOFF = 1e6
@@ -81,7 +81,7 @@ class ILAFactor:
             self.kappa_cross = (float(kappa_hat @ cross_nu), float(kappa_hat @ cross_t0))
             self.kappa_J = float(kappa_hat @ (coef @ kappa_hat))
 
-    def log_ml(self, ng, cp: CommonPrior):
+    def log_ml(self, ng):
         """The closed form at ng = n*g, a float or an array of values with
         the result in its shape; a float takes its logarithms from `math`,
         so a fixed-g score does not depend on NumPy's rounding.  Completes
@@ -93,13 +93,13 @@ class ILAFactor:
         shrink = ng / (1.0 + ng)
         (t_nn, t_n0, t_00), (s_nn, s_n0, s_00) = self.top, self.schur
         j_nn, j_n0, j_00 = t_nn - shrink * s_nn, t_n0 - shrink * s_n0, t_00 - shrink * s_00
-        var_nu = cp.nu_normal_sd ** 2
-        mu_nu = cp.nu_normal_mean
+        var_nu = NU_SD ** 2
+        mu_nu = NU_MEAN
         # exact completion keeps O(1/(1+ng)) cross terms between the fitted
         # coefficients and (nu, theta0) that the large-g closed form omits
         w = 1.0 - shrink
         corr_nu, corr_t0 = w * self.kappa_cross[0], w * self.kappa_cross[1]
-        p11, p12, p22 = j_nn + 1.0 / var_nu, j_n0, j_00 + 1.0 / cp.K
+        p11, p12, p22 = j_nn + 1.0 / var_nu, j_n0, j_00 + 1.0 / THETA0_VAR
         h1 = j_nn * nu_hat + j_n0 * t0_hat + mu_nu / var_nu + corr_nu
         h2 = j_n0 * nu_hat + j_00 * t0_hat + corr_t0
         C = (-0.5 * mu_nu ** 2 / var_nu
@@ -118,15 +118,15 @@ class ILAFactor:
         w1 = h1 / l11
         w2 = (h2 - l21 * w1) / l22
         return (self.ell_hat - 0.5 * self.d * xp.log1p(ng) - xp.log(l11 * l22)
-                + 0.5 * (w1 * w1 + w2 * w2) + C - 0.5 * math.log(cp.K * var_nu))
+                + 0.5 * (w1 * w1 + w2 * w2) + C - 0.5 * math.log(THETA0_VAR * var_nu))
 
 
 def ila_from_fit(ell_hat: float, psi_hat: np.ndarray, J: np.ndarray, d: int,
-                 n: int, g_e: float, cp: CommonPrior) -> float:
+                 n: int, g_e: float) -> float:
     """Closed-form log marginal likelihood of a fitted model at a fixed g.
     Raises numpy.linalg.LinAlgError if a required block is not positive
     definite."""
-    return ILAFactor(ell_hat, psi_hat, J, d).log_ml(n * g_e, cp)
+    return ILAFactor(ell_hat, psi_hat, J, d).log_ml(n * g_e)
 
 
 # Gauss-Kronrod G7/K15 on [-1, 1] (QUADPACK's qk15): the 15 Kronrod nodes in
@@ -168,7 +168,7 @@ def _gauss_kronrod(log_f, lo: float, hi: float):
     return M, float(np.sum(kronrod)), float(np.sum(np.abs(kronrod - gauss)))
 
 
-def _robust_g_log_ml(fit: FitRecord, d: int, n: int, cp: CommonPrior) -> float:
+def _robust_g_log_ml(fit: FitRecord, d: int, n: int) -> float:
     """Log marginal likelihood of a fitted model with d > 0 coefficients,
     with the scale g integrated out under the robust hyper-g prior.  The
     closed form is factorised once; the integral over y = log(g + 1/n) up to
@@ -180,7 +180,7 @@ def _robust_g_log_ml(fit: FitRecord, d: int, n: int, cp: CommonPrior) -> float:
     def log_integrand(y):
         # dg = e^y dy
         g = np.exp(y) - 1.0 / n
-        return factor.log_ml(n * g, cp) + priors.robust_g_logpdf(g, n, d) + y
+        return factor.log_ml(n * g) + priors.robust_g_logpdf(g, n, d) + y
 
     factor = ILAFactor(fit.objective, fit.psi_opt, fit.fisher, d)
     y_lo = math.log(priors.robust_g_support_bound(n, d) + 1.0 / n) + 1e-12
@@ -191,7 +191,7 @@ def _robust_g_log_ml(fit: FitRecord, d: int, n: int, cp: CommonPrior) -> float:
     # analytic tail beyond the cutoff: the closed form saturates in g, so
     # exp(log_ml(g)) ~ exp(m_sat) * (1 + n g)^{-d/2} with m_sat the g-free part
     g_big = 1e250
-    m_sat = factor.log_ml(n * g_big, cp) + 0.5 * d * math.log1p(n * g_big)
+    m_sat = factor.log_ml(n * g_big) + 0.5 * d * math.log1p(n * g_big)
     c_r = math.sqrt((1.0 + n) / (n * (d + 1.0)))
     log_tail = (m_sat + math.log(c_r / (d + 1.0)) - 0.5 * d * math.log(n)
                 - 0.5 * (d + 1.0) * math.log(ROBUST_G_CUTOFF + 1.0 / n))
@@ -236,7 +236,6 @@ class MarglikCache:
 class ScorerConfig:
     method: MarglikMethod = MarglikMethod.ILA
     coef_prior: CoefficientPrior = CoefficientPrior()
-    common: CommonPrior = CommonPrior()
 
 
 class ModelScorer:
@@ -263,7 +262,7 @@ class ModelScorer:
         d = dim_coef(gamma)
         try:
             if method is MarglikMethod.LA:
-                fit = optimize.fit_map(gamma, data, self.kernel, cfg.coef_prior, cfg.common)
+                fit = optimize.fit_map(gamma, data, self.kernel, cfg.coef_prior)
             else:
                 fit = optimize.fit_mle(gamma, data, self.kernel)
         except RankDeficiencyError:
@@ -274,11 +273,11 @@ class ModelScorer:
                 if method is MarglikMethod.LA:
                     log_ml = _la_log_ml(fit, d)
                 elif method is MarglikMethod.ILA_ROBUST_G and d > 0:
-                    log_ml = _robust_g_log_ml(fit, d, data.n, cfg.common)
+                    log_ml = _robust_g_log_ml(fit, d, data.n)
                 else:  # fixed g, or the null model, whose closed form is g-free
                     g_e = cfg.coef_prior.g_e if method is MarglikMethod.ILA else 1.0
                     log_ml = ila_from_fit(fit.objective, fit.psi_opt, fit.fisher, d,
-                                          data.n, g_e, cfg.common)
+                                          data.n, g_e)
             except np.linalg.LinAlgError:
                 pass
         rec = MarglikRecord(log_ml if np.isfinite(log_ml) else -math.inf, fit)

@@ -12,9 +12,12 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass
-
 ENUMERATION_CAP = 8
+# The model-space prior, fixed by the method: Beta-Binomial(BETA_A, BETA_B)
+# inclusion, equal weights on the four hazard classes, and the GH effect-count
+# correction at EFFECT_Q.
+BETA_A = BETA_B = 1.0
+EFFECT_Q = 1.0 / 3.0
 
 
 class HazardClass(enum.Enum):
@@ -129,49 +132,28 @@ def effect_count(gamma: Gamma) -> int:
     return gamma.n_active + gamma.count(3)
 
 
-@dataclass(frozen=True)
-class ModelPriorConfig:
-    a_lambda: float = 1.0
-    b_lambda: float = 1.0
-    h_ah: float = 1.0
-    h_ph: float = 1.0
-    h_aft: float = 1.0
-    h_gh: float = 1.0
-    q: float = 1.0 / 3.0
-
-    def __post_init__(self):
-        for name in ("a_lambda", "b_lambda", "h_ah", "h_ph", "h_aft", "h_gh"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if not 0.0 <= self.q <= 1.0:
-            raise ValueError("q must lie in [0, 1]")
-
-
 def _log_binom_pmf(k: int, n: int, q: float) -> float:
-    if q == 0.0:
-        return 0.0 if k == 0 else -math.inf
-    if q == 1.0:
-        return 0.0 if k == n else -math.inf
     return (
         math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
         + k * math.log(q) + (n - k) * math.log1p(-q)
     )
 
 
-def _gh_effect_log_weight(n_active: int, omega: int, q: float) -> float:
+def _gh_effect_log_weight(n_active: int, omega: int) -> float:
     """Log of the inverse-probability effect-count factor for GH models, |active| > 1.
 
-    The weight divides out the Binomial(|active|, q) profile of omega (with the
-    finite-count correction at omega == |active|) and is normalised against the
-    number of models at each omega, so the total class mass at a fixed active
-    set stays equal to the single-structure classes.  At the default q = 1/3
-    the weight is exactly uniform over omega and uniform within each omega.
+    The weight divides out the Binomial(|active|, EFFECT_Q) profile of omega
+    (with the finite-count correction at omega == |active|) and is normalised
+    against the number of models at each omega, so the total class mass at a
+    fixed active set stays equal to the single-structure classes.  At
+    EFFECT_Q = 1/3 the weight is exactly uniform over omega and uniform within
+    each omega.
     """
     k = n_active
 
     def corrected(i: int) -> float:
         corr = (1.0 - 2.0 ** (1 - k)) if i == 0 else 1.0
-        return _log_binom_pmf(i, k, q) + math.log(corr)
+        return _log_binom_pmf(i, k, EFFECT_Q) + math.log(corr)
 
     def log_count(i: int) -> float:
         # models with i extra code-3 variables on a fixed active set of size k
@@ -184,27 +166,20 @@ def _gh_effect_log_weight(n_active: int, omega: int, q: float) -> float:
     return -corrected(omega - k) - log_norm + math.log(3 ** k - 2)
 
 
-def log_model_prior(gamma: Gamma, cfg: ModelPriorConfig = ModelPriorConfig()) -> float:
+def log_model_prior(gamma: Gamma) -> float:
     """Unnormalised log prior over the model space (Beta-Binomial inclusion,
     hazard-class multiplicity correction, GH effect-count correction)."""
     n_act = gamma.n_active
     p0 = gamma.p - n_act
     out = (
-        math.lgamma(cfg.a_lambda + n_act) + math.lgamma(cfg.b_lambda + p0)
-        - math.lgamma(cfg.a_lambda + n_act + cfg.b_lambda + p0)
+        math.lgamma(BETA_A + n_act) + math.lgamma(BETA_B + p0)
+        - math.lgamma(BETA_A + n_act + BETA_B + p0)
     )
-    cls = classify(gamma)
-    if cls is HazardClass.NULL:
+    if classify(gamma) is not HazardClass.GH:
         return out
-    if cls is HazardClass.AH:
-        return out + math.log(cfg.h_ah)
-    if cls is HazardClass.PH:
-        return out + math.log(cfg.h_ph)
-    if cls is HazardClass.AFT:
-        return out + math.log(cfg.h_aft)
-    out += math.log(cfg.h_gh) - math.log(3 ** n_act - 2)
+    out -= math.log(3 ** n_act - 2)
     if n_act > 1:
-        out += _gh_effect_log_weight(n_act, effect_count(gamma), cfg.q)
+        out += _gh_effect_log_weight(n_act, effect_count(gamma))
     return out
 
 

@@ -186,7 +186,7 @@ def fit_mle(gamma: Gamma, data: Dataset, kernel: Kernel,
 
 
 def fit_map(gamma: Gamma, data: Dataset, kernel: Kernel,
-            coef_prior: priors.CoefficientPrior, common: priors.CommonPrior,
+            coef_prior: priors.CoefficientPrior,
             init: np.ndarray | None = None) -> FitRecord:
     """MAP fit under the product prior: the log-likelihood plus
     `priors.map_log_prior`, whose Gram blocks are factorised once per fit.
@@ -199,7 +199,7 @@ def fit_map(gamma: Gamma, data: Dataset, kernel: Kernel,
 
     def evaluate(x):
         f, g, H = ghlik.evaluate(des, x)
-        pf, pg, pH = priors.map_log_prior(x, P, log_norm, common)
+        pf, pg, pH = priors.map_log_prior(x, P, log_norm)
         return f + pf, g + pg, H + pH
 
     return _maximise(evaluate, _start(gamma, data, init))

@@ -25,6 +25,12 @@ from .ghlik import Dataset, dim_coef, hazard_level_columns, time_level_columns
 from .modelspace import Gamma
 
 LOG_2PI = math.log(2.0 * math.pi)
+# The common priors, fixed by the method: Gamma(NU_SHAPE, NU_RATE) on exp(nu)
+# in the MAP fit, N(NU_MEAN, NU_SD^2) on nu in the ILA score, and
+# N(0, THETA0_VAR) on theta0 in both.
+NU_SHAPE = NU_RATE = 0.01
+THETA0_VAR = 1e6
+NU_MEAN, NU_SD = 9.34, 41.15
 
 
 class RankDeficiencyError(ValueError):
@@ -40,19 +46,6 @@ class CoefficientPrior:
     def __post_init__(self):
         if not all(0 < g < math.inf for g in (self.g_e, self.g_ct, self.g_ch)):
             raise ValueError("g hyperparameters must be positive and finite")
-
-
-@dataclass(frozen=True)
-class CommonPrior:
-    alpha_nu: float = 0.01
-    beta_nu: float = 0.01
-    K: float = 1e6
-    nu_normal_mean: float = 9.34
-    nu_normal_sd: float = 41.15
-
-    def __post_init__(self):
-        if min(self.alpha_nu, self.beta_nu, self.K, self.nu_normal_sd) <= 0:
-            raise ValueError("common-prior hyperparameters must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -101,23 +94,22 @@ def product_prior_gaussian(gamma: Gamma, data: Dataset,
 # ---------------------------------------------------------------------------
 # the MAP fit's prior over packed psi = (nu, theta0, coefficients)
 
-def map_log_prior(psi: np.ndarray, P: np.ndarray, log_norm: float,
-                  cp: CommonPrior) -> tuple:
+def map_log_prior(psi: np.ndarray, P: np.ndarray, log_norm: float) -> tuple:
     """Log prior density at psi with its gradient and Hessian: (value, grad,
-    hess).  Gamma(alpha, beta) on exp(nu), N(0, K) on theta0, and the
-    coefficients' Gaussian with precision P and log normalising constant
-    log_norm, as `product_prior_gaussian` returns them."""
+    hess).  Gamma(NU_SHAPE, NU_RATE) on exp(nu), N(0, THETA0_VAR) on theta0,
+    and the coefficients' Gaussian with precision P and log normalising
+    constant log_norm, as `product_prior_gaussian` returns them."""
     nu, theta0, coef = float(psi[0]), float(psi[1]), psi[2:]
-    a, b = cp.alpha_nu, cp.beta_nu
+    a, b, K = NU_SHAPE, NU_RATE, THETA0_VAR
     b_e_nu = b * math.exp(nu)
     lp_nu = a * math.log(b) + a * nu - b_e_nu - math.lgamma(a)
-    lp_t0 = -0.5 * (LOG_2PI + math.log(cp.K)) - 0.5 * theta0 * theta0 / cp.K
+    lp_t0 = -0.5 * (LOG_2PI + math.log(K)) - 0.5 * theta0 * theta0 / K
     Pc = P @ coef
     value = (lp_nu + lp_t0) + log_norm - 0.5 * float(coef @ Pc)
-    grad = np.concatenate(([a - b_e_nu, -theta0 / cp.K], -Pc))
+    grad = np.concatenate(([a - b_e_nu, -theta0 / K], -Pc))
     hess = np.zeros((grad.size, grad.size))
     hess[0, 0] = -b_e_nu
-    hess[1, 1] = -1.0 / cp.K
+    hess[1, 1] = -1.0 / K
     hess[2:, 2:] = -P
     return value, grad, hess
 

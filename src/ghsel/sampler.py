@@ -29,8 +29,7 @@ import numpy as np
 from .ghlik import Dataset
 from .marglik import ModelScorer, ScorerConfig
 from .baseline import Kernel
-from .modelspace import (Gamma, HazardClass, ModelPriorConfig, classify,
-                         get_valid_idx, log_model_prior)
+from .modelspace import Gamma, HazardClass, classify, get_valid_idx, log_model_prior
 
 
 class MoveKind(enum.Enum):
@@ -322,8 +321,7 @@ class ChainTrace:
         return acc / tot if tot else 0.0
 
 
-def screening_init_gamma(data: Dataset, kernel: Kernel,
-                         scorer: ModelScorer) -> Gamma:
+def screening_init_gamma(data: Dataset, scorer: ModelScorer) -> Gamma:
     """Start from the proportional-hazards model on the top-k variables by
     single-variable marginal-likelihood gain over the null model, k=min(5,p)."""
     p = data.p
@@ -344,8 +342,8 @@ def screening_init_gamma(data: Dataset, kernel: Kernel,
     return Gamma(tuple(codes))
 
 
-def mh_step(gamma: Gamma, score: float, scorer, prior_cfg: ModelPriorConfig,
-            rng: np.random.Generator, trace: ChainTrace):
+def mh_step(gamma: Gamma, score: float, scorer, rng: np.random.Generator,
+            trace: ChainTrace):
     """One accept/reject update.  `score` is log_ml + log_prior of the
     current state; returns the (possibly unchanged) state and its score."""
     prop = propose(gamma, rng)
@@ -356,7 +354,7 @@ def mh_step(gamma: Gamma, score: float, scorer, prior_cfg: ModelPriorConfig,
     scores = trace.visited.get(prop.gamma.key)
     if scores is None:
         scores = trace.visited[prop.gamma.key] = (
-            scorer.score(prop.gamma).log_ml, log_model_prior(prop.gamma, prior_cfg))
+            scorer.score(prop.gamma).log_ml, log_model_prior(prop.gamma))
     new_score = scores[0] + scores[1]
     if new_score == -math.inf:
         return gamma, score
@@ -370,7 +368,6 @@ def mh_step(gamma: Gamma, score: float, scorer, prior_cfg: ModelPriorConfig,
 def run_chain(data: Dataset, kernel: Kernel,
               config: ChainConfig = ChainConfig(),
               scorer_cfg: ScorerConfig = ScorerConfig(),
-              prior_cfg: ModelPriorConfig = ModelPriorConfig(),
               scorer=None) -> ChainTrace:
     """Run one or more independent chains and merge their retained samples.
 
@@ -386,17 +383,18 @@ def run_chain(data: Dataset, kernel: Kernel,
         if config.init_gamma is not None:
             gamma = config.init_gamma
         elif config.screening_init:
-            gamma = screening_init_gamma(data, kernel, scorer)
+            gamma = screening_init_gamma(data, scorer)
         else:
             gamma = Gamma((0,) * data.p)
         log_ml = scorer.score(gamma).log_ml
-        log_prior = log_model_prior(gamma, prior_cfg)
+        log_prior = log_model_prior(gamma)
         trace.visited[gamma.key] = (log_ml, log_prior)
         score = log_ml + log_prior
         if score == -math.inf:
             raise ImpossibleStartError(f"initial model {gamma.key} has an impossible score")
         for it in range(config.iterations):
-            gamma, score = mh_step(gamma, score, scorer, prior_cfg, rng, trace)
+            # by keyword: the benchmark's tracer reads the trace as `trace`
+            gamma, score = mh_step(gamma, score, scorer, rng, trace=trace)
             trace.n_steps += 1
             if it >= config.burn_in and (it - config.burn_in) % config.thin == 0:
                 trace.samples.append((chain_idx, it, gamma.key))

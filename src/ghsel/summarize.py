@@ -36,14 +36,21 @@ def probs_renormalized(trace: ChainTrace) -> dict:
         log_ml, log_prior = trace.visited[k]
         scores[k] = log_ml + log_prior
     keys = sorted(scores)
-    vals = np.array([scores[k] for k in keys])
+    return dict(zip(keys, normalized([scores[k] for k in keys])))
+
+
+def normalized(log_scores) -> np.ndarray:
+    """Probabilities proportional to exp(score), in the order given (which
+    fixes the rounding of their sum); an impossible score (-inf) gets 0.
+    Raises ValueError if every score is impossible."""
+    vals = np.array(log_scores, dtype=float)
     finite = np.isfinite(vals)
     if not finite.any():
         raise ValueError("all visited models have impossible scores")
     m = vals[finite].max()
     w = np.where(finite, np.exp(vals - m), 0.0)
     w /= w.sum()
-    return dict(zip(keys, w))
+    return w
 
 
 def hazard_posterior(model_probs: dict) -> dict:

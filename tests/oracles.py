@@ -35,8 +35,7 @@ from ghsel.baseline import Kernel
 from ghsel.ghlik import (LINPRED_CLAMP, DimensionError, dim_coef, dim_psi,
                          design, evaluate, hazard_level_columns, time_level_columns)
 from ghsel.marglik import ILAFactor, MarglikRecord, ila_from_fit
-from ghsel.modelspace import (Gamma, HazardClass, ModelPriorConfig, classify,
-                              get_valid_idx, log_model_prior)
+from ghsel.modelspace import Gamma, HazardClass, classify, get_valid_idx, log_model_prior
 from ghsel.sampler import _MOVE_ORDER, MoveKind, Proposal, move_distribution
 from ghsel.priors import RankDeficiencyError
 
@@ -235,15 +234,16 @@ def lcm_prior_cov(gamma, data, g_e: float, fisher) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the MAP fit's prior, from SciPy distributions
 
-def map_prior_reference(gamma, data, coef_prior, cp):
+def map_prior_reference(gamma, data, coef_prior):
     """log prior density of packed psi = (nu, theta0, theta, eta) under the
-    product prior, as a function of psi: Gamma(alpha, beta) on exp(nu) with
-    its Jacobian, N(0, K) on theta0, and N(0, g*n*G^{-1}) on each coefficient
-    block with G the Gram matrix of its columns.  Tied (code-4) variables
-    form the time-level block and have no hazard-level one.  The frozen
-    distributions are built once here, not per call."""
-    nu_prior = stats.gamma(cp.alpha_nu, scale=1.0 / cp.beta_nu)
-    t0_prior = stats.norm(0.0, math.sqrt(cp.K))
+    product prior, as a function of psi: Gamma(NU_SHAPE, NU_RATE) on exp(nu)
+    with its Jacobian, N(0, THETA0_VAR) on theta0 (the constants of
+    `ghsel.priors`), and N(0, g*n*G^{-1}) on each coefficient block with G
+    the Gram matrix of its columns.  Tied (code-4) variables form the
+    time-level block and have no hazard-level one.  The frozen distributions
+    are built once here, not per call."""
+    nu_prior = stats.gamma(priors.NU_SHAPE, scale=1.0 / priors.NU_RATE)
+    t0_prior = stats.norm(0.0, math.sqrt(priors.THETA0_VAR))
     codes = gamma.codes
     time_cols = [j for j, c in enumerate(codes) if c in (1, 3, 4)]
     hazard_cols = [j for j, c in enumerate(codes) if c in (2, 3)]
@@ -347,7 +347,7 @@ def scipy_maximise(fn, grad, x0):
 # ---------------------------------------------------------------------------
 # the robust hyper-g score by adaptive quadrature
 
-def robust_g_quad_reference(gamma, data, kernel, cp, fit=None):
+def robust_g_quad_reference(gamma, data, kernel, fit=None):
     """The robust hyper-g score as it was with SciPy's adaptive
     `quad` on y = log(g + 1/n): a 60-point scan for the peak, then `quad`
     with the peak as a break point, each node a scalar closed form, and the
@@ -361,13 +361,13 @@ def robust_g_quad_reference(gamma, data, kernel, cp, fit=None):
     if d == 0:
         # the closed form is g-free for the null model, so the integral is exact
         return MarglikRecord(ila_from_fit(fit.objective, fit.psi_opt, fit.fisher, 0, n,
-                                          1.0, cp), fit)
+                                          1.0), fit)
 
     def log_integrand(g: float) -> float:
         lp = priors.robust_g_logpdf(g, n, d)
         if lp == -math.inf:
             return -math.inf
-        return factor.log_ml(n * g, cp) + lp
+        return factor.log_ml(n * g) + lp
 
     bound = priors.robust_g_support_bound(n, d)
     # integrate on y = log(g + 1/n); dg = e^y dy
@@ -392,7 +392,7 @@ def robust_g_quad_reference(gamma, data, kernel, cp, fit=None):
         # analytic tail beyond the cutoff: the closed form saturates in g, so
         # exp(log_ml(g)) ~ exp(m_sat) * (1 + n g)^{-d/2} with m_sat the g-free part
         g_big = 1e250
-        m_sat = factor.log_ml(n * g_big, cp) + 0.5 * d * math.log1p(n * g_big)
+        m_sat = factor.log_ml(n * g_big) + 0.5 * d * math.log1p(n * g_big)
         c_r = math.sqrt((1.0 + n) / (n * (d + 1.0)))
         log_tail = (m_sat + math.log(c_r / (d + 1.0)) - 0.5 * d * math.log(n)
                     - 0.5 * (d + 1.0) * math.log(marglik.ROBUST_G_CUTOFF + 1.0 / n))
@@ -405,7 +405,7 @@ def robust_g_quad_reference(gamma, data, kernel, cp, fit=None):
 # ---------------------------------------------------------------------------
 # integrated-Laplace closed form, evaluated afresh at each g
 
-def ila_closed_form_at_g(ell_hat, psi_hat, J, d, n, g_e, cp):
+def ila_closed_form_at_g(ell_hat, psi_hat, J, d, n, g_e):
     """The integrated-Laplace closed form at one g, refactorising the coefficient block of J every time.  Raises
     numpy.linalg.LinAlgError if a required block is not positive definite."""
     J = np.asarray(J, dtype=float)
@@ -424,9 +424,9 @@ def ila_closed_form_at_g(ell_hat, psi_hat, J, d, n, g_e, cp):
         j_nn = j_nn - shrink * (y_nu @ y_nu)
         j_n0 = j_n0 - shrink * (y_nu @ y_t0)
         j_00 = j_00 - shrink * (y_t0 @ y_t0)
-    var_nu = cp.nu_normal_sd ** 2
-    mu_nu = cp.nu_normal_mean
-    P = np.array([[j_nn + 1.0 / var_nu, j_n0], [j_n0, j_00 + 1.0 / cp.K]])
+    var_nu = priors.NU_SD ** 2
+    mu_nu = priors.NU_MEAN
+    P = np.array([[j_nn + 1.0 / var_nu, j_n0], [j_n0, j_00 + 1.0 / priors.THETA0_VAR]])
     h = np.array([j_nn * nu_hat + j_n0 * t0_hat + mu_nu / var_nu,
                   j_n0 * nu_hat + j_00 * t0_hat])
     C = (-0.5 * mu_nu ** 2 / var_nu
@@ -444,7 +444,7 @@ def ila_closed_form_at_g(ell_hat, psi_hat, J, d, n, g_e, cp):
     z = np.linalg.solve(Lp, h)
     log_ml = (ell_hat - 0.5 * d * math.log1p(ng)
               - float(np.sum(np.log(np.diag(Lp)))) + 0.5 * float(z @ z) + C
-              - 0.5 * math.log(cp.K * var_nu))
+              - 0.5 * math.log(priors.THETA0_VAR * var_nu))
     return log_ml
 
 
@@ -719,7 +719,7 @@ def propose_reference(gamma: Gamma, rng) -> Proposal:
     return Proposal(gp, math.log(q_rev) - math.log(q_fwd), MoveKind.CHANGE_ALL)
 
 
-def _mh_step_reference(gamma, score, scorer, prior_cfg, rng, trace):
+def _mh_step_reference(gamma, score, scorer, rng, trace):
     prop = propose_reference(gamma, rng)
     trace.propose_count[prop.move] = trace.propose_count.get(prop.move, 0) + 1
     if prop.log_hastings == -math.inf:
@@ -729,7 +729,7 @@ def _mh_step_reference(gamma, score, scorer, prior_cfg, rng, trace):
         log_ml, log_prior = trace.visited[key]
     else:
         log_ml = scorer.score(prop.gamma).log_ml
-        log_prior = log_model_prior(prop.gamma, prior_cfg)
+        log_prior = log_model_prior(prop.gamma)
         trace.visited[key] = (log_ml, log_prior)
     new_score = log_ml + log_prior
     if new_score == -math.inf:
@@ -749,8 +749,7 @@ class ReferenceTrace:
     accept_count: dict = field(default_factory=dict)
 
 
-def run_chain_reference(p: int, config, scorer,
-                        prior_cfg: ModelPriorConfig = ModelPriorConfig()) -> ReferenceTrace:
+def run_chain_reference(p: int, config, scorer) -> ReferenceTrace:
     """`sampler.run_chain` from the null model (or `config.init_gamma`) with
     the step as it was before the path tables: `propose_reference`, and the
     per-move counts kept in dicts keyed by move."""
@@ -758,11 +757,11 @@ def run_chain_reference(p: int, config, scorer,
     for chain_idx, rng in enumerate(np.random.default_rng(config.seed).spawn(config.n_chains)):
         gamma = config.init_gamma if config.init_gamma is not None else Gamma((0,) * p)
         log_ml = scorer.score(gamma).log_ml
-        log_prior = log_model_prior(gamma, prior_cfg)
+        log_prior = log_model_prior(gamma)
         trace.visited[gamma.key] = (log_ml, log_prior)
         score = log_ml + log_prior
         for it in range(config.iterations):
-            gamma, score = _mh_step_reference(gamma, score, scorer, prior_cfg, rng, trace)
+            gamma, score = _mh_step_reference(gamma, score, scorer, rng, trace)
             if it >= config.burn_in and (it - config.burn_in) % config.thin == 0:
                 trace.samples.append((chain_idx, it, gamma.key))
     return trace

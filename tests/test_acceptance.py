@@ -18,10 +18,10 @@ from ghsel.ghlik import Dataset, design, dim_psi, evaluate
 from ghsel import marglik
 from ghsel.marglik import (LOG_2PI, MarglikMethod, ModelScorer, ScorerConfig,
                            ila_from_fit)
-from ghsel.modelspace import (Gamma, HazardClass, ModelPriorConfig, classify,
-                              enumerate_models, log_model_prior)
-from ghsel.priors import (CoefficientPrior, CommonPrior, robust_g_logpdf,
-                          robust_g_support_bound)
+from ghsel.modelspace import (Gamma, HazardClass, classify, enumerate_models,
+                              log_model_prior)
+from ghsel.priors import (NU_MEAN, NU_SD, THETA0_VAR, CoefficientPrior,
+                          robust_g_logpdf, robust_g_support_bound)
 from ghsel.sampler import ChainConfig, run_chain
 from ghsel.simulate import SimConfig, protocol_truth, simulate_dataset
 from ghsel.summarize import (hazard_posterior, pip, probs_frequency,
@@ -72,13 +72,15 @@ def test_criterion_1_derivatives():
         kernel = kernels[int(rng.integers(4))]
         psi = rng.normal(0.0, 0.3, dim_psi(gamma))
 
-        def fn(x):
-            return evaluate(design(gamma, data, kernel), x, 0)[0]
+        des = design(gamma, data, kernel)
 
-        g = evaluate(design(gamma, data, kernel), psi, 1)[1]
+        def fn(x):
+            return evaluate(des, x)[0]
+
+        g = evaluate(des, psi)[1]
         fd_g = oracles.fd_grad(fn, psi)
         max_g = max(max_g, float(np.max(np.abs(g - fd_g) / (1.0 + np.abs(fd_g)))))
-        H = evaluate(design(gamma, data, kernel), psi)[2]
+        H = evaluate(des, psi)[2]
         fd_h = oracles.fd_hess(fn, psi)
         max_h = max(max_h, float(np.max(np.abs(H - fd_h) / (1.0 + np.abs(fd_h)))))
     dt = time.time() - start
@@ -127,11 +129,10 @@ def test_criterion_2_ratio_closed_forms():
 def test_criterion_3_model_space():
     counts = {p: len(list(enumerate_models(p))) for p in (1, 2, 3)}
     counts_ok = counts == {1: 5, 2: 19, 3: 71}
-    cfg = ModelPriorConfig()
     worst = 0.0
     for p in (1, 2, 3):
         models = list(enumerate_models(p))
-        logw = {g.key: log_model_prior(g, cfg) for g in models}
+        logw = {g.key: log_model_prior(g) for g in models}
         m = max(logw.values())
         z = sum(math.exp(v - m) for v in logw.values())
         probs = {k: math.exp(v - m) / z for k, v in logw.items()}
@@ -160,7 +161,6 @@ def test_criterion_3_model_space():
 
 def test_criterion_4_marglik_oracle():
     start = time.time()
-    cp = CommonPrior()
     prior = CoefficientPrior()
     problems = [("00", 0), ("20", 1), ("10", 2), ("12", 3), ("22", 4),
                 ("30", 5), ("00", 6), ("21", 7), ("11", 8), ("44", 9)]
@@ -183,16 +183,15 @@ def test_criterion_4_marglik_oracle():
                         target_censoring=0.2, seed=seed)
         data, _ = sim_standardized(cfg)
         assert dim_psi(gamma) <= 4
-        rec_i = ModelScorer(data, Kernel.NORMAL, ScorerConfig(common=cp)).score(gamma)
-        ref_i = ila_quadrature_reference(gamma, data, Kernel.NORMAL, 1.0, cp,
-                                         rec_i.fit)
+        rec_i = ModelScorer(data, Kernel.NORMAL, ScorerConfig()).score(gamma)
+        ref_i = ila_quadrature_reference(gamma, data, Kernel.NORMAL, 1.0, rec_i.fit)
         worst_ila = max(worst_ila, abs(rec_i.log_ml - ref_i))
         rec_l = ModelScorer(data, Kernel.NORMAL,
-                            ScorerConfig(MarglikMethod.LA, prior, cp)).score(gamma)
-        log_prior = oracles.map_prior_reference(gamma, data, prior, cp)
+                            ScorerConfig(MarglikMethod.LA, prior)).score(gamma)
+        log_prior = oracles.map_prior_reference(gamma, data, prior)
 
-        def log_post(psi, gamma=gamma, data=data, log_prior=log_prior):
-            ll = evaluate(design(gamma, data, Kernel.NORMAL), psi, 0)[0]
+        def log_post(psi, des=design(gamma, data, Kernel.NORMAL), log_prior=log_prior):
+            ll = evaluate(des, psi)[0]
             if not np.isfinite(ll):
                 return -1e300
             return ll + log_prior(psi)
@@ -211,20 +210,20 @@ def test_criterion_4_marglik_oracle():
         J = A @ A.T + k * np.eye(k)
         psi_hat = rng.normal(0.0, 1.0, k)
         ell_hat = float(rng.normal())
-        got = ila_from_fit(ell_hat, psi_hat, J, d, 50, 2.0, cp)
+        got = ila_from_fit(ell_hat, psi_hat, J, d, 50, 2.0)
         ng = 100.0
         pp = np.zeros((k, k))
-        pp[0, 0] = 1.0 / cp.nu_normal_sd ** 2
-        pp[1, 1] = 1.0 / cp.K
+        pp[0, 0] = 1.0 / NU_SD ** 2
+        pp[1, 1] = 1.0 / THETA0_VAR
         pp[2:, 2:] = J[2:, 2:] / ng
         Afull = J + pp
         b = J @ psi_hat
-        b[0] += cp.nu_normal_mean / cp.nu_normal_sd ** 2
+        b[0] += NU_MEAN / NU_SD ** 2
         c = (ell_hat - 0.5 * psi_hat @ J @ psi_hat
-             - 0.5 * cp.nu_normal_mean ** 2 / cp.nu_normal_sd ** 2)
+             - 0.5 * NU_MEAN ** 2 / NU_SD ** 2)
         _, ld_pp = np.linalg.slogdet(J[2:, 2:] / ng)
         log_norm = (-0.5 * k * math.log(2 * math.pi) + 0.5 * ld_pp
-                    - 0.5 * math.log(cp.nu_normal_sd ** 2) - 0.5 * math.log(cp.K))
+                    - 0.5 * math.log(NU_SD ** 2) - 0.5 * math.log(THETA0_VAR))
         _, ld_A = np.linalg.slogdet(Afull)
         ref = (c + 0.5 * b @ np.linalg.solve(Afull, b)
                + 0.5 * k * math.log(2 * math.pi) - 0.5 * ld_A + log_norm)
@@ -252,12 +251,10 @@ def test_criterion_5_sampler_exactness():
     tiny = Dataset(t=rng_data.gamma(2, 1, 20), delta=np.ones(20),
                    X=rng_data.standard_normal((20, 2)), names=())
     # (a) prior-only chain
-    prior_cfg = ModelPriorConfig()
     cfg = ChainConfig(iterations=1_000_000, burn_in=10_000, thin=1, seed=0)
-    trace = run_chain(tiny, Kernel.NORMAL, cfg, prior_cfg=prior_cfg,
-                      scorer=_ConstScorer())
+    trace = run_chain(tiny, Kernel.NORMAL, cfg, scorer=_ConstScorer())
     freq = probs_frequency(trace)
-    logw = {g.key: log_model_prior(g, prior_cfg) for g in enumerate_models(2)}
+    logw = {g.key: log_model_prior(g) for g in enumerate_models(2)}
     m = max(logw.values())
     z = sum(math.exp(v - m) for v in logw.values())
     exact_prior = {k: math.exp(v - m) / z for k, v in logw.items()}
@@ -275,15 +272,14 @@ def test_criterion_5_sampler_exactness():
         scorer = ModelScorer(data, Kernel.NORMAL, scfg)
         exact_scores = {}
         for g in enumerate_models(2):
-            exact_scores[g.key] = (scorer.score(g).log_ml
-                                   + log_model_prior(g, prior_cfg))
+            exact_scores[g.key] = scorer.score(g).log_ml + log_model_prior(g)
         m = max(v for v in exact_scores.values() if np.isfinite(v))
         z = sum(math.exp(v - m) for v in exact_scores.values()
                 if np.isfinite(v))
         exact = {k: (math.exp(v - m) / z if np.isfinite(v) else 0.0)
                  for k, v in exact_scores.items()}
         ch = ChainConfig(iterations=50_000, burn_in=5_000, thin=1, seed=2)
-        tr = run_chain(data, Kernel.NORMAL, ch, scfg, prior_cfg, scorer=scorer)
+        tr = run_chain(data, Kernel.NORMAL, ch, scfg, scorer=scorer)
         fr = probs_frequency(tr)
         rn = probs_renormalized(tr)
         tv_f = 0.5 * sum(abs(fr.get(k, 0.0) - q) for k, q in exact.items())
@@ -382,10 +378,9 @@ def test_criterion_8_robust_hyper_g(monkeypatch):
                         alpha=np.zeros(2), beta=np.array([1.0, 0.0]),
                         target_censoring=0.2, seed=5)
     data, _ = sim_standardized(cfg_sim)
-    cp = CommonPrior()
     null = Gamma.from_key("00")
-    robust_cfg = ScorerConfig(MarglikMethod.ILA_ROBUST_G, common=cp)
-    fixed = ModelScorer(data, Kernel.NORMAL, ScorerConfig(common=cp)).score(null)
+    robust_cfg = ScorerConfig(MarglikMethod.ILA_ROBUST_G)
+    fixed = ModelScorer(data, Kernel.NORMAL, ScorerConfig()).score(null)
     robust = ModelScorer(data, Kernel.NORMAL, robust_cfg).score(null)
     null_exact = robust.log_ml == fixed.log_ml
     g22 = Gamma.from_key("22")
@@ -418,8 +413,8 @@ def test_criterion_9_aft_reduction():
         theta = psi_aft[2:]
         psi_gh = np.concatenate((psi_aft[:2], theta, np.exp(-nu) * theta))
         kernel = kernels[i % 4]
-        la = evaluate(design(aft, data, kernel), psi_aft, 0)[0]
-        lg = evaluate(design(gh, data, kernel), psi_gh, 0)[0]
+        la = evaluate(design(aft, data, kernel), psi_aft)[0]
+        lg = evaluate(design(gh, data, kernel), psi_gh)[0]
         worst = max(worst, abs(la - lg) / max(1.0, abs(lg)))
     ok = worst <= 1e-12
     report(9, "tied-effect reduction identity", ok,

@@ -36,7 +36,7 @@ def test_read_dataset_roundtrip(tmp_path):
                    X=rng.standard_normal((10, 2)), names=("a", "b"))
     path = tmp_path / "d.csv"
     write_dataset(str(path), data)
-    back = read_dataset(str(path), standardize=False)
+    back = read_dataset(str(path))
     assert np.allclose(back.t, data.t)
     assert np.allclose(back.delta, data.delta)
     assert np.allclose(back.X, data.X)
@@ -47,7 +47,8 @@ def test_read_dataset_standardizes(tmp_path):
     path = tmp_path / "d.csv"
     write_csv(path, [[1.0, 1, 10.0, 5.0], [2.0, 0, 20.0, 5.0],
                      [3.0, 1, 30.0, 5.0]])
-    d = read_dataset(str(path))
+    opts = cli.resolve_options(cli.build_parser().parse_args(["select", str(path)]))
+    d = cli._scorer(read_dataset(str(path)), opts).data
     assert np.allclose(d.X[:, 0].mean(), 0.0)
     assert np.allclose(d.X[:, 0].std(), 1.0)
     # constant column left untouched rather than dividing by zero
@@ -479,9 +480,10 @@ BAD_INPUT = (
        for key, value in (("p", "0"), ("censoring", "1.5"), ("rho", "1"), ("sigma", "nan"),
                           ("sigma", "inf"), ("mu", "nan"), ("mu", "inf"))]
     + [("replicate", "flag", "workers", "0"), ("replicate", "flag", "reps", "0")]
-    # an existing file as select's output directory, and a missing directory
+    # an existing file as select's output directory, and missing directories
     + [("select", "flag", "out", "{tmp}/data.csv"),
-       ("enumerate", "flag", "out", "{tmp}/no-such-dir/x.csv")])
+       ("enumerate", "flag", "out", "{tmp}/no-such-dir/x.csv"),
+       ("replicate", "flag", "out", "{tmp}/no-such-dir/x.json")])
 
 
 @pytest.mark.parametrize("command, form, key, value", BAD_INPUT,

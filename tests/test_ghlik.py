@@ -59,7 +59,7 @@ def test_dimension_errors():
     data = make_data()
     g = Gamma.from_key("120")
     with pytest.raises(DimensionError):
-        evaluate(design(g, data, Kernel.NORMAL), np.zeros(3), 0)
+        evaluate(design(g, data, Kernel.NORMAL), np.zeros(3))
     with pytest.raises(DimensionError):
         design(Gamma.from_key("12"), data, Kernel.NORMAL)
 
@@ -76,7 +76,7 @@ def test_loglik_matches_hazard_form_oracle(kernel, key):
     mu, sigma, alpha, beta = oracles.psi_to_natural(psi, g, data.p)
     ref = oracles.natural_loglik(mu, sigma, alpha, beta, data.t, data.delta,
                                  data.X, kernel)
-    assert evaluate(design(g, data, kernel), psi, 0)[0] == pytest.approx(ref, rel=1e-10)
+    assert evaluate(design(g, data, kernel), psi)[0] == pytest.approx(ref, rel=1e-10)
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
@@ -87,14 +87,16 @@ def test_gradient_and_hessian_match_finite_differences(kernel, key):
     rng = np.random.default_rng(7)
     psi = rng.normal(0.0, 0.3, dim_psi(g))
 
-    def fn(x):
-        return evaluate(design(g, data, kernel), x, 0)[0]
+    des = design(g, data, kernel)
 
-    grad = evaluate(design(g, data, kernel), psi, 1)[1]
+    def fn(x):
+        return evaluate(des, x)[0]
+
+    grad = evaluate(des, psi)[1]
     fd_g = oracles.fd_grad(fn, psi)
     assert np.max(np.abs(grad - fd_g) / (1.0 + np.abs(fd_g))) < 1e-6
 
-    hess = evaluate(design(g, data, kernel), psi)[2]
+    hess = evaluate(des, psi)[2]
     fd_h = oracles.fd_hess(fn, psi)
     assert np.max(np.abs(hess - fd_h) / (1.0 + np.abs(fd_h))) < 1e-5
     assert np.allclose(hess, hess.T)
@@ -113,8 +115,8 @@ def test_aft_reduction_identity():
         theta = psi_aft[2:]
         psi_gh = np.concatenate((psi_aft[:2], theta, np.exp(-nu) * theta))
         for kernel in KERNELS:
-            la = evaluate(design(aft, data, kernel), psi_aft, 0)[0]
-            lg = evaluate(design(gh, data, kernel), psi_gh, 0)[0]
+            la = evaluate(design(aft, data, kernel), psi_aft)[0]
+            lg = evaluate(design(gh, data, kernel), psi_gh)[0]
             assert la == pytest.approx(lg, rel=1e-13, abs=1e-12)
 
 
@@ -122,9 +124,9 @@ def test_extreme_linear_predictor_is_finite():
     data = make_data(seed=1)
     g = Gamma.from_key("330")
     psi = np.array([0.0, 0.0, 50.0, -50.0, 30.0, -30.0])
-    val = evaluate(design(g, data, Kernel.NORMAL), psi, 0)[0]
+    val = evaluate(design(g, data, Kernel.NORMAL), psi)[0]
     assert val == -np.inf or np.isfinite(val)
-    grad = evaluate(design(g, data, Kernel.NORMAL), psi * 0.01, 1)[1]
+    grad = evaluate(design(g, data, Kernel.NORMAL), psi * 0.01)[1]
     assert np.all(np.isfinite(grad))
 
 

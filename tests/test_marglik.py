@@ -13,7 +13,8 @@ from ghsel.marglik import (LOG_2PI, ILAFactor, MarglikMethod, ModelScorer,
                            ScorerConfig, ila_from_fit)
 from ghsel.modelspace import Gamma, HazardClass, enumerate_models
 from ghsel.optimize import fit_mle
-from ghsel.priors import CoefficientPrior, CommonPrior, robust_g_support_bound
+from ghsel.priors import (NU_MEAN, NU_SD, THETA0_VAR, CoefficientPrior,
+                          robust_g_support_bound)
 from ghsel.sampler import ChainConfig, run_chain
 from ghsel.simulate import (LogLocationScaleBaseline, SimConfig, protocol_truth,
                             simulate_dataset)
@@ -32,14 +33,13 @@ def small_data(seed=0, n=30, p=2):
 ROBUST_G = MarglikMethod.ILA_ROBUST_G
 
 
-def score(gamma, data, method=MarglikMethod.ILA, coef_prior=CoefficientPrior(),
-          cp=CommonPrior()):
+def score(gamma, data, method=MarglikMethod.ILA, coef_prior=CoefficientPrior()):
     """A fresh scorer's record of one model under the normal kernel."""
     return ModelScorer(data, Kernel.NORMAL,
-                       ScorerConfig(method, coef_prior, cp)).score(gamma)
+                       ScorerConfig(method, coef_prior)).score(gamma)
 
 
-def ila_quadrature_reference(gamma, data, kernel, g_e, cp, fit):
+def ila_quadrature_reference(gamma, data, kernel, g_e, fit):
     """Numerical log marginal likelihood under the exact priors the
     integrated-Laplace route assumes: normal prior on nu, N(0,K) on theta0,
     curvature-matching Gaussian on the coefficients."""
@@ -47,11 +47,12 @@ def ila_quadrature_reference(gamma, data, kernel, g_e, cp, fit):
     if d:
         cov = oracles.lcm_prior_cov(gamma, data, g_e, fit.fisher)
         coef_prior = stats.multivariate_normal(np.zeros(d), cov)
-    nu_prior = stats.norm(cp.nu_normal_mean, cp.nu_normal_sd)
-    t0_prior = stats.norm(0.0, math.sqrt(cp.K))
+    nu_prior = stats.norm(NU_MEAN, NU_SD)
+    t0_prior = stats.norm(0.0, math.sqrt(THETA0_VAR))
+    des = design(gamma, data, kernel)
 
     def log_post(psi):
-        ll = evaluate(design(gamma, data, kernel), psi, 0)[0]
+        ll = evaluate(des, psi)[0]
         if not np.isfinite(ll):
             return -1e300
         lp = nu_prior.logpdf(psi[0]) + t0_prior.logpdf(psi[1])
@@ -66,7 +67,6 @@ def test_ila_exact_on_gaussian_loglik():
     """When the log-likelihood is exactly quadratic the closed form must agree
     with direct Gaussian integration to near machine precision."""
     rng = np.random.default_rng(42)
-    cp = CommonPrior()
     n, g_e = 50, 2.0
     for trial in range(5):
         d = int(rng.integers(1, 4))
@@ -76,25 +76,25 @@ def test_ila_exact_on_gaussian_loglik():
         psi_hat = rng.normal(0.0, 1.0, k)
         ell_hat = float(rng.normal())
 
-        got = ila_from_fit(ell_hat, psi_hat, J, d, n, g_e, cp)
+        got = ila_from_fit(ell_hat, psi_hat, J, d, n, g_e)
 
         # independent Gaussian algebra: integrand exp(-x'Ax/2 + b'x + c)
         ng = n * g_e
         prior_prec = np.zeros((k, k))
-        prior_prec[0, 0] = 1.0 / cp.nu_normal_sd ** 2
-        prior_prec[1, 1] = 1.0 / cp.K
+        prior_prec[0, 0] = 1.0 / NU_SD ** 2
+        prior_prec[1, 1] = 1.0 / THETA0_VAR
         prior_prec[2:, 2:] = J[2:, 2:] / ng
         Afull = J + prior_prec
         b = J @ psi_hat
-        b[0] += cp.nu_normal_mean / cp.nu_normal_sd ** 2
+        b[0] += NU_MEAN / NU_SD ** 2
         c = (ell_hat - 0.5 * psi_hat @ J @ psi_hat
-             - 0.5 * cp.nu_normal_mean ** 2 / cp.nu_normal_sd ** 2)
+             - 0.5 * NU_MEAN ** 2 / NU_SD ** 2)
         # prior normalising constants
         sign_d, logdet_pp = np.linalg.slogdet(J[2:, 2:] / ng)
         assert sign_d > 0
         log_norm = (-0.5 * (2 + d) * LOG_2PI + 0.5 * logdet_pp
-                    - 0.5 * math.log(cp.nu_normal_sd ** 2)
-                    - 0.5 * math.log(cp.K))
+                    - 0.5 * math.log(NU_SD ** 2)
+                    - 0.5 * math.log(THETA0_VAR))
         sign, logdet_A = np.linalg.slogdet(Afull)
         assert sign > 0
         ref = (c + 0.5 * b @ np.linalg.solve(Afull, b)
@@ -106,10 +106,9 @@ def test_ila_exact_on_gaussian_loglik():
 def test_ila_matches_quadrature(key):
     data = small_data()
     gamma = Gamma.from_key(key)
-    cp = CommonPrior()
-    rec = score(gamma, data, cp=cp)
+    rec = score(gamma, data)
     assert np.isfinite(rec.log_ml)
-    ref = ila_quadrature_reference(gamma, data, Kernel.NORMAL, 1.0, cp, rec.fit)
+    ref = ila_quadrature_reference(gamma, data, Kernel.NORMAL, 1.0, rec.fit)
     assert abs(rec.log_ml - ref) <= 0.15
 
 
@@ -118,13 +117,13 @@ def test_la_matches_quadrature(key):
     data = small_data(seed=1)
     gamma = Gamma.from_key(key)
     prior = CoefficientPrior()
-    cp = CommonPrior()
-    rec = score(gamma, data, MarglikMethod.LA, prior, cp)
+    rec = score(gamma, data, MarglikMethod.LA, prior)
     assert np.isfinite(rec.log_ml)
-    log_prior = oracles.map_prior_reference(gamma, data, prior, cp)
+    log_prior = oracles.map_prior_reference(gamma, data, prior)
+    des = design(gamma, data, Kernel.NORMAL)
 
     def log_post(psi):
-        ll = evaluate(design(gamma, data, Kernel.NORMAL), psi, 0)[0]
+        ll = evaluate(des, psi)[0]
         if not np.isfinite(ll):
             return -1e300
         return ll + log_prior(psi)
@@ -137,20 +136,18 @@ def test_la_matches_quadrature(key):
 def test_robust_g_null_equals_fixed_g():
     data = small_data(seed=3)
     null = Gamma.from_key("00")
-    cp = CommonPrior()
-    fixed = score(null, data, cp=cp)
-    robust = score(null, data, ROBUST_G, cp=cp)
+    fixed = score(null, data)
+    robust = score(null, data, ROBUST_G)
     assert robust.log_ml == fixed.log_ml
 
 
 def test_robust_g_cutoff_stability(monkeypatch):
     data = small_data(seed=4)
     gamma = Gamma.from_key("22")
-    cp = CommonPrior()
     assert marglik.ROBUST_G_CUTOFF == 1e6
-    a = score(gamma, data, ROBUST_G, cp=cp)
+    a = score(gamma, data, ROBUST_G)
     monkeypatch.setattr(marglik, "ROBUST_G_CUTOFF", 2e6)
-    b = score(gamma, data, ROBUST_G, cp=cp)
+    b = score(gamma, data, ROBUST_G)
     assert np.isfinite(a.log_ml)
     assert abs(a.log_ml - b.log_ml) < 1e-8
 
@@ -160,8 +157,7 @@ def test_robust_g_matches_direct_integration():
     from ghsel import priors as pr
     data = small_data(seed=5)
     gamma = Gamma.from_key("20")
-    cp = CommonPrior()
-    rec = score(gamma, data, ROBUST_G, cp=cp)
+    rec = score(gamma, data, ROBUST_G)
     fit = fit_mle(gamma, data, Kernel.NORMAL)
     d = dim_coef(gamma)
     n = data.n
@@ -170,7 +166,7 @@ def test_robust_g_matches_direct_integration():
 
     def f(y):
         g = math.exp(y) - 1.0 / n
-        lm = ila_from_fit(fit.objective, fit.psi_opt, fit.fisher, d, n, g, cp)
+        lm = ila_from_fit(fit.objective, fit.psi_opt, fit.fisher, d, n, g)
         return math.exp(lm + pr.robust_g_logpdf(g, n, d) + y - M)
 
     lo = math.log(pr.robust_g_support_bound(n, d) + 1.0 / n) + 1e-12
@@ -187,7 +183,7 @@ def test_failed_fit_maps_to_minus_inf(monkeypatch):
     gamma = Gamma.from_key("20")
     assert all(np.isfinite(score(gamma, data, method).log_ml) for method in MarglikMethod)
     with pytest.raises(np.linalg.LinAlgError):
-        ila_from_fit(0.0, np.zeros(3), -np.eye(3), 1, data.n, 1.0, CommonPrior())
+        ila_from_fit(0.0, np.zeros(3), -np.eye(3), 1, data.n, 1.0)
     for name in ("fit_mle", "fit_map"):
         def fit_indefinite(*args, real=getattr(optimize, name), **kwargs):
             return dataclasses.replace(real(*args, **kwargs), fisher=-np.eye(3))
@@ -249,7 +245,6 @@ def test_factorised_closed_form_matches_per_g_reference(seed, key):
     recomputed from scratch at that g, over the whole robust-g range."""
     data = small_data(seed=seed)
     gamma = Gamma.from_key(key)
-    cp = CommonPrior()
     fit = fit_mle(gamma, data, Kernel.NORMAL)
     assert fit.ok
     d, n = dim_coef(gamma), data.n
@@ -260,17 +255,16 @@ def test_factorised_closed_form_matches_per_g_reference(seed, key):
     refs = []
     for g in gs:
         ref = oracles.ila_closed_form_at_g(fit.objective, fit.psi_opt, fit.fisher,
-                                           d, n, g, cp)
+                                           d, n, g)
         refs.append(ref)
-        assert factor.log_ml(n * g, cp) == pytest.approx(ref, rel=1e-10)
-        got = ila_from_fit(fit.objective, fit.psi_opt, fit.fisher, d, n, g, cp)
+        assert factor.log_ml(n * g) == pytest.approx(ref, rel=1e-10)
+        got = ila_from_fit(fit.objective, fit.psi_opt, fit.fisher, d, n, g)
         assert got == pytest.approx(ref, rel=1e-10)
     # one call over the array of n*g values gives the same closed form
-    assert factor.log_ml(n * gs, cp) == pytest.approx(refs, rel=1e-10)
+    assert factor.log_ml(n * gs) == pytest.approx(refs, rel=1e-10)
 
 
 def test_closed_form_raises_on_indefinite_blocks():
-    cp = CommonPrior()
     indefinite_coef = -np.eye(3)
     # coefficient block positive definite, posterior precision of
     # (nu, theta0) not: negative leading entry, then negative determinant
@@ -279,10 +273,10 @@ def test_closed_form_raises_on_indefinite_blocks():
     for J in (indefinite_coef, neg_lead, neg_det):
         for closed_form in (oracles.ila_closed_form_at_g, ila_from_fit):
             with pytest.raises(np.linalg.LinAlgError):
-                closed_form(0.0, np.zeros(3), J, 1, 30, 1.0, cp)
+                closed_form(0.0, np.zeros(3), J, 1, 30, 1.0)
     for J in (neg_lead, neg_det):
         with pytest.raises(np.linalg.LinAlgError):
-            ILAFactor(0.0, np.zeros(3), J, 1).log_ml(np.array([1.0, 30.0]), cp)
+            ILAFactor(0.0, np.zeros(3), J, 1).log_ml(np.array([1.0, 30.0]))
     with pytest.raises(np.linalg.LinAlgError):
         ILAFactor(0.0, np.zeros(3), indefinite_coef, 1)
 
@@ -298,7 +292,7 @@ def test_method_alone_selects_the_score():
     assert all(math.isfinite(log_ml) for log_ml, _ in trace.visited.values())
 
 
-def _nan_log_ml(self, ng, cp):
+def _nan_log_ml(self, ng):
     return np.full(np.shape(ng), math.nan)
 
 
@@ -360,15 +354,14 @@ def test_robust_g_rule_matches_adaptive_quadrature(n):
         beta=np.array([0.5, -1.0, 0.0, 0.0]), target_censoring=0.25, seed=1))
     X = (data.X - data.X.mean(axis=0)) / data.X.std(axis=0)
     data = Dataset(t=data.t, delta=data.delta, X=X, names=data.names)
-    cp = CommonPrior()
     dims = set()
     for key in _GK_MODELS:
         gamma = Gamma.from_key(key)
         fit = fit_mle(gamma, data, Kernel.NORMAL)
         assert fit.ok, key
         dims.add(dim_coef(gamma))
-        new = marglik._robust_g_log_ml(fit, dim_coef(gamma), data.n, cp)
-        ref = oracles.robust_g_quad_reference(gamma, data, Kernel.NORMAL, cp, fit=fit).log_ml
+        new = marglik._robust_g_log_ml(fit, dim_coef(gamma), data.n)
+        ref = oracles.robust_g_quad_reference(gamma, data, Kernel.NORMAL, fit=fit).log_ml
         assert np.isfinite(ref)
         assert abs(new - ref) <= 1e-10, key
     assert dims == set(range(1, 9))

@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 import ghsel
-from ghsel.modelspace import (Gamma, HazardClass, InvalidGammaError,
-                              ModelPriorConfig, classify, effect_count,
-                              enumerate_models, get_valid_idx,
+from ghsel.modelspace import (Gamma, HazardClass, InvalidGammaError, classify,
+                              effect_count, enumerate_models, get_valid_idx,
                               log_model_prior)
 
 
@@ -64,9 +63,8 @@ def test_prior_equal_class_mass_per_size():
     mass at each active-set size, and GH effect counts carry equal mass at
     each size."""
     p = 3
-    cfg = ModelPriorConfig()
     models = list(enumerate_models(p))
-    logw = {g.key: log_model_prior(g, cfg) for g in models}
+    logw = {g.key: log_model_prior(g) for g in models}
     norm = math.log(sum(math.exp(v) for v in logw.values()))
     probs = {k: math.exp(v - norm) for k, v in logw.items()}
     for size in (1, 2, 3):
@@ -89,13 +87,6 @@ def test_prior_equal_class_mass_per_size():
             assert len(vals) == size + 1
             for v in vals[1:]:
                 assert v == pytest.approx(vals[0], abs=1e-13)
-
-
-def test_prior_config_validation():
-    with pytest.raises(ValueError):
-        ModelPriorConfig(a_lambda=0.0)
-    with pytest.raises(ValueError):
-        ModelPriorConfig(q=1.5)
 
 
 def test_get_valid_idx():

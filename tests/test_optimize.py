@@ -10,8 +10,7 @@ from ghsel.ghlik import LINPRED_CLAMP, Dataset, design, dim_psi, evaluate
 from ghsel.modelspace import Gamma, enumerate_models
 from ghsel.optimize import (MAX_ITER, FitRecord, FitStatus, default_init,
                             fit_map, fit_mle)
-from ghsel.priors import (CoefficientPrior, CommonPrior, map_log_prior,
-                          product_prior_gaussian)
+from ghsel.priors import CoefficientPrior, map_log_prior, product_prior_gaussian
 from ghsel.simulate import SimConfig, simulate_dataset
 
 
@@ -40,7 +39,7 @@ def test_fit_mle_converges_and_zeroes_gradient():
     g = Gamma.from_key("2200")
     fit = fit_mle(g, data, Kernel.NORMAL)
     assert fit.status is FitStatus.CONVERGED and fit.ok
-    grad = evaluate(design(g, data, Kernel.NORMAL), fit.psi_opt, 1)[1]
+    grad = evaluate(design(g, data, Kernel.NORMAL), fit.psi_opt)[1]
     assert np.max(np.abs(grad)) < 1e-5 * (1 + abs(fit.objective))
     # Fisher positive definite at the optimum
     np.linalg.cholesky(fit.fisher)
@@ -73,17 +72,16 @@ def test_fit_map_product_prior():
     data = ph_data(seed=7, n=250)
     g = Gamma.from_key("3200")
     prior = CoefficientPrior()
-    cp = CommonPrior()
-    fit = fit_map(g, data, Kernel.NORMAL, prior, cp)
+    fit = fit_map(g, data, Kernel.NORMAL, prior)
     assert fit.ok
     P, log_norm = product_prior_gaussian(g, data, prior)
-    total_grad = (evaluate(design(g, data, Kernel.NORMAL), fit.psi_opt, 1)[1]
-                  + map_log_prior(fit.psi_opt, P, log_norm, cp)[1])
+    total_grad = (evaluate(design(g, data, Kernel.NORMAL), fit.psi_opt)[1]
+                  + map_log_prior(fit.psi_opt, P, log_norm)[1])
     assert np.max(np.abs(total_grad)) < 1e-5 * (1 + abs(fit.objective))
     # MAP objective includes the prior
-    log_prior = oracles.map_prior_reference(g, data, prior, cp)
+    log_prior = oracles.map_prior_reference(g, data, prior)
     assert fit.objective == pytest.approx(
-        evaluate(design(g, data, Kernel.NORMAL), fit.psi_opt, 0)[0] + log_prior(fit.psi_opt),
+        evaluate(design(g, data, Kernel.NORMAL), fit.psi_opt)[0] + log_prior(fit.psi_opt),
         rel=1e-10)
 
 
@@ -123,18 +121,17 @@ def _objective(fitter, gamma, data, kernel):
     map_log_prior's."""
     des = design(gamma, data, kernel)
     if fitter == "mle":
-        return (lambda x: evaluate(des, x, 0)[0], lambda x: evaluate(des, x, 1)[1])
-    cp = CommonPrior()
-    log_prior = oracles.map_prior_reference(gamma, data, PRODUCT, cp)
+        return (lambda x: evaluate(des, x)[0], lambda x: evaluate(des, x)[1])
+    log_prior = oracles.map_prior_reference(gamma, data, PRODUCT)
     P, log_norm = product_prior_gaussian(gamma, data, PRODUCT)
-    return (lambda x: evaluate(des, x, 0)[0] + log_prior(x),
-            lambda x: evaluate(des, x, 1)[1] + map_log_prior(x, P, log_norm, cp)[1])
+    return (lambda x: evaluate(des, x)[0] + log_prior(x),
+            lambda x: evaluate(des, x)[1] + map_log_prior(x, P, log_norm)[1])
 
 
 def _fit(fitter, gamma, data, kernel, init=None):
     if fitter == "mle":
         return fit_mle(gamma, data, kernel, init=init)
-    return fit_map(gamma, data, kernel, PRODUCT, CommonPrior(), init=init)
+    return fit_map(gamma, data, kernel, PRODUCT, init=init)
 
 
 @pytest.mark.parametrize("kernel", list(Kernel))
@@ -176,16 +173,15 @@ def test_wild_start_ends_in_a_record_without_warnings(fitter, nu, coef):
 def test_t2_map_from_indefinite_start_converges():
     data = ph_data()
     gamma = Gamma.from_key("3200")
-    cp = CommonPrior()
     x0 = np.array([-1.23, -0.6, -1.45, -4.66, -1.71])
     P, log_norm = product_prior_gaussian(gamma, data, PRODUCT)
     H0 = (evaluate(design(gamma, data, Kernel.STUDENT_T2), x0)[2]
-          + map_log_prior(x0, P, log_norm, cp)[2])
+          + map_log_prior(x0, P, log_norm)[2])
     assert np.linalg.eigvalsh(-H0).min() < 0.0
-    fit = fit_map(gamma, data, Kernel.STUDENT_T2, PRODUCT, cp, init=x0)
+    fit = fit_map(gamma, data, Kernel.STUDENT_T2, PRODUCT, init=x0)
     assert fit.status is FitStatus.CONVERGED
     assert fit.n_evals <= MAX_ITER // 10
-    cold = fit_map(gamma, data, Kernel.STUDENT_T2, PRODUCT, cp)
+    cold = fit_map(gamma, data, Kernel.STUDENT_T2, PRODUCT)
     assert fit.objective == pytest.approx(cold.objective, abs=1e-8)
 
 
@@ -200,10 +196,10 @@ def test_derivatives_where_the_linear_predictor_is_clipped():
         lin = np.exp(-x[0]) * (des.Xt @ theta) - des.Xh @ eta
         assert np.all(np.abs(lin) > LINPRED_CLAMP)
         _, g, H = evaluate(des, x)
-        value = lambda z: evaluate(des, z, 0)[0]
+        value = lambda z: evaluate(des, z)[0]
         fd_g = oracles.fd_grad(value, x)
         fd_H = oracles.fd_hess(value, x)
-        fd_Hg = np.array([oracles.fd_grad(lambda z: evaluate(des, z, 1)[1][i], x)
+        fd_Hg = np.array([oracles.fd_grad(lambda z: evaluate(des, z)[1][i], x)
                           for i in range(x.size)])
     assert np.allclose(g, fd_g, rtol=1e-6, atol=1e-9 * np.max(np.abs(fd_g)))
     assert np.allclose(H, fd_H, rtol=0.0, atol=1e-6 * np.max(np.abs(fd_H)))
@@ -222,7 +218,7 @@ def test_model_with_more_parameters_than_events_is_not_fitted(key):
     gamma = Gamma.from_key(key)
     assert dim_psi(gamma) > TINY.n_events == 4
     for fit in (fit_mle(gamma, TINY, Kernel.NORMAL),
-                fit_map(gamma, TINY, Kernel.NORMAL, CoefficientPrior(), CommonPrior())):
+                fit_map(gamma, TINY, Kernel.NORMAL, CoefficientPrior())):
         assert fit.status is FitStatus.TOO_FEW_EVENTS and not fit.ok
         assert fit.n_evals == 0 and fit.objective == -np.inf
 

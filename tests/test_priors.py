@@ -5,12 +5,13 @@ import pytest
 from scipy import integrate, stats
 
 import oracles
+from ghsel import priors
 from ghsel.baseline import Kernel
 from ghsel.ghlik import Dataset, dim_psi
 from ghsel.modelspace import Gamma
-from ghsel.priors import (CoefficientPrior, CommonPrior, RankDeficiencyError,
-                          map_log_prior, product_prior_gaussian,
-                          robust_g_logpdf, robust_g_support_bound)
+from ghsel.priors import (CoefficientPrior, RankDeficiencyError, map_log_prior,
+                          product_prior_gaussian, robust_g_logpdf,
+                          robust_g_support_bound)
 
 
 def make_data(seed=0, n=40, p=3):
@@ -24,37 +25,35 @@ def make_data(seed=0, n=40, p=3):
 def test_config_validation():
     with pytest.raises(ValueError):
         CoefficientPrior(g_e=0.0)
-    with pytest.raises(ValueError):
-        CommonPrior(K=-1.0)
 
 
-def common_log_prior(nu, theta0, cp):
+def common_log_prior(nu, theta0):
     """map_log_prior of a model without coefficients."""
-    return map_log_prior(np.array([nu, theta0]), np.zeros((0, 0)), 0.0, cp)[0]
+    return map_log_prior(np.array([nu, theta0]), np.zeros((0, 0)), 0.0)[0]
 
 
-def test_common_prior_density_normalises():
-    cp = CommonPrior(alpha_nu=0.5, beta_nu=2.0, K=4.0)
+def test_common_prior_density_normalises(monkeypatch):
+    # hyperparameters whose mass on nu lies well inside the integration range
+    for name, value in (("NU_SHAPE", 0.5), ("NU_RATE", 2.0), ("THETA0_VAR", 4.0)):
+        monkeypatch.setattr(priors, name, value)
 
     def dens_nu(nu):
-        return math.exp(common_log_prior(nu, 0.0, cp)
+        return math.exp(common_log_prior(nu, 0.0)
                         - stats.norm(0, 2.0).logpdf(0.0))
 
     total, _ = integrate.quad(dens_nu, -80, 15, limit=400, points=[0.0])
     assert total == pytest.approx(1.0, abs=1e-7)
     # matches Gamma(alpha, beta) density of exp(nu) with the Jacobian e^nu
     ref = oracles.map_prior_reference(Gamma.from_key("000"), make_data(),
-                                      CoefficientPrior(), cp)
-    assert common_log_prior(0.3, 1.2, cp) == pytest.approx(ref([0.3, 1.2]),
-                                                           rel=1e-12)
+                                      CoefficientPrior())
+    assert common_log_prior(0.3, 1.2) == pytest.approx(ref([0.3, 1.2]), rel=1e-12)
 
 
 def test_common_prior_derivatives():
-    cp = CommonPrior()
     x = np.array([0.4, -1.1])
     fn = oracles.map_prior_reference(Gamma.from_key("000"), make_data(),
-                                     CoefficientPrior(), cp)
-    _, grad, hess = map_log_prior(x, np.zeros((0, 0)), 0.0, cp)
+                                     CoefficientPrior())
+    _, grad, hess = map_log_prior(x, np.zeros((0, 0)), 0.0)
     assert np.allclose(grad, oracles.fd_grad(fn, x), rtol=1e-6, atol=1e-8)
     assert np.allclose(hess, oracles.fd_hess(fn, x), rtol=1e-4, atol=1e-6)
 
@@ -63,11 +62,10 @@ def test_product_prior_matches_multivariate_normal():
     data = make_data()
     g = Gamma.from_key("123")
     prior = CoefficientPrior(g_ct=2.0, g_ch=0.5)
-    cp = CommonPrior()
     psi = np.array([0.2, -0.5, 0.3, -0.2, 0.1, 0.4])
     P, log_norm = product_prior_gaussian(g, data, prior)
-    ref = oracles.map_prior_reference(g, data, prior, cp)
-    assert map_log_prior(psi, P, log_norm, cp)[0] == pytest.approx(
+    ref = oracles.map_prior_reference(g, data, prior)
+    assert map_log_prior(psi, P, log_norm)[0] == pytest.approx(
         ref(psi), rel=1e-10)
 
 
@@ -75,10 +73,9 @@ def test_product_prior_derivatives():
     data = make_data(seed=2)
     g = Gamma.from_key("312")
     prior = CoefficientPrior(g_ct=1.5, g_ch=0.8)
-    cp = CommonPrior()
     psi = np.array([0.2, 0.7, 0.1, -0.4, 0.3, 0.2])
-    fn = oracles.map_prior_reference(g, data, prior, cp)
-    _, grad, hess = map_log_prior(psi, *product_prior_gaussian(g, data, prior), cp)
+    fn = oracles.map_prior_reference(g, data, prior)
+    _, grad, hess = map_log_prior(psi, *product_prior_gaussian(g, data, prior))
     assert np.allclose(grad, oracles.fd_grad(fn, psi), rtol=1e-6, atol=1e-8)
     assert np.allclose(hess, oracles.fd_hess(fn, psi), rtol=1e-4, atol=1e-6)
 
@@ -87,12 +84,11 @@ def test_aft_product_prior_keeps_time_factor_only():
     data = make_data()
     aft = Gamma.from_key("404")
     prior = CoefficientPrior()
-    cp = CommonPrior()
     psi = np.array([0.1, 0.3, 0.5, -0.1])
     P, log_norm = product_prior_gaussian(aft, data, prior)
     assert P.shape == (2, 2)
-    ref = oracles.map_prior_reference(aft, data, prior, cp)
-    assert map_log_prior(psi, P, log_norm, cp)[0] == pytest.approx(
+    ref = oracles.map_prior_reference(aft, data, prior)
+    assert map_log_prior(psi, P, log_norm)[0] == pytest.approx(
         ref(psi), rel=1e-10)
 
 

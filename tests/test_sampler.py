@@ -7,8 +7,8 @@ import oracles
 import proposal_audit
 from ghsel.baseline import Kernel
 from ghsel.ghlik import Dataset
-from ghsel.modelspace import (Gamma, HazardClass, ModelPriorConfig, classify,
-                              enumerate_models, log_model_prior)
+from ghsel.modelspace import (Gamma, HazardClass, classify, enumerate_models,
+                              log_model_prior)
 from ghsel.sampler import (ChainConfig, ChainTrace, MoveKind,
                            move_distribution, propose, run_chain)
 
@@ -90,14 +90,12 @@ def test_prior_only_chain_matches_exact_prior():
     normalised model prior (small version of the exactness check)."""
     data = tiny_data()
     cfg = ChainConfig(iterations=120_000, burn_in=5_000, thin=1, seed=2)
-    prior_cfg = ModelPriorConfig()
-    trace = run_chain(data, Kernel.NORMAL, cfg, prior_cfg=prior_cfg,
-                      scorer=ConstantScorer())
+    trace = run_chain(data, Kernel.NORMAL, cfg, scorer=ConstantScorer())
     counts = {}
     for k in trace.keys:
         counts[k] = counts.get(k, 0) + 1
     total = sum(counts.values())
-    logw = {g.key: log_model_prior(g, prior_cfg) for g in enumerate_models(2)}
+    logw = {g.key: log_model_prior(g) for g in enumerate_models(2)}
     norm = math.log(sum(math.exp(v) for v in logw.values()))
     exact = {k: math.exp(v - norm) for k, v in logw.items()}
     tv = 0.5 * sum(abs(counts.get(k, 0) / total - q) for k, q in exact.items())

@@ -47,3 +47,23 @@ def test_tracer_wraps_the_score_path_and_restores_it(monkeypatch):
     assert calls["optimize.fit_mle"] == 4 and calls["optimize.fit_map"] == 2
     # every fixed-g score and the robust-g null model take the closed form
     assert calls["marglik.ila_from_fit"] == 3
+
+
+def test_tracer_counts_every_chain_step_and_visited_hit(monkeypatch):
+    """The tracer finds the chain's trace in each `mh_step` call, so a step
+    whose proposal was scored before counts as a visited hit."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracer
+
+    rng = np.random.default_rng(1)
+    data = Dataset(t=rng.gamma(2.0, 1.0, 60), delta=np.ones(60),
+                   X=rng.standard_normal((60, 2)), names=())
+    spans = tracer.Tracer()
+    spans.install()
+    try:
+        trace = sampler.run_chain(data, Kernel.NORMAL,
+                                  sampler.ChainConfig(iterations=200, burn_in=50, seed=0))
+    finally:
+        spans.uninstall()
+    assert spans.calls["sampler.mh_step"] == trace.n_steps == 200
+    assert 0 < spans.count["visited_hits"] < trace.n_steps

@@ -28,7 +28,7 @@ import numpy as np
 from ghsel import ghlik, optimize, sampler
 from ghsel.baseline import Kernel
 from ghsel.marglik import MarglikMethod, ModelScorer, ScorerConfig
-from ghsel.modelspace import Gamma, ModelPriorConfig, enumerate_models, log_model_prior
+from ghsel.modelspace import Gamma, enumerate_models, log_model_prior
 from ghsel.simulate import SimConfig, simulate_dataset
 
 MODELS = (("0000", Kernel.NORMAL), ("1100", Kernel.NORMAL), ("3333", Kernel.NORMAL),
@@ -60,8 +60,7 @@ def mh_step_us(seed: int) -> float:
                     target_censoring=0.25, seed=seed)
     data, _ = simulate_dataset(cfg)
     scorer = ModelScorer(data, Kernel.STUDENT_T2, ScorerConfig(method=MarglikMethod.LA))
-    prior_cfg = ModelPriorConfig()
-    visited = {g.key: (scorer.score(g).log_ml, log_model_prior(g, prior_cfg))
+    visited = {g.key: (scorer.score(g).log_ml, log_model_prior(g))
                for g in enumerate_models(4)}
     best = float("inf")
     for _ in range(3):
@@ -71,7 +70,7 @@ def mh_step_us(seed: int) -> float:
         score = sum(visited[gamma.key])
         t0 = time.perf_counter()
         for _ in range(STEPS):
-            gamma, score = sampler.mh_step(gamma, score, scorer, prior_cfg, rng, trace)
+            gamma, score = sampler.mh_step(gamma, score, scorer, rng, trace)
         best = min(best, time.perf_counter() - t0)
     return round(best / STEPS * 1e6, 2)
 
