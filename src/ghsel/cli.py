@@ -21,6 +21,7 @@ import ctypes
 import functools
 import json
 import math
+import shutil
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -553,11 +554,25 @@ def _keep_freed_heap():
     mallopt(_M_TRIM_THRESHOLD, 64 << 20)  # which keeps up to 64 MB free for reuse
 
 
+@contextlib.contextmanager
+def _removed_on_failure(out):
+    """If the block raises, remove what it created of the output path `out`:
+    the file, or the highest directory on the path that did not exist."""
+    created = [q for q in (Path(out), *Path(out).parents) if not q.exists()] if out else []
+    try:
+        yield
+    except BaseException:
+        for q in created[-1:]:
+            shutil.rmtree(q, ignore_errors=True) if q.is_dir() else q.unlink(missing_ok=True)
+        raise
+
+
 def main(argv=None) -> int:
     _keep_freed_heap()
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args, _options(args))
+        with _removed_on_failure(args.out):  # a failed command leaves no output behind
+            return args.func(args, _options(args))
     except (CliError, OSError) as exc:  # OSError: an input or output path
         print(f"error: {exc}", file=sys.stderr)
         return 2

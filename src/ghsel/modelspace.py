@@ -13,11 +13,6 @@ import enum
 import itertools
 import math
 ENUMERATION_CAP = 8
-# The model-space prior, fixed by the method: Beta-Binomial(BETA_A, BETA_B)
-# inclusion, equal weights on the four hazard classes, and the GH effect-count
-# correction at EFFECT_Q.
-BETA_A = BETA_B = 1.0
-EFFECT_Q = 1.0 / 3.0
 
 
 class HazardClass(enum.Enum):
@@ -40,12 +35,12 @@ class Gamma:
 
     Models are interned: building a code vector built before returns the same
     object, so two models are equal only if they are the same object, and
-    what depends on the codes alone (key, hazard class, active and valid
-    add/delete indices, the models one code away) is computed once per model
-    per process.  A code vector is validated the first time it is built.
+    what depends on the codes alone (key, hazard class, active indices) is
+    computed once per model per process.  A code vector is validated the
+    first time it is built.
     """
 
-    __slots__ = ("codes", "key", "hazard_class", "active", "_valid_idx", "_replaced")
+    __slots__ = ("codes", "key", "hazard_class", "active")
 
     def __new__(cls, codes):
         try:
@@ -60,8 +55,7 @@ class Gamma:
             for name, value in (
                     ("codes", codes), ("key", "".join(map(str, codes))),
                     ("hazard_class", _classify_codes(codes)),
-                    ("active", tuple(j for j, c in enumerate(codes) if c != 0)),
-                    ("_valid_idx", _valid_idx(codes)), ("_replaced", {})):
+                    ("active", tuple(j for j, c in enumerate(codes) if c != 0))):
                 object.__setattr__(model, name, value)
             model = _MODELS.setdefault(codes, model)
         return model
@@ -88,12 +82,9 @@ class Gamma:
         return len(self.active)
 
     def replace(self, j: int, code: int) -> "Gamma":
-        try:
-            return self._replaced[j, code]
-        except KeyError:
-            codes = list(self.codes)
-            codes[j] = code
-            return self._replaced.setdefault((j, code), Gamma(tuple(codes)))
+        codes = list(self.codes)
+        codes[j] = code
+        return Gamma(tuple(codes))
 
     def __repr__(self):
         return f"Gamma(codes={self.codes!r})"
@@ -132,54 +123,18 @@ def effect_count(gamma: Gamma) -> int:
     return gamma.n_active + gamma.count(3)
 
 
-def _log_binom_pmf(k: int, n: int, q: float) -> float:
-    return (
-        math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-        + k * math.log(q) + (n - k) * math.log1p(-q)
-    )
-
-
-def _gh_effect_log_weight(n_active: int, omega: int) -> float:
-    """Log of the inverse-probability effect-count factor for GH models, |active| > 1.
-
-    The weight divides out the Binomial(|active|, EFFECT_Q) profile of omega
-    (with the finite-count correction at omega == |active|) and is normalised
-    against the number of models at each omega, so the total class mass at a
-    fixed active set stays equal to the single-structure classes.  At
-    EFFECT_Q = 1/3 the weight is exactly uniform over omega and uniform within
-    each omega.
-    """
-    k = n_active
-
-    def corrected(i: int) -> float:
-        corr = (1.0 - 2.0 ** (1 - k)) if i == 0 else 1.0
-        return _log_binom_pmf(i, k, EFFECT_Q) + math.log(corr)
-
-    def log_count(i: int) -> float:
-        # models with i extra code-3 variables on a fixed active set of size k
-        c = math.comb(k, i) * 2 ** (k - i) - (2 if i == 0 else 0)
-        return math.log(c)
-
-    terms = [log_count(i) - corrected(i) for i in range(k + 1)]
-    m = max(terms)
-    log_norm = math.log(sum(math.exp(v - m) for v in terms)) + m
-    return -corrected(omega - k) - log_norm + math.log(3 ** k - 2)
-
-
 def log_model_prior(gamma: Gamma) -> float:
-    """Unnormalised log prior over the model space (Beta-Binomial inclusion,
-    hazard-class multiplicity correction, GH effect-count correction)."""
-    n_act = gamma.n_active
-    p0 = gamma.p - n_act
-    out = (
-        math.lgamma(BETA_A + n_act) + math.lgamma(BETA_B + p0)
-        - math.lgamma(BETA_A + n_act + BETA_B + p0)
-    )
-    if classify(gamma) is not HazardClass.GH:
-        return out
-    out -= math.log(3 ** n_act - 2)
-    if n_act > 1:
-        out += _gh_effect_log_weight(n_act, effect_count(gamma))
+    """Unnormalised log prior of a model, in closed form: Beta-Binomial(1, 1)
+    inclusion (each size k of the active set equally likely, and each set of
+    that size), equal mass for the four hazard classes on an active set, and
+    for a GH model with k >= 2, equal mass for each number i = 0..k of code-3
+    variables, shared by the GH models on the active set with that i."""
+    k, p = gamma.n_active, gamma.p
+    out = math.lgamma(1 + k) + math.lgamma(1 + p - k) - math.lgamma(2 + p)
+    if gamma.hazard_class is HazardClass.GH and k >= 2:
+        i = gamma.count(3)
+        n_models = math.comb(k, i) * 2 ** (k - i) - (2 if i == 0 else 0)  # not all 1s or all 2s
+        out -= math.log((k + 1) * n_models)
     return out
 
 
@@ -197,34 +152,15 @@ def enumerate_models(p: int, cap: int = ENUMERATION_CAP):
 
 
 def get_valid_idx(gamma: Gamma) -> tuple:
-    """Indices a GH-state add/delete move may touch without leaving the GH class.
+    """Indices a GH-state add/delete move may touch: j with c_j = 0, or whose
+    deletion leaves a GH model or the null model.
 
     Deleting the last distinguishing code would silently land in AH/PH, whose
-    own add/delete move could not return; the filter removes those indices.
-    A lone code-3 variable is deletable: the resulting null state has its own
-    dedicated reverse move.
+    own add/delete move could not return.  A lone code-3 variable is
+    deletable: the resulting null state has its own dedicated reverse move.
     """
     if gamma.hazard_class is not HazardClass.GH:
         raise InvalidGammaError(f"get_valid_idx requires a GH state, got {gamma.key}")
-    return gamma._valid_idx
-
-
-def _valid_idx(codes: tuple) -> tuple | None:
-    """`get_valid_idx` of a GH code vector, None for any other class."""
-    if _classify_codes(codes) is not HazardClass.GH:
-        return None
-    p1 = codes.count(1)
-    p2 = codes.count(2)
-    p3 = codes.count(3)
-    if p3 == 1:
-        remaining = tuple(c for c in codes if c != 3)
-        rem_cls = _classify_codes(remaining)
-        if rem_cls in (HazardClass.AH, HazardClass.PH):
-            return tuple(j for j, c in enumerate(codes) if c != 3)
-    if p3 == 0 and p1 > 1 and p2 == 1:
-        return tuple(j for j, c in enumerate(codes) if c != 2)
-    if p3 == 0 and p2 > 1 and p1 == 1:
-        return tuple(j for j, c in enumerate(codes) if c != 1)
-    if p3 == 0 and p1 == 1 and p2 == 1:
-        return tuple(j for j, c in enumerate(codes) if c == 0)
-    return tuple(range(len(codes)))
+    codes = gamma.codes
+    return tuple(j for j, c in enumerate(codes) if c == 0 or _classify_codes(
+        codes[:j] + (0,) + codes[j + 1:]) in (HazardClass.GH, HazardClass.NULL))

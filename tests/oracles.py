@@ -13,7 +13,10 @@ need them.  `evaluate_reference`, `propose_reference` and
 coordinates and hand-expanded Hessian blocks) and MH step (a proposal built
 and its Hastings ratio computed on every step), over the package's kernels
 and move distribution, as references for the per-observation and per-model
-tables that replaced them.
+tables that replaced them, and `log_model_prior_reference` and
+`valid_idx_reference` keep the model-space prior's general effect-count
+weighting and the case analysis of the GH add/delete indices, as references
+for their closed forms.
 """
 
 from __future__ import annotations
@@ -241,7 +244,9 @@ def map_prior_reference(gamma, data, coef_prior):
     `ghsel.priors`), and N(0, g*n*G^{-1}) on each coefficient block with G
     the Gram matrix of its columns.  Tied (code-4) variables form the
     time-level block and have no hazard-level one.  The frozen distributions
-    are built once here, not per call."""
+    are built once here, not per call.  The density takes one psi (and
+    returns a float) or a 2-d array of them, one per row (and returns an
+    array)."""
     nu_prior = stats.gamma(priors.NU_SHAPE, scale=1.0 / priors.NU_RATE)
     t0_prior = stats.norm(0.0, math.sqrt(priors.THETA0_VAR))
     codes = gamma.codes
@@ -258,11 +263,12 @@ def map_prior_reference(gamma, data, coef_prior):
 
     def log_prior(psi):
         psi = np.asarray(psi, dtype=float)
-        lp = (nu_prior.logpdf(math.exp(psi[0])) + psi[0]
-              + t0_prior.logpdf(psi[1]))
+        rows = np.atleast_2d(psi)
+        lp = (nu_prior.logpdf(np.exp(rows[:, 0])) + rows[:, 0]
+              + t0_prior.logpdf(rows[:, 1]))
         for sl, dist in blocks:
-            lp += dist.logpdf(psi[sl])
-        return float(lp)
+            lp = lp + dist.logpdf(rows[:, sl])
+        return float(lp[0]) if psi.ndim == 1 else lp
 
     return log_prior
 
@@ -304,10 +310,18 @@ def gh_nodes_for_dim(k: int) -> int:
     return {1: 40, 2: 25, 3: 21}.get(k, 11)
 
 
-def gauss_hermite_log_integral(log_f, x0, n_nodes=None):
-    """log of the integral of exp(log_f) over R^k: locate the mode from x0,
-    take the finite-difference curvature there, and integrate on the
-    mode-centred, curvature-scaled tensor Gauss-Hermite grid."""
+def gauss_hermite_log_integral(log_lik, log_prior, x0, n_nodes=None):
+    """log of the integral of exp(log_lik + log_prior) over R^k: locate the
+    mode from x0, take the finite-difference curvature there, and integrate
+    on the mode-centred, curvature-scaled tensor Gauss-Hermite grid.
+    `log_lik` takes one point (where it is not finite the integrand is 0);
+    `log_prior` takes an (m, k) array of points and returns their m values,
+    so the grid's prior densities are evaluated as one array."""
+
+    def log_f(x):
+        ll = log_lik(x)
+        return (ll if np.isfinite(ll) else -1e300) + log_prior(x[None, :])[0]
+
     x0 = np.asarray(x0, dtype=float)
     res = sopt.minimize(lambda x: -log_f(x), x0, method="BFGS",
                         options={"gtol": 1e-10, "maxiter": 2000})
@@ -324,7 +338,8 @@ def gauss_hermite_log_integral(log_f, x0, n_nodes=None):
     for g in np.meshgrid(*([weights] * k), indexing="ij"):
         W *= g.ravel()
     pts = mode[None, :] + Z @ L.T
-    vals = np.array([log_f(pt) for pt in pts])
+    ll = np.array([log_lik(pt) for pt in pts])
+    vals = np.where(np.isfinite(ll), ll, -1e300) + log_prior(pts)
     # probabilists' Gauss-Hermite weights absorb exp(-z'z/2); add it back
     expo = vals + 0.5 * np.einsum("ij,ij->i", Z, Z)
     m = expo.max()
@@ -458,6 +473,83 @@ def write_trace_jsonl(path, trace):
                 "class": classify(Gamma.from_key(key)).value,
                 "log_ml": log_ml, "log_prior": log_prior,
                 "chain": chain}, sort_keys=True) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# the model-space rules as the package computed them before their closed
+# forms: references for `log_model_prior` and the GH add/delete indices
+
+def _class_of_codes(codes) -> HazardClass:
+    nonzero = set(codes) - {0}
+    if not nonzero:
+        return HazardClass.NULL
+    if len(nonzero) == 1:
+        return {1: HazardClass.AH, 2: HazardClass.PH, 4: HazardClass.AFT}.get(
+            nonzero.pop(), HazardClass.GH)
+    return HazardClass.GH
+
+
+def _log_binom_pmf(k: int, n: int, q: float) -> float:
+    return (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+            + k * math.log(q) + (n - k) * math.log1p(-q))
+
+
+def _gh_effect_log_weight(n_active: int, omega: int, q: float) -> float:
+    """Log of the inverse-probability effect-count factor of a GH model with
+    |active| > 1: it divides out the Binomial(|active|, q) profile of omega
+    (with the finite-count correction at omega == |active|) and is normalised
+    against the number of models at each omega, so that the GH class mass on
+    an active set equals each single-structure class's."""
+    k = n_active
+
+    def corrected(i: int) -> float:
+        corr = (1.0 - 2.0 ** (1 - k)) if i == 0 else 1.0
+        return _log_binom_pmf(i, k, q) + math.log(corr)
+
+    def log_count(i: int) -> float:
+        # models with i extra code-3 variables on a fixed active set of size k
+        return math.log(math.comb(k, i) * 2 ** (k - i) - (2 if i == 0 else 0))
+
+    terms = [log_count(i) - corrected(i) for i in range(k + 1)]
+    m = max(terms)
+    log_norm = math.log(sum(math.exp(v - m) for v in terms)) + m
+    return -corrected(omega - k) - log_norm + math.log(3 ** k - 2)
+
+
+def log_model_prior_reference(gamma: Gamma) -> float:
+    """Unnormalised log model prior by the general weighting: Beta-Binomial(1,
+    1) inclusion, the GH class split over its 3^k - 2 models, and the
+    effect-count correction at q = 1/3 (where it is exactly uniform)."""
+    beta_a = beta_b = 1.0
+    n_act = gamma.n_active
+    p0 = gamma.p - n_act
+    out = (math.lgamma(beta_a + n_act) + math.lgamma(beta_b + p0)
+           - math.lgamma(beta_a + n_act + beta_b + p0))
+    if classify(gamma) is not HazardClass.GH:
+        return out
+    out -= math.log(3 ** n_act - 2)
+    if n_act > 1:
+        out += _gh_effect_log_weight(n_act, n_act + gamma.count(3), 1.0 / 3.0)
+    return out
+
+
+def valid_idx_reference(codes: tuple) -> tuple | None:
+    """The GH add/delete indices of a code vector by case analysis, None for
+    any other class."""
+    if _class_of_codes(codes) is not HazardClass.GH:
+        return None
+    p1, p2, p3 = codes.count(1), codes.count(2), codes.count(3)
+    if p3 == 1:
+        rem_cls = _class_of_codes(tuple(c for c in codes if c != 3))
+        if rem_cls in (HazardClass.AH, HazardClass.PH):
+            return tuple(j for j, c in enumerate(codes) if c != 3)
+    if p3 == 0 and p1 > 1 and p2 == 1:
+        return tuple(j for j, c in enumerate(codes) if c != 2)
+    if p3 == 0 and p2 > 1 and p1 == 1:
+        return tuple(j for j, c in enumerate(codes) if c != 1)
+    if p3 == 0 and p1 == 1 and p2 == 1:
+        return tuple(j for j, c in enumerate(codes) if c == 0)
+    return tuple(range(len(codes)))
 
 
 # ---------------------------------------------------------------------------

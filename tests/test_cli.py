@@ -239,6 +239,44 @@ def test_data_on_which_no_model_can_be_fitted_is_rejected(tmp_path, capsys):
     assert "no model could be fitted" in capsys.readouterr().err
 
 
+def _fail_each_command(tmp_path, monkeypatch, table, out_dir, report):
+    """`enumerate --out table` and `select --out out_dir` on data no model can
+    be fitted to, and `replicate --out report` with every replicate failing:
+    each stops with exit 2."""
+    path = tmp_path / "tied.csv"
+    write_csv(path, [[1.0, 1, 0.0], [math.exp(2.220446049250313e-16), 1, 0.0]],
+              header=("time", "status", "x"))
+    assert run(["enumerate", path, "--out", table]) == 2
+    assert run(["select", path, "--out", out_dir]) == 2
+
+    def failing(*args, **kwargs):
+        raise ValueError("no chain")
+
+    monkeypatch.setattr(cli.sampler, "run_chain", failing)
+    assert run(["replicate", "--reps", "2", "--n", 50, "--p", 2, "--iters", "100",
+                "--burnin", "10", "--out", report]) == 2
+
+
+def test_failed_command_removes_the_output_it_created(tmp_path, capsys, monkeypatch):
+    """A failed command leaves none of the files or directories it created."""
+    _fail_each_command(tmp_path, monkeypatch, tmp_path / "e.csv",
+                       tmp_path / "new" / "dirs" / "select", tmp_path / "rep.json")
+    assert "all replicates failed" in capsys.readouterr().err
+    assert sorted(q.name for q in tmp_path.iterdir()) == ["tied.csv"]
+
+
+def test_failed_command_keeps_an_output_that_existed_before(tmp_path, monkeypatch):
+    """A failed command removes nothing that was there before it ran."""
+    table, out_dir, report = tmp_path / "e.csv", tmp_path / "select", tmp_path / "rep.json"
+    table.write_text("old\n")
+    report.write_text("old\n")
+    out_dir.mkdir()
+    (out_dir / "keep.txt").write_text("keep\n")
+    _fail_each_command(tmp_path, monkeypatch, table, out_dir, report)
+    assert table.is_file() and report.is_file()
+    assert [q.name for q in out_dir.iterdir()] == ["keep.txt"]
+
+
 def test_header_only_csv_is_rejected(tmp_path, capsys):
     path = tmp_path / "header.csv"
     write_csv(path, [])

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import ghsel
+import oracles
 from ghsel.modelspace import (Gamma, HazardClass, InvalidGammaError, classify,
                               effect_count, enumerate_models, get_valid_idx,
                               log_model_prior)
@@ -108,6 +110,26 @@ def test_get_valid_idx():
         get_valid_idx(Gamma((2, 2, 0)))
 
 
+def test_valid_idx_and_prior_match_their_references():
+    """On every code vector with p <= 6, the add/delete rule gives the case
+    analysis's indices and the closed-form prior the general weighting's
+    value."""
+    n_models = 0
+    for codes in itertools.chain.from_iterable(
+            itertools.product(range(5), repeat=p) for p in range(1, 7)):
+        if 4 in codes and set(codes) & {1, 2, 3}:
+            continue
+        g = Gamma(codes)
+        n_models += 1
+        expected = oracles.valid_idx_reference(codes)
+        if expected is None:
+            assert g.hazard_class is not HazardClass.GH
+        else:
+            assert get_valid_idx(g) == expected
+        assert abs(log_model_prior(g) - oracles.log_model_prior_reference(g)) <= 1e-14
+    assert n_models == sum(4 ** p + 2 ** p - 1 for p in range(1, 7))
+
+
 def test_replace_and_active():
     g = Gamma((0, 2, 0))
     assert g.replace(0, 3).key == "320"
@@ -122,6 +144,8 @@ def test_replace_and_active():
     for _ in range(2):
         with pytest.raises(InvalidGammaError):
             Gamma((4, 0, 0)).replace(1, 2)
+    with pytest.raises(IndexError):
+        Gamma((0, 2, 0)).replace(3, 1)
 
 
 _STATE_TABLES = """
@@ -139,8 +163,9 @@ print(json.dumps(out, sort_keys=True))
 
 
 def test_state_tables_do_not_depend_on_visit_order():
-    """Each model's memoised class, move table and valid indices, built in a
-    fresh process in enumeration order and in reverse order, are equal."""
+    """Each model's memoised class and move table, and its valid indices,
+    built in a fresh process in enumeration order and in reverse order, are
+    equal."""
     keys = [g.key for g in enumerate_models(3)]
     env = {**os.environ, "PYTHONPATH": str(Path(ghsel.__file__).parents[1])}
     runs = [json.loads(subprocess.run(

@@ -5,6 +5,11 @@ the truths and flags of `bench/workloads.py`):
 
 - `select --robust-g --iters 400 --burnin 100` on the gh datasets (5, 0),
   (5, 1), (71, 0), (31, 0), (32, 2) and (7, 0);
+- on the gh dataset (71, 0), `enumerate --robust-g`, which scores every
+  model and so every GH prior term (about 3 s);
+- on the gh dataset (5, 0), the `select` above with `--chains 2
+  --screening-init`, which scores the extra chain's start and the
+  screening start;
 - on the aft datasets (20, 0), (5, 1) and (71, 0): `select --prior product
   --baseline t2 --iters 50000 --burnin 5000`, and `enumerate --prior product
   --baseline t2` with and without `--no-standardize`;
@@ -37,6 +42,9 @@ from workloads import WORKLOADS, chain_seed  # noqa: E402
 
 GH_DATASETS = ((5, 0), (5, 1), (71, 0), (31, 0), (32, 2), (7, 0))
 AFT_DATASETS = ((20, 0), (5, 1), (71, 0))
+# (workload, dataset) -> the flag sets of its extra `select` or `enumerate` commands
+EXTRA_SELECT = {("gh-n5000-p4-robustg", (5, 0)): (("--chains", "2", "--screening-init"),)}
+EXTRA_ENUMERATE = {("gh-n5000-p4-robustg", (71, 0)): ((),)}
 REPLICATE_SEED = 300
 
 
@@ -49,17 +57,19 @@ def _commands(tmp: Path):
             tag = f"{wl_name}-{gen_seed[0]}-{gen_seed[1]}"
             path = tmp / f"{tag}.csv"
             write_csv(path, *generate(gen_seed, wl.n, wl.p, wl.truth))
-            out = tmp / f"{tag}-select"
-            yield (f"{tag} select", ["select", path, "--out", out, "--seed",
-                                     chain_seed(gen_seed), *wl.model_flags, *wl.chain_flags],
-                   [out / name for name in ("summary.json", "trace.jsonl",
-                                            "model_probs.csv", "pip.csv")])
-            if wl.enumerate:
-                for extra in ((), ("--no-standardize",)):
-                    table = tmp / f"{tag}-enumerate{''.join(extra)}.csv"
-                    yield (f"{tag} enumerate{' '.join(('',) + extra)}",
-                           ["enumerate", path, "--out", table, *wl.model_flags, *extra],
-                           [table])
+            for extra in ((),) + EXTRA_SELECT.get((wl_name, gen_seed), ()):
+                out = tmp / f"{tag}-select{''.join(extra)}"
+                yield (f"{tag} select{' '.join(('',) + extra)}",
+                       ["select", path, "--out", out, "--seed", chain_seed(gen_seed),
+                        *wl.model_flags, *wl.chain_flags, *extra],
+                       [out / name for name in ("summary.json", "trace.jsonl",
+                                                "model_probs.csv", "pip.csv")])
+            enumerates = ((), ("--no-standardize",)) if wl.enumerate else ()
+            for extra in enumerates + EXTRA_ENUMERATE.get((wl_name, gen_seed), ()):
+                table = tmp / f"{tag}-enumerate{''.join(extra)}.csv"
+                yield (f"{tag} enumerate{' '.join(('',) + extra)}",
+                       ["enumerate", path, "--out", table, *wl.model_flags, *extra],
+                       [table])
     wl = WORKLOADS["replicate-ah-w2"]
     for workers in (1, 2):
         report = tmp / f"replicate-w{workers}.json"
