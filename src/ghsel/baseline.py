@@ -4,7 +4,8 @@ Each kernel is a symmetric density f on the real line; the censored-data
 likelihood consumes log f, log F(-u) and the five ratio functions
 f/F(-u), f'/f, f''/f, f'/F(-u) built from it.  All functions accept
 scalars or numpy arrays and are safe far into the tails (|u| up to a few
-hundred) without catastrophic cancellation.
+hundred) without catastrophic cancellation.  `newton_terms` gives the five
+terms a likelihood pass needs in one call, from shared intermediates.
 
 Everything is NumPy.  The normal kernel rests on one function,
 S(x) = Phi(-x) exp(x^2/2) = erfcx(x/sqrt(2))/2 for x >= 0, evaluated in a
@@ -148,8 +149,10 @@ def ratio_fsecond_over_f(u, kernel: Kernel):
     elif kernel is Kernel.LOGISTIC:
         out = 1.0 - 3.0 / (np.cosh(u) + 1.0)
     elif kernel is Kernel.SECH:
-        # (pi^2/8)(cosh(pi u) - 3) sech^2(pi u / 2) == (pi^2/4)(1 - 2 sech^2(pi u / 2))
-        sech2 = 1.0 / np.cosh(0.5 * np.pi * u) ** 2
+        # (pi^2/8)(cosh(pi u) - 3) sech^2(pi u / 2) == (pi^2/4)(1 - 2 sech^2(pi u / 2)),
+        # with sech^2 x = 4 e^(-2|x|) / (1 + e^(-2|x|))^2, which cannot overflow
+        e = np.exp(-np.pi * np.abs(u))
+        sech2 = 4.0 * e / (1.0 + e) ** 2
         out = 0.25 * np.pi ** 2 * (1.0 - 2.0 * sech2)
     elif kernel is Kernel.STUDENT_T2:
         out = 6.0 * (2.0 * u * u - 1.0) / (u * u + 2.0) ** 2
@@ -163,6 +166,43 @@ def ratio_fprime_over_Fneg(u, kernel: Kernel):
     # stable forms is itself stable.
     out = _as_array(ratio_fprime_over_f(u, kernel)) * _as_array(ratio_f_over_Fneg(u, kernel))
     return out if out.shape else float(out)
+
+
+def newton_terms(u, kernel: Kernel) -> tuple:
+    """(log f, log F(-u), f/F(-u), f'/f, f''/f) at a 1-d array u: the terms
+    a likelihood pass needs, equal to those of the single functions above.
+    The normal kernel takes one S(|u|) for log F(-u) and f/F(-u), the t2
+    kernel one sqrt(u^2 + 2) for all five; the logistic and sech kernels
+    compose the single functions."""
+    if kernel is Kernel.NORMAL:
+        s = _normal_tail(np.abs(u))
+        h = -0.5 * u * u
+        lf = h - _HALF_LOG_2PI
+        with np.errstate(divide="ignore"):  # S(inf) = 0
+            pos = np.log(s)
+        pos += h  # u > 0: log S(u) - u^2/2
+        e = np.exp(h)
+        es = e * s
+        right = u >= 0
+        # u <= 0: log(1 - Phi(u)) and phi(u)/(1 - Phi(u)), Phi(u) = S(|u|) e
+        lF = np.where(u > 0, pos, np.log1p(-es))
+        r1 = np.where(right, 1.0, e) / (_SQRT_2PI * np.where(right, s, 1.0 - es))
+        return lf, lF, r1, -u, u * u - 1.0
+    if kernel is Kernel.STUDENT_T2:
+        s2 = u * u + 2.0
+        s = np.sqrt(s2)
+        a = np.abs(u)
+        sa = s + a
+        right = u >= 0
+        # F(-u) = (1 - u/s)/2; for u >= 0, 1 - u/s = 2/(s(s+u))
+        lF = np.where(right, -np.log(s * sa), np.log(0.5) + np.log1p(a / s))
+        r1 = np.where(right, sa / s2, 2.0 / (s2 * sa))
+        return (-1.5 * np.log(s2), lF, r1, -3.0 * u / s2,
+                6.0 * (2.0 * u * u - 1.0) / (s2 * s2))
+    lf, lF = log_f(u, kernel), log_F_neg(u, kernel)
+    r1 = np.exp(lf - lF) if kernel is Kernel.SECH else ratio_f_over_Fneg(u, kernel)
+    return (lf, lF, r1, ratio_fprime_over_f(u, kernel),
+            ratio_fsecond_over_f(u, kernel))
 
 
 # ---------------------------------------------------------------------------

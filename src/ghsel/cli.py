@@ -21,6 +21,7 @@ import ctypes
 import functools
 import json
 import math
+import os
 import shutil
 import sys
 from dataclasses import replace
@@ -47,6 +48,9 @@ class CliError(Exception):
 # ---------------------------------------------------------------------------
 # dataset I/O
 
+_STATUS = ("0", "1", "0.0", "1.0")
+
+
 def read_dataset(path: str) -> Dataset:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -59,29 +63,14 @@ def read_dataset(path: str) -> Dataset:
         names = tuple(header[2:])
         if not names:
             raise CliError(f"{path}: no covariate columns")
-        t, delta, rows = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise CliError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            try:
-                ti, *xs = map(float, (row[0], *row[2:]))
-            except ValueError:
-                raise CliError(f"{path}:{lineno}: non-numeric value") from None
-            if not (ti > 0 and math.isfinite(ti)):
-                raise CliError(f"{path}:{lineno}: time must be positive and finite, got {row[0]}")
-            if row[1] not in ("0", "1", "0.0", "1.0"):
-                raise CliError(f"{path}:{lineno}: status must be 0 or 1, got {row[1]!r}")
-            if not all(map(math.isfinite, xs)):
-                raise CliError(f"{path}:{lineno}: covariates must be finite")
-            t.append(ti)
-            delta.append(float(row[1]))
-            rows.append(xs)
+        rows = [(lineno, row) for lineno, row in enumerate(reader, start=2) if row]
     if not rows:
         raise CliError(f"{path}: no data rows")
-    X = np.asarray(rows, dtype=float)
-    n_events = int(sum(delta))
+    try:
+        t, delta, X = _parse_rows([row for _, row in rows], len(header))
+    except ValueError:
+        t, delta, X = _scan_rows(path, rows, len(header))
+    n_events = int(delta.sum())
     if n_events == 0:
         # every fit would report converged and the posterior would be the
         # model prior reshaped by Occam factors
@@ -90,7 +79,43 @@ def read_dataset(path: str) -> Dataset:
         # even the null model has two parameters, more than the events, so
         # no model could be fitted
         raise CliError(f"{path}: only one event; at least 2 are needed")
-    return Dataset(t=np.asarray(t), delta=np.asarray(delta), X=X, names=names)
+    return Dataset(t=t, delta=delta, X=X, names=names)
+
+
+def _parse_rows(rows: list, width: int) -> tuple:
+    """(t, delta, X) of the data rows, parsed and checked as arrays; a
+    ValueError if any row is not a valid observation."""
+    values = np.array(rows, dtype=float)  # parses as float() does
+    if values.ndim != 2 or values.shape[1] != width:
+        raise ValueError("rows of the wrong length")
+    t, X = values[:, 0], values[:, 2:]
+    if not ({row[1] for row in rows} <= set(_STATUS)
+            and ((t > 0) & np.isfinite(t)).all() and np.isfinite(X).all()):
+        raise ValueError("invalid rows")
+    return t, values[:, 1], X
+
+
+def _scan_rows(path: str, rows: list, width: int) -> tuple:
+    """`_parse_rows` one row at a time: the CliError names the first bad
+    line and what is wrong with it."""
+    t, delta, X = [], [], []
+    for lineno, row in rows:
+        if len(row) != width:
+            raise CliError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
+        try:
+            ti, *xs = map(float, (row[0], *row[2:]))
+        except ValueError:
+            raise CliError(f"{path}:{lineno}: non-numeric value") from None
+        if not (ti > 0 and math.isfinite(ti)):
+            raise CliError(f"{path}:{lineno}: time must be positive and finite, got {row[0]}")
+        if row[1] not in _STATUS:
+            raise CliError(f"{path}:{lineno}: status must be 0 or 1, got {row[1]!r}")
+        if not all(map(math.isfinite, xs)):
+            raise CliError(f"{path}:{lineno}: covariates must be finite")
+        t.append(ti)
+        delta.append(float(row[1]))
+        X.append(xs)
+    return np.array(t), np.array(delta), np.array(X)
 
 
 def write_dataset(path: str, data: Dataset):
@@ -279,6 +304,26 @@ def _summary_payload(model_probs_freq, model_probs_renorm, pips, level, scorer, 
     return payload
 
 
+@contextlib.contextmanager
+def _output_file(out):
+    """The open file a command writes its output `out` through, or None
+    without an output path.  The path is checked before any work, by opening
+    it to append, which leaves an existing file as it is; the command writes
+    a temporary file beside it, which replaces it once the command has
+    succeeded.  So a failed command leaves an existing file unchanged."""
+    if not out:
+        yield None
+        return
+    open(out, "a").close()
+    tmp = Path(out).with_name(f".{Path(out).name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "x", newline="", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, out)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _write_json(fh, payload):
     json.dump(payload, fh, sort_keys=True, indent=2)
     fh.write("\n")
@@ -375,9 +420,7 @@ def cmd_enumerate(args, opts) -> int:
         raise CliError(f"enumeration over p={data.p} exceeds cap {ENUMERATION_CAP}; "
                        f"pass --force to override")
     scorer = _scorer(data, opts)
-    # a bad output path stops before any model is scored
-    with (open(args.out, "w", newline="", encoding="utf-8") if args.out
-          else contextlib.nullcontext()) as fh:
+    with _output_file(args.out) as fh:
         rows = []
         for gamma in enumerate_models(data.p, cap=max(data.p, ENUMERATION_CAP)):
             rec = scorer.score(gamma)
@@ -455,9 +498,7 @@ def cmd_replicate(args, opts) -> int:
                 "rho": sim_cfg.rho, "censoring": sim_cfg.target_censoring}
     jobs = [(opts, sim_cfg, opts["seed"] + 1000 * r) for r in range(args.reps)]
     results, failures = [], []
-    # a bad output path stops before any replicate runs
-    with (open(args.out, "w", encoding="utf-8") if args.out
-          else contextlib.nullcontext()) as fh:
+    with _output_file(args.out) as fh:
         with contextlib.ExitStack() as stack:
             if args.workers > 1:
                 import concurrent.futures as cf

@@ -7,13 +7,15 @@ eta = exp(-nu) * theta.
 
 Each observation's term depends on Psi only through two linear predictors,
 u = exp(nu) log t - theta0 - Xt theta and lin = exp(-nu) Xt theta - Xh eta
-(identically zero for tied-effect and null models).  A pass takes each
-term's first and second derivatives in (u, lin) from the kernel functions,
-and the chain rule maps them to Psi: the gradients of u and lin are linear
-in the row z = (log t, 1, x) of the model's columns, so the gradient is one
-product with the design matrix Z, the first rows of the table of column
-products Z_a Z_b, and the Hessian one product with that table, plus the
-terms of the second derivatives of u and lin in nu.
+(identically zero for tied-effect and null models).  Both are one product
+of a small coefficient matrix with the design matrix Z, whose rows are
+z = (log t, 1, x) over the model's columns.  A pass takes each term's first
+and second derivatives in (u, lin) from one call of the kernel's terms
+(`baseline.newton_terms`), and the chain rule maps them to Psi: the
+gradients of u and lin are linear in z, so one product of the stacked
+derivative rows with the table of column products Z_a Z_b (whose first
+rows are Z) gives both the gradient's sums and the Hessian's, to which the
+terms of the second derivatives of u and lin in nu are added.
 
 `evaluate` is the one likelihood pass: a fit builds the model's `Design`
 once and calls it for the value, gradient and Hessian together.
@@ -21,6 +23,7 @@ once and calls it for the value, gradient and Hessian together.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -186,72 +189,77 @@ def evaluate(des: Design, psi):
     """Log-likelihood at psi with its gradient and Hessian: (value, grad,
     hess).
 
-    One pass computes the linear predictors u and lin and the kernel
-    functions once.  Each observation's term
+    One pass computes the linear predictors u and lin and the kernel's
+    terms once.  Each observation's term
     delta (nu - log t + lin + log f(u)) + (exp(lin) - delta) log F(-u)
     is differentiated once and twice in (u, lin), and the chain rule through
-    the design's tables gives the gradient and Hessian in Psi.
+    the design's tables gives the gradient and Hessian in Psi.  lin is
+    clipped at +-LINPRED_CLAMP only where it reaches that far.
     """
     psi = np.asarray(psi, dtype=float).reshape(-1)
     if psi.shape[0] != des.dim:
         raise DimensionError(f"psi has length {psi.shape[0]}, model needs {des.dim}")
-    data, kernel, q = des.data, des.kernel, des.q
+    data, q = des.data, des.q
     delta = data.delta
-    nu, theta0, theta = float(psi[0]), float(psi[1]), psi[2:2 + q]
+    nu, theta = float(psi[0]), psi[2:2 + q]
     e_nu, e_mnu = np.exp(nu), np.exp(-nu)
-    a = des.Xt @ theta
-    u = e_nu * data.log_t - a - theta0
-    lf = baseline.log_f(u, kernel)
-    lF = baseline.log_F_neg(u, kernel)
-    val = data.n_events * nu - data.delta_log_t
+    k = 2 if des.has_lin else 1
+    jac = des.jac.copy()
+    jac[0, 0] = e_nu
     if des.has_lin:
-        lin_raw = e_mnu * a - des.Xh @ psi[2 + q:]
-        lin = np.clip(lin_raw, -LINPRED_CLAMP, LINPRED_CLAMP)
+        jac[des.theta_idx] = e_mnu
+        jac[0, des.theta_idx[1]] = -e_mnu * theta
+    # u and lin are linear in (theta0, theta, eta): their coefficients on Z's
+    # rows are psi's products with the Jacobian, but for exp(nu) on log t
+    coef = psi[1:] @ jac[1:]
+    coef[0] = e_nu
+    m = coef.size // k
+    ul = coef.reshape(k, m) @ des.pairs[:m]
+    u = ul[0]
+    lf, lF, r1, rp, rs = baseline.newton_terms(u, des.kernel)
+    val = data.n_events * nu - data.delta_log_t
+    live = None
+    if des.has_lin:
+        lin = ul[1]
+        if not (lin.max() <= LINPRED_CLAMP and lin.min() >= -LINPRED_CLAMP):
+            live = np.abs(lin) <= LINPRED_CLAMP
+            lin = np.clip(lin, -LINPRED_CLAMP, LINPRED_CLAMP)
         v = np.exp(lin)
         val = val + float(delta @ lin)
     else:
         v = 1.0
     vd = v - delta
     val = val + float(delta @ lf) + float(lF @ vd)
-    if not np.isfinite(val):
+    if not math.isfinite(val):
         val = -np.inf
 
-    # f/F(-u) from the two logs the value needed; far in the right tail both
-    # logs are large and nearly equal, so there the ratio is evaluated directly
-    r1 = np.exp(lf - lF)
-    tail = u > 30.0
-    if tail.any():
-        r1[tail] = baseline.ratio_f_over_Fneg(u[tail], kernel)
-    rp = baseline.ratio_fprime_over_f(u, kernel)
-    # rows: the first derivatives in u and lin (d1), the second in (u, u),
-    # (u, lin) and (lin, lin) (d2); where the clip is active lin is constant,
-    # so every term through it is zero there
-    k = 2 if des.has_lin else 1
-    d1 = np.empty((k, data.n))
-    np.multiply(delta, rp, out=d1[0])
-    d1[0] -= r1 * vd
-    jac = des.jac.copy()
-    jac[0, 0] = e_nu
+    # rows: the first derivatives in u and lin, then the second in (u, u),
+    # (u, lin) and (lin, lin); where the clip is active lin is constant, so
+    # every term through it is zero there
+    D = np.empty((3 * k - 1, data.n))
+    r1vd = r1 * vd
+    np.multiply(delta, rp, out=D[0])
+    D[0] -= r1vd
+    d2 = D[k]
+    np.multiply(rp, rp, out=d2)
+    np.subtract(rs, d2, out=d2)
+    d2 *= delta
+    rp += r1  # rp is not needed after this row
+    rp *= r1vd
+    d2 -= rp
     if des.has_lin:
-        live = lin == lin_raw
-        v_live = v * live
-        l_ll = lF * v_live
-        np.multiply(delta, live, out=d1[1])
-        d1[1] += l_ll
-        jac[des.theta_idx] = e_mnu
-        jac[0, des.theta_idx[1]] = -e_mnu * theta
-    z = d1 @ des.pairs[:des.jac.shape[1] // k].T  # Z' l_u (and Z' l_lin)
+        np.multiply(lF, v, out=D[4])
+        np.add(delta, D[4], out=D[1])
+        np.multiply(r1, v, out=D[3])
+        np.negative(D[3], out=D[3])
+        if live is not None:
+            D[1] *= live
+            D[3:] *= live
+    W = D @ des.pairs.T
+    z = W[:k, :m]  # Z' l_u (and Z' l_lin)
     g = jac @ z.ravel()
     g[0] += data.n_events
-
-    rs = baseline.ratio_fsecond_over_f(u, kernel)
-    d2 = np.empty((2 * k - 1, data.n))
-    np.multiply(delta, rs - rp * rp, out=d2[0])
-    d2[0] -= (rp * r1 + r1 * r1) * vd
-    if des.has_lin:
-        d2[1] = -r1 * v_live
-        d2[2] = l_ll
-    H = jac @ (d2 @ des.pairs.T).ravel()[des.w_index] @ jac.T
+    H = jac @ W[k:].ravel()[des.w_index] @ jac.T
     # the second derivatives of u and lin: exp(nu) log t in (nu, nu), and
     # exp(-nu) Xt theta in (nu, nu) and -exp(-nu) Xt in (nu, theta) for lin
     H[0, 0] += e_nu * z[0, 0]

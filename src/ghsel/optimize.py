@@ -72,32 +72,34 @@ def _ascent_step(g: np.ndarray, H: np.ndarray) -> np.ndarray | None:
     largest diagonal entry of -H) at which the Cholesky factorisation
     succeeds.  None if the derivatives are not finite or the damped system
     is numerically singular."""
-    if not (np.all(np.isfinite(g)) and np.all(np.isfinite(H))):
+    if not (np.isfinite(g).all() and np.isfinite(H).all()):
         return None
     A = -H
-    scale = max(1.0, float(np.max(np.abs(np.diag(A)))))
-    lam = 0.0
-    while lam < 1e20 * scale:
-        damped = A + lam * np.eye(A.shape[0]) if lam else A
-        try:
-            np.linalg.cholesky(damped)
-        except np.linalg.LinAlgError:
-            if lam:
+    try:
+        np.linalg.cholesky(A)
+        damped = A
+    except np.linalg.LinAlgError:
+        # values up to minus the smallest eigenvalue cannot succeed
+        scale = max(1.0, float(np.max(np.abs(np.diag(A)))))
+        shift = -float(np.linalg.eigvalsh(A)[0])
+        lam = 1e-10 * scale
+        while lam <= shift:
+            lam *= 10.0
+        while lam < 1e20 * scale:
+            damped = A + lam * np.eye(A.shape[0])
+            try:
+                np.linalg.cholesky(damped)
+                break
+            except np.linalg.LinAlgError:
                 lam *= 10.0
-                continue
-            # values up to minus the smallest eigenvalue cannot succeed
-            shift = -float(np.linalg.eigvalsh(A)[0])
-            lam = 1e-10 * scale
-            while lam <= shift:
-                lam *= 10.0
-            continue
-        try:
-            return np.linalg.solve(damped, g)
-        except np.linalg.LinAlgError:
-            # rows of A many orders of magnitude apart (a clipped linear
-            # predictor) can pass the factorisation and fail elimination
+        else:
             return None
-    return None
+    try:
+        return np.linalg.solve(damped, g)
+    except np.linalg.LinAlgError:
+        # rows of A many orders of magnitude apart (a clipped linear
+        # predictor) can pass the factorisation and fail elimination
+        return None
 
 
 def _maximise(evaluate, x0: np.ndarray) -> FitRecord:
@@ -189,17 +191,18 @@ def fit_map(gamma: Gamma, data: Dataset, kernel: Kernel,
             coef_prior: priors.CoefficientPrior,
             init: np.ndarray | None = None) -> FitRecord:
     """MAP fit under the product prior: the log-likelihood plus
-    `priors.map_log_prior`, whose Gram blocks are factorised once per fit.
+    `priors.map_prior`, whose Gram blocks are factorised and whose constant
+    parts are built once per fit.
     Raises priors.RankDeficiencyError if a Gram block is singular."""
     unfit = _too_few_events(gamma, data)
     if unfit is not None:
         return unfit
     des = ghlik.design(gamma, data, kernel)
-    P, log_norm = priors.product_prior_gaussian(gamma, data, coef_prior)
+    log_prior = priors.map_prior(*priors.product_prior_gaussian(gamma, data, coef_prior))
 
     def evaluate(x):
         f, g, H = ghlik.evaluate(des, x)
-        pf, pg, pH = priors.map_log_prior(x, P, log_norm)
+        pf, pg, pH = log_prior(x)
         return f + pf, g + pg, H + pH
 
     return _maximise(evaluate, _start(gamma, data, init))

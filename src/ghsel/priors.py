@@ -11,7 +11,7 @@ hazard-level blocks with covariances built from the two Gram matrices; tied
 (code-4) models keep only the time-level factor.  `product_prior_gaussian`
 builds that Gaussian once per model, and `map_log_prior` gives the MAP fit's
 whole prior (the common prior plus that Gaussian) with its gradient and
-Hessian in one pass.
+Hessian in one pass; `map_prior` builds its constant parts once per fit.
 """
 
 from __future__ import annotations
@@ -99,19 +99,33 @@ def map_log_prior(psi: np.ndarray, P: np.ndarray, log_norm: float) -> tuple:
     hess).  Gamma(NU_SHAPE, NU_RATE) on exp(nu), N(0, THETA0_VAR) on theta0,
     and the coefficients' Gaussian with precision P and log normalising
     constant log_norm, as `product_prior_gaussian` returns them."""
-    nu, theta0, coef = float(psi[0]), float(psi[1]), psi[2:]
+    return map_prior(P, log_norm)(psi)
+
+
+def map_prior(P: np.ndarray, log_norm: float):
+    """`map_log_prior` for one precision P and constant log_norm, as a
+    function of psi; its constant terms and Hessian are built here, once."""
     a, b, K = NU_SHAPE, NU_RATE, THETA0_VAR
-    b_e_nu = b * math.exp(nu)
-    lp_nu = a * math.log(b) + a * nu - b_e_nu - math.lgamma(a)
-    lp_t0 = -0.5 * (LOG_2PI + math.log(K)) - 0.5 * theta0 * theta0 / K
-    Pc = P @ coef
-    value = (lp_nu + lp_t0) + log_norm - 0.5 * float(coef @ Pc)
-    grad = np.concatenate(([a - b_e_nu, -theta0 / K], -Pc))
-    hess = np.zeros((grad.size, grad.size))
-    hess[0, 0] = -b_e_nu
-    hess[1, 1] = -1.0 / K
-    hess[2:, 2:] = -P
-    return value, grad, hess
+    a_log_b, lgamma_a = a * math.log(b), math.lgamma(a)
+    lp_t0_const = -0.5 * (LOG_2PI + math.log(K))
+    d = P.shape[0] + 2
+    hess0 = np.zeros((d, d))
+    hess0[1, 1] = -1.0 / K
+    hess0[2:, 2:] = -P
+
+    def evaluate(psi):
+        nu, theta0, coef = float(psi[0]), float(psi[1]), psi[2:]
+        b_e_nu = b * math.exp(nu)
+        lp_nu = a_log_b + a * nu - b_e_nu - lgamma_a
+        lp_t0 = lp_t0_const - 0.5 * theta0 * theta0 / K
+        Pc = P @ coef
+        value = (lp_nu + lp_t0) + log_norm - 0.5 * float(coef @ Pc)
+        grad = np.concatenate(([a - b_e_nu, -theta0 / K], -Pc))
+        hess = hess0.copy()
+        hess[0, 0] = -b_e_nu
+        return value, grad, hess
+
+    return evaluate
 
 
 # ---------------------------------------------------------------------------

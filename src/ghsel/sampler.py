@@ -14,6 +14,11 @@ its move probabilities, and one tree per move whose nodes hold the arguments
 of the next draw and whose leaves hold the finished proposal with its log
 Hastings ratio.  The move rules fill a path the first time a step draws it;
 every later step makes the same draws and looks the proposal up.
+
+A chain draws from NumPy's PCG64 stream of its spawned generator, read in
+blocks of raw 64-bit words by `_BlockReader`, which returns exactly what the
+generator's scalar `random()` and `integers()` calls would; so `--seed`
+gives the same chains as drawing from the generator itself.
 """
 
 from __future__ import annotations
@@ -83,19 +88,16 @@ _PATHS: dict = {}  # Gamma -> its proposal table; models are interned, so one pe
 
 
 def _paths(gamma: Gamma) -> tuple:
-    """One model's proposal table: the running sums over `_MOVE_ORDER` that
-    the move draw is compared with, accumulated in that order; the index of
-    the last move with positive probability; and a dict from a move's index
-    to its path tree.  A node of a tree is a pair: the arguments of the
+    """One model's proposal table, built on its first proposal: the running
+    sums over `_MOVE_ORDER` that the move draw is compared with, accumulated
+    in that order; the index of the last move with positive probability; and
+    a dict from a move's index to its path tree.  A node of a tree is a pair: the arguments of the
     step's next `rng.integers` call, and a dict from each value it has
     returned to the subtree below; a leaf is the proposal."""
-    table = _PATHS.get(gamma)
-    if table is None:
-        dist = move_distribution(gamma)
-        table = _PATHS.setdefault(gamma, (
-            tuple(itertools.accumulate(dist.get(mk, 0.0) for mk in _MOVE_ORDER)),
-            max(i for i, mk in enumerate(_MOVE_ORDER) if mk in dist), {}))
-    return table
+    dist = move_distribution(gamma)
+    return _PATHS.setdefault(gamma, (
+        tuple(itertools.accumulate(dist.get(mk, 0.0) for mk in _MOVE_ORDER)),
+        max(i for i, mk in enumerate(_MOVE_ORDER) if mk in dist), {}))
 
 
 def propose(gamma: Gamma, rng: np.random.Generator) -> Proposal:
@@ -104,7 +106,7 @@ def propose(gamma: Gamma, rng: np.random.Generator) -> Proposal:
     The draws are those of the move rules, in their order and with their
     bounds: the path tree supplies the arguments of each draw, and its leaf
     the proposal.  A path not drawn before is filled by the move rules."""
-    cum, last, trees = _paths(gamma)
+    cum, last, trees = _PATHS.get(gamma) or _paths(gamma)
     i = bisect.bisect_right(cum, rng.random())
     if i == len(_MOVE_ORDER):
         i = last
@@ -112,8 +114,9 @@ def propose(gamma: Gamma, rng: np.random.Generator) -> Proposal:
     drawn = []
     while node.__class__ is tuple:
         args, branches = node
-        drawn.append(int(rng.integers(*args)))
-        node = branches.get(drawn[-1])
+        x = int(rng.integers(*args))
+        drawn.append(x)
+        node = branches.get(x)
     return node if node is not None else _fill(gamma, i, trees, drawn, rng)
 
 
@@ -270,6 +273,71 @@ def _move_rules(gamma: Gamma, move: MoveKind, rng) -> Proposal:
 # ---------------------------------------------------------------------------
 # chain driver
 
+_BLOCK = 1024  # raw words read from the bit generator at a time
+
+
+class _BlockReader:
+    """A PCG64 generator's scalar `random()` and `integers()` draws, read
+    from its stream in blocks of raw 64-bit words.
+
+    `random()` is NumPy's (w >> 11) * 2**-53.  `integers(k)` and
+    `integers(lo, hi)` are NumPy's bounded draws on its 32-bit path: Lemire's
+    multiply-and-reject on 32-bit draws, each word giving its low half first
+    and keeping its high half for the next 32-bit draw, and no draw at all
+    for a range of one value.  A range wider than 2**32 would take NumPy's
+    64-bit path, which the chain never needs; it raises ValueError."""
+
+    def __init__(self, rng: np.random.Generator):
+        self._bits = rng.bit_generator
+        state = self._bits.state
+        self._half = state["uinteger"] if state["has_uint32"] else None
+        self._words, self._i = None, _BLOCK
+
+    def _refill(self) -> int:
+        self._words, self._i = self._bits.random_raw(_BLOCK).tolist(), 1
+        return self._words[0]
+
+    def random(self) -> float:
+        i = self._i
+        if i < _BLOCK:
+            self._i = i + 1
+            return (self._words[i] >> 11) * 2.0 ** -53
+        return (self._refill() >> 11) * 2.0 ** -53
+
+    def _uint32(self) -> int:
+        x = self._half
+        if x is not None:
+            self._half = None
+            return x
+        i = self._i
+        if i < _BLOCK:
+            self._i = i + 1
+            w = self._words[i]
+        else:
+            w = self._refill()
+        self._half = w >> 32
+        return w & 0xFFFFFFFF
+
+    def integers(self, lo: int, hi: int | None = None) -> int:
+        if hi is None:
+            lo, hi = 0, lo
+        excl = hi - lo
+        if excl <= 1:
+            if excl < 1:
+                raise ValueError("high <= low")
+            return lo
+        if excl >= 1 << 32:
+            if excl > 1 << 32:
+                raise ValueError("range wider than 2**32: NumPy's 64-bit path")
+            return lo + self._uint32()
+        m = self._uint32() * excl
+        if m & 0xFFFFFFFF < excl:
+            threshold = (1 << 32) % excl  # (2**32 - excl) % excl
+            while m & 0xFFFFFFFF < threshold:
+                m = self._uint32() * excl
+        return lo + (m >> 32)
+
+
 class ImpossibleStartError(ValueError):
     """A chain's starting model has no finite score (its fit failed)."""
 
@@ -379,7 +447,8 @@ def run_chain(data: Dataset, kernel: Kernel,
     trace = ChainTrace()
     root = np.random.default_rng(config.seed)
     streams = root.spawn(config.n_chains)
-    for chain_idx, rng in enumerate(streams):
+    for chain_idx, stream in enumerate(streams):
+        rng = _BlockReader(stream)
         if config.init_gamma is not None:
             gamma = config.init_gamma
         elif config.screening_init:

@@ -162,3 +162,19 @@ def test_logistic_closed_forms_are_stable():
     _assert_rel(baseline.ratio_f_over_Fneg(u, Kernel.LOGISTIC), special.expit(u), 1e-15)
     p = np.array([1e-300, 1e-10, 0.2, 0.25, 0.5 - 1e-12, 0.5, 0.7, 1.0 - 1e-16])
     _assert_rel(baseline.quantile(p, Kernel.LOGISTIC), special.logit(p), 1e-14)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_newton_terms_match_the_single_functions(kernel):
+    """One `newton_terms` call gives log f, log F(-u), f/F(-u), f'/f and f''/f
+    as the single functions give them, on a grid of |u| <= 300."""
+    u = np.concatenate((np.linspace(-300.0, 300.0, 6001), np.linspace(-40.0, 40.0, 8001),
+                        [0.0, -0.0, 1e-300, -1e-300, 30.0, 37.5]))
+    singles = (baseline.log_f, baseline.log_F_neg, baseline.ratio_f_over_Fneg,
+               baseline.ratio_fprime_over_f, baseline.ratio_fsecond_over_f)
+    for got, single in zip(baseline.newton_terms(u, kernel), singles):
+        want = single(u, kernel)
+        assert np.array_equal(np.isfinite(got), np.isfinite(want)), single.__name__
+        finite = np.isfinite(want)
+        np.testing.assert_allclose(got[finite], want[finite], rtol=1e-13, atol=0,
+                                   err_msg=single.__name__)

@@ -277,6 +277,34 @@ def test_failed_command_keeps_an_output_that_existed_before(tmp_path, monkeypatc
     assert [q.name for q in out_dir.iterdir()] == ["keep.txt"]
 
 
+@pytest.mark.parametrize("command", ["enumerate", "replicate"])
+def test_out_file_is_replaced_only_on_success(tmp_path, monkeypatch, command):
+    """`enumerate --out F` and `replicate --out F` write F through a
+    temporary file beside it: a failed command leaves an existing F as it
+    was, a successful one replaces it, and neither leaves the temporary file."""
+    out = tmp_path / "out.txt"
+    out.write_text("old table\n")
+    if command == "enumerate":
+        bad, good = tmp_path / "tied.csv", tmp_path / "five.csv"
+        write_csv(bad, [[1.0, 1, 0.0], [math.exp(2.220446049250313e-16), 1, 0.0]],
+                  header=("time", "status", "x"))
+        write_csv(good, FIVE_ROWS, header=("time", "status", "a", "b", "c"))
+        failed, ok = ["enumerate", bad, "--out", out], ["enumerate", good, "--out", out]
+    else:
+        argv = ["replicate", "--reps", "2", "--n", 50, "--p", 2, "--iters", "100",
+                "--burnin", "10", "--out", out]
+        failed, ok = argv, argv
+    with monkeypatch.context() as patch:
+        if command == "replicate":
+            patch.setattr(cli.sampler, "run_chain", lambda *a, **k: 1 / 0)
+        assert run(failed) == 2
+    assert out.read_text() == "old table\n"
+    assert [q.name for q in tmp_path.iterdir() if q.name.startswith(".")] == []
+    assert run(ok) == 0
+    assert out.read_text().startswith("gamma," if command == "enumerate" else "{")
+    assert [q.name for q in tmp_path.iterdir() if q.name.startswith(".")] == []
+
+
 def test_header_only_csv_is_rejected(tmp_path, capsys):
     path = tmp_path / "header.csv"
     write_csv(path, [])

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from ghsel.baseline import Kernel
 from ghsel.ghlik import Dataset
 from ghsel.modelspace import (Gamma, HazardClass, classify, enumerate_models,
                               log_model_prior)
-from ghsel.sampler import (ChainConfig, ChainTrace, MoveKind,
+from ghsel.sampler import (ChainConfig, ChainTrace, MoveKind, _BlockReader,
                            move_distribution, propose, run_chain)
 
 
@@ -184,3 +185,71 @@ def test_chain_matches_reference_chain(p, seed, scorer):
     assert got.visited == ref.visited
     assert got.propose_count == ref.propose_count
     assert got.accept_count == ref.accept_count
+
+
+def _twins(rng):
+    """Two generators in the same state as `rng`."""
+    return copy.deepcopy(rng), copy.deepcopy(rng)
+
+
+BOUNDS = (1, 2, 3, 4, 5, 7, 12, 2**31 + 1, 2**32 - 1, 2**32)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_block_reader_matches_the_generator(seed):
+    """The chain's block reader returns what the generator's scalar calls
+    return, draw for draw, over mixed random(), integers(k) and
+    integers(lo, hi) calls on every spawned child (120 000 calls in all)."""
+    ops = np.random.default_rng(100 + seed)
+    for child in np.random.default_rng(seed).spawn(2):
+        reference, wrapped = _twins(child)
+        reader = _BlockReader(wrapped)
+        kinds = ops.integers(3, size=20_000)
+        ks = ops.choice(BOUNDS, size=kinds.size)
+        los = ops.integers(-5, 5, size=kinds.size)
+        widths = ops.integers(1, 9, size=kinds.size)
+        for kind, k, lo, width in zip(kinds.tolist(), ks.tolist(), los.tolist(),
+                                      widths.tolist()):
+            if kind == 0:
+                assert reader.random() == reference.random()
+            elif kind == 1:
+                assert reader.integers(k) == reference.integers(k)
+            else:
+                assert reader.integers(lo, lo + width) == reference.integers(lo, lo + width)
+
+
+def test_block_reader_bound_of_one_takes_no_draw():
+    reference, wrapped = _twins(np.random.default_rng(3))
+    reader = _BlockReader(wrapped)
+    assert reader.integers(1) == 0 and reader.integers(4, 5) == 4
+    assert reader.integers(1) == reference.integers(1) == 0
+    assert [reader.integers(5) for _ in range(9)] == [reference.integers(5) for _ in range(9)]
+    assert reader.random() == reference.random()
+
+
+def test_block_reader_bounds():
+    """Ranges up to 2**32 values take NumPy's 32-bit path and are exact;
+    wider ranges, which would take its 64-bit path, raise."""
+    reference, wrapped = _twins(np.random.default_rng(4))
+    reader = _BlockReader(wrapped)
+    for k in (2**32 - 1, 2**32, 2**31 + 1, 2**31, 3):
+        assert [reader.integers(k) for _ in range(50)] == \
+            [reference.integers(k) for _ in range(50)]
+    assert reader.integers(-2**31, 2**31) == reference.integers(-2**31, 2**31)
+    for args in ((2**32 + 1,), (0, 2**33), (-2**32, 1)):
+        with pytest.raises(ValueError):
+            reader.integers(*args)
+    with pytest.raises(ValueError):
+        reader.integers(0)
+
+
+def test_block_reader_starts_from_a_buffered_half_word():
+    """A generator whose last 32-bit draw left the high half of its word
+    buffered hands that half to the reader's first 32-bit draw."""
+    rng = np.random.default_rng(5)
+    rng.integers(10)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    reference, wrapped = _twins(rng)
+    reader = _BlockReader(wrapped)
+    assert [reader.integers(10) for _ in range(5)] == [reference.integers(10) for _ in range(5)]
+    assert reader.random() == reference.random()
