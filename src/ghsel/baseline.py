@@ -81,7 +81,7 @@ def _log_arctan_exp_neg(x):
 def log_F_neg(u, kernel: Kernel):
     u = _as_array(u)
     if kernel is Kernel.NORMAL:
-        out = _log_normal_sf(u.reshape(-1)).reshape(u.shape)
+        out = _normal_sf(u.reshape(-1))[0].reshape(u.shape)
     elif kernel is Kernel.LOGISTIC:
         # log F(-u) = -log(1 + e^u) = -(max(u, 0) + log(1 + e^-|u|))
         out = -(np.maximum(u, 0.0) + np.log1p(np.exp(-np.abs(u))))
@@ -108,11 +108,8 @@ def log_F_neg(u, kernel: Kernel):
 def ratio_f_over_Fneg(u, kernel: Kernel):
     u = _as_array(u)
     if kernel is Kernel.NORMAL:
-        # phi(u)/Phi(-u) = 1/(sqrt(2 pi) S(u)) for u >= 0, and
-        # phi(u)/(1 - Phi(u)) with Phi(u) = S(|u|) exp(-u^2/2) for u < 0
         s = _normal_tail(np.abs(u).reshape(-1)).reshape(u.shape)
-        e = np.exp(-0.5 * u * u)
-        out = np.where(u >= 0, 1.0, e) / (_SQRT_2PI * np.where(u >= 0, s, 1.0 - e * s))
+        out = _normal_ratio(u, s, np.exp(-0.5 * u * u))
     elif kernel is Kernel.LOGISTIC:
         # the logistic function 1/(1 + e^{-u}), from e^{-|u|} on both sides
         e = np.exp(-np.abs(u))
@@ -175,19 +172,9 @@ def newton_terms(u, kernel: Kernel) -> tuple:
     kernel one sqrt(u^2 + 2) for all five; the logistic and sech kernels
     compose the single functions."""
     if kernel is Kernel.NORMAL:
-        s = _normal_tail(np.abs(u))
-        h = -0.5 * u * u
-        lf = h - _HALF_LOG_2PI
-        with np.errstate(divide="ignore"):  # S(inf) = 0
-            pos = np.log(s)
-        pos += h  # u > 0: log S(u) - u^2/2
-        e = np.exp(h)
-        es = e * s
-        right = u >= 0
-        # u <= 0: log(1 - Phi(u)) and phi(u)/(1 - Phi(u)), Phi(u) = S(|u|) e
-        lF = np.where(u > 0, pos, np.log1p(-es))
-        r1 = np.where(right, 1.0, e) / (_SQRT_2PI * np.where(right, s, 1.0 - es))
-        return lf, lF, r1, -u, u * u - 1.0
+        lF, s, e = _normal_sf(u)
+        uu = u * u
+        return uu * -0.5 - _HALF_LOG_2PI, lF, _normal_ratio(u, s, e), -u, uu - 1.0
     if kernel is Kernel.STUDENT_T2:
         s2 = u * u + 2.0
         s = np.sqrt(s2)
@@ -257,19 +244,24 @@ def _normal_tail(x):
     return out
 
 
-def _log_normal_sf(u):
-    """log Phi(-u) for a 1-d array u."""
+def _normal_sf(u):
+    """log Phi(-u) for a 1-d array u, with the S(|u|) and exp(-u^2/2) it is
+    computed from."""
     s = _normal_tail(np.abs(u))
-    h = u * u
-    h *= -0.5
+    h = -0.5 * u * u
     with np.errstate(divide="ignore"):  # S(inf) = 0
         pos = np.log(s)
     pos += h  # u > 0: log S(u) - u^2/2
-    np.exp(h, out=h)
-    h *= s
-    np.negative(h, out=h)
-    np.log1p(h, out=h)  # u <= 0: log(1 - Phi(u))
-    return np.where(u > 0, pos, h)
+    e = np.exp(h)
+    # u <= 0: log(1 - Phi(u)), with Phi(u) = S(|u|) exp(-u^2/2)
+    return np.where(u > 0, pos, np.log1p(-(e * s))), s, e
+
+
+def _normal_ratio(u, s, e):
+    """phi(u)/Phi(-u) from s = S(|u|) and e = exp(-u^2/2): 1/(sqrt(2 pi) S(u))
+    for u >= 0, and phi(u)/(1 - Phi(u)) with Phi(u) = S(|u|) e for u < 0."""
+    right = u >= 0
+    return np.where(right, 1.0, e) / (_SQRT_2PI * np.where(right, s, 1.0 - e * s))
 
 
 _CENTRE = 0.25     # |q - 1/2| below which the quantile is solved from q - 1/2

@@ -85,8 +85,9 @@ def read_dataset(path: str) -> Dataset:
 def _parse_rows(rows: list, width: int) -> tuple:
     """(t, delta, X) of the data rows, parsed and checked as arrays; a
     ValueError if any row is not a valid observation."""
-    values = np.array(rows, dtype=float)  # parses as float() does
-    if values.ndim != 2 or values.shape[1] != width:
+    # each cell parsed as float() parses it; rows of unequal lengths raise
+    values = np.array(rows, dtype=float)
+    if values.shape[1] != width:
         raise ValueError("rows of the wrong length")
     t, X = values[:, 0], values[:, 2:]
     if not ({row[1] for row in rows} <= set(_STATUS)

@@ -21,6 +21,11 @@ them.  The step draws from the chain's block reader of the generator, as
 `sampler.run_chain` does.  The figure is the best of 3 runs of 50 000 steps
 from the null model, in microseconds per step.
 
+All figures are taken with the heap settings of a `ghsel` command
+(`cli._keep_freed_heap`); without them, whether glibc hands n = 5000
+temporaries back to the system depends on what ran before, which moved
+single figures by up to a third.
+
     PYTHONPATH=src python tools/layer_cost.py [seed]
 
 Prints one JSON line.
@@ -33,7 +38,7 @@ import timeit
 
 import numpy as np
 
-from ghsel import ghlik, optimize, sampler
+from ghsel import cli, ghlik, optimize, sampler
 from ghsel.baseline import Kernel
 from ghsel.marglik import MarglikMethod, ModelScorer, ScorerConfig
 from ghsel.modelspace import Gamma, enumerate_models, log_model_prior
@@ -90,6 +95,7 @@ def mh_step_us(seed: int) -> float:
 
 def main():
     seed = int(sys.argv[1]) if len(sys.argv) > 1 else 0
+    cli._keep_freed_heap()
     out = evaluate_and_score_us(seed)
     out["mh_step_us"] = mh_step_us(seed)
     print(json.dumps(out))
