@@ -31,7 +31,7 @@ import numpy as np
 
 from . import sampler, simulate, summarize
 from .baseline import Kernel
-from .ghlik import Dataset, time_level_columns, hazard_level_columns
+from .ghlik import Dataset
 from .marglik import MarglikMethod, ModelScorer, ScorerConfig
 from .modelspace import (ENUMERATION_CAP, Gamma, HazardClass, classify,
                          enumerate_models, log_model_prior)
@@ -79,7 +79,10 @@ def read_dataset(path: str) -> Dataset:
         # even the null model has two parameters, more than the events, so
         # no model could be fitted
         raise CliError(f"{path}: only one event; at least 2 are needed")
-    return Dataset(t=t, delta=delta, X=X, names=names)
+    try:
+        return Dataset(t=t, delta=delta, X=X, names=names)
+    except ValueError as exc:  # a covariate name given twice
+        raise CliError(f"{path}: {exc}") from None
 
 
 def _parse_rows(rows: list, width: int) -> tuple:
@@ -255,56 +258,6 @@ def _options(args) -> dict:
 # ---------------------------------------------------------------------------
 # reporting helpers
 
-def map_coefficients(gamma: Gamma, fit, names) -> dict:
-    """Fitted coefficients of one model in both parametrisations."""
-    psi = fit.psi_opt
-    nu, theta0 = float(psi[0]), float(psi[1])
-    sigma = math.exp(-nu)
-    tc, hc = time_level_columns(gamma), hazard_level_columns(gamma)
-    theta, eta = psi[2:2 + len(tc)], psi[2 + len(tc):]
-    alpha = {names[j]: -sigma * float(th) for j, th in zip(tc, theta)}
-    if classify(gamma) is HazardClass.AFT:
-        beta = dict(alpha)
-    else:
-        beta = {names[j]: -float(e) for j, e in zip(hc, eta)}
-    return {
-        "psi": {"nu": nu, "theta0": theta0,
-                "theta": {names[j]: float(v) for j, v in zip(tc, theta)},
-                "eta": {names[j]: float(v) for j, v in zip(hc, eta)}},
-        "natural": {"mu": theta0 * sigma, "sigma": sigma, "alpha": alpha, "beta": beta},
-    }
-
-
-def _summary_payload(model_probs_freq, model_probs_renorm, pips, level, scorer, trace):
-    names = scorer.data.names
-    hz = summarize.hazard_posterior(model_probs_renorm)
-    pip_any, pip_role = pips
-    hpm = summarize.hpm_credible_set(model_probs_renorm, level)
-    top_key = summarize.top_model(model_probs_renorm)
-    top_gamma = Gamma.from_key(top_key)
-    payload = {
-        "model_probs_frequency": model_probs_freq,
-        "model_probs_renormalized": model_probs_renorm,
-        "hazard_probs": {cls.value: prob for cls, prob in hz.items()},
-        "pip_any": {names[j]: float(v) for j, v in enumerate(pip_any)},
-        "pip_by_role": {names[j]: [float(v) for v in row]
-                        for j, row in enumerate(pip_role)},
-        "hpm_set": [{"gamma": k, "prob": float(v)} for k, v in hpm],
-        "hpm_level": level,
-        "top_model": top_key,
-        "top_model_class": classify(top_gamma).value,
-        "acceptance_rate": trace.acceptance_rate(),
-        "acceptance_by_move": {mk.value: trace.acceptance_rate(mk) for mk in sampler.MoveKind
-                               if trace.propose_count.get(mk)},
-        "n_retained": len(trace.samples),
-        "n_visited": len(trace.visited),
-    }
-    rec = scorer.score(top_gamma)
-    if rec.fit is not None and rec.fit.ok:
-        payload["top_model_coefficients"] = map_coefficients(top_gamma, rec.fit, names)
-    return payload
-
-
 @contextlib.contextmanager
 def _output_file(out):
     """The open file a command writes its output `out` through, or None
@@ -340,14 +293,13 @@ def _write_probs_csv(path: str, freq: dict, renorm: dict):
                              repr(float(freq.get(k, 0.0))), repr(float(renorm.get(k, 0.0)))])
 
 
-def _write_pip_csv(path: str, names, pip_any, pip_role):
+def _write_pip_csv(path: str, pip_any: dict, pip_by_role: dict):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["variable", "pip", "pip_time", "pip_hazard",
                          "pip_both", "pip_tied"])
-        for j, name in enumerate(names):
-            writer.writerow([name, repr(float(pip_any[j])),
-                             *[repr(float(v)) for v in pip_role[j]]])
+        for name, prob in pip_any.items():
+            writer.writerow([name, repr(prob), *map(repr, pip_by_role[name])])
 
 
 def _write_trace_jsonl(path: str, trace):
@@ -388,8 +340,7 @@ def _select(data: Dataset, opts: dict, seed: int, label: str):
     `label`."""
     scorer = _scorer(data, opts)
     try:
-        trace = sampler.run_chain(scorer.data, scorer.kernel,
-                                  build_chain_config({**opts, "seed": seed}), scorer=scorer)
+        trace = sampler.run_chain(scorer, build_chain_config({**opts, "seed": seed}))
     except sampler.ImpossibleStartError as exc:
         raise CliError(f"{label}: {exc}: its fit failed, so the chain cannot start") from None
     return scorer, trace
@@ -400,15 +351,13 @@ def cmd_select(args, opts) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)  # a bad output path stops before the chain
     scorer, trace = _select(data, opts, opts["seed"], args.data)
-    freq = summarize.probs_frequency(trace)
-    renorm = summarize.probs_renormalized(trace)
-    pips = summarize.pip(renorm)
     _write_trace_jsonl(str(out / "trace.jsonl"), trace)
-    payload = _summary_payload(freq, renorm, pips, opts["level"], scorer, trace)
+    payload = summarize.summary(trace, scorer, opts["level"])
     with open(out / "summary.json", "w", encoding="utf-8") as fh:
         _write_json(fh, payload)
-    _write_probs_csv(str(out / "model_probs.csv"), freq, renorm)
-    _write_pip_csv(str(out / "pip.csv"), scorer.data.names, *pips)
+    _write_probs_csv(str(out / "model_probs.csv"), payload["model_probs_frequency"],
+                     payload["model_probs_renormalized"])
+    _write_pip_csv(str(out / "pip.csv"), payload["pip_any"], payload["pip_by_role"])
     print(f"top model {payload['top_model']} ({payload['top_model_class']}); "
           f"{payload['n_retained']} retained samples, "
           f"{payload['n_visited']} models visited")
@@ -477,18 +426,16 @@ def _run_replicate(rep_args):
     """One replicate: simulate, select, score.  Module-level for pickling."""
     (opts, sim_cfg, rep_seed) = rep_args
     data, truth = simulate_dataset(replace(sim_cfg, seed=rep_seed))
-    _, trace = _select(data, opts, rep_seed, f"seed {rep_seed}")
-    renorm = summarize.probs_renormalized(trace)
-    hz = summarize.hazard_posterior(renorm)
-    pip_any, _ = summarize.pip(renorm)
-    top = Gamma.from_key(summarize.top_model(renorm))
+    scorer, trace = _select(data, opts, rep_seed, f"seed {rep_seed}")
+    summary = summarize.summary(trace, scorer, opts["level"])
     truth_gamma = Gamma.from_key(truth["gamma"])
-    sens, spec = summarize.score_selection(top, truth_gamma)
-    truth_cls = classify(truth_gamma)
+    sens, spec = summarize.score_selection(Gamma.from_key(summary["top_model"]), truth_gamma)
+    hz = summary["hazard_probs"]
+    truth_cls = classify(truth_gamma).value
     modal_cls = max(hz.items(), key=lambda kv: kv[1])[0]
-    return {"seed": rep_seed, "top_model": top.key, "sensitivity": sens, "specificity": spec,
-            "modal_class": modal_cls.value, "true_class_prob": hz[truth_cls],
-            "modal_class_correct": modal_cls is truth_cls, "pip": [float(v) for v in pip_any]}
+    return {"seed": rep_seed, "top_model": summary["top_model"], "sensitivity": sens,
+            "specificity": spec, "modal_class": modal_cls, "true_class_prob": hz[truth_cls],
+            "modal_class_correct": modal_cls == truth_cls, "pip": list(summary["pip_any"].values())}
 
 
 def cmd_replicate(args, opts) -> int:

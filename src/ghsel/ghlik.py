@@ -71,6 +71,9 @@ class Dataset:
         names = tuple(self.names) if self.names else tuple(f"x{j+1}" for j in range(X.shape[1]))
         if len(names) != X.shape[1]:
             raise DimensionError("names must match the number of columns")
+        if len(set(names)) < len(names):
+            dup = next(name for name in names if names.count(name) > 1)
+            raise ValueError(f"duplicate covariate name {dup!r}")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "X", X)

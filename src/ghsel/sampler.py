@@ -32,8 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ghlik import Dataset
-from .marglik import ModelScorer, ScorerConfig
-from .baseline import Kernel
+from .marglik import ModelScorer
 from .modelspace import Gamma, HazardClass, classify, get_valid_idx, log_model_prior
 
 
@@ -349,7 +348,6 @@ class ChainConfig:
     thin: int = 2
     n_chains: int = 1
     seed: int = 0
-    init_gamma: Gamma | None = None
     screening_init: bool = False
 
     def __post_init__(self):
@@ -433,28 +431,22 @@ def mh_step(gamma: Gamma, score: float, scorer, rng: np.random.Generator,
     return gamma, score
 
 
-def run_chain(data: Dataset, kernel: Kernel,
-              config: ChainConfig = ChainConfig(),
-              scorer_cfg: ScorerConfig = ScorerConfig(),
-              scorer=None) -> ChainTrace:
-    """Run one or more independent chains and merge their retained samples.
+def run_chain(scorer, config: ChainConfig = ChainConfig()) -> ChainTrace:
+    """Run one or more independent chains under `scorer` and merge their
+    retained samples.
 
-    `scorer` may be any object with a score(gamma) -> record method; tests use
-    a constant scorer to target the model prior alone.
+    `scorer` may be any object with the dataset it scores as `data` and a
+    score(gamma) -> record method; tests use a constant scorer to target the
+    model prior alone.
     """
-    if scorer is None:
-        scorer = ModelScorer(data, kernel, scorer_cfg)
+    data = scorer.data
     trace = ChainTrace()
     root = np.random.default_rng(config.seed)
     streams = root.spawn(config.n_chains)
     for chain_idx, stream in enumerate(streams):
         rng = _BlockReader(stream)
-        if config.init_gamma is not None:
-            gamma = config.init_gamma
-        elif config.screening_init:
-            gamma = screening_init_gamma(data, scorer)
-        else:
-            gamma = Gamma((0,) * data.p)
+        gamma = (screening_init_gamma(data, scorer) if config.screening_init
+                 else Gamma((0,) * data.p))
         log_ml = scorer.score(gamma).log_ml
         log_prior = log_model_prior(gamma)
         trace.visited[gamma.key] = (log_ml, log_prior)

@@ -4,14 +4,71 @@ Two model-probability estimators are provided: empirical visit frequencies,
 and renormalisation of the unnormalised scores over the set of visited models.
 The second depends only on the visited set and the cached scores, so it is
 invariant to trace duplication and is the default reporting estimator.
+`summary` gathers a run's figures into the one summary that `select` writes
+and each replicate reads.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from .ghlik import hazard_level_columns, time_level_columns
 from .modelspace import Gamma, HazardClass, classify
 from .sampler import ChainTrace
+
+
+def summary(trace: ChainTrace, scorer, level: float) -> dict:
+    """A run's posterior summary, as `select` writes it to summary.json.
+
+    The figures are those of the renormalised estimator; `scorer` is the one
+    the chain sampled under, whose fit of the top model gives its
+    coefficients (a memoised score).  Variables are keyed by name, which a
+    `Dataset` keeps distinct."""
+    names = scorer.data.names
+    renorm = probs_renormalized(trace)
+    pip_any, pip_role = pip(renorm)
+    top_key = top_model(renorm)
+    top_gamma = Gamma.from_key(top_key)
+    out = {
+        "model_probs_frequency": probs_frequency(trace),
+        "model_probs_renormalized": renorm,
+        "hazard_probs": {cls.value: prob for cls, prob in hazard_posterior(renorm).items()},
+        "pip_any": {name: float(v) for name, v in zip(names, pip_any)},
+        "pip_by_role": {name: [float(v) for v in row] for name, row in zip(names, pip_role)},
+        "hpm_set": [{"gamma": k, "prob": float(v)} for k, v in hpm_credible_set(renorm, level)],
+        "hpm_level": level,
+        "top_model": top_key,
+        "top_model_class": classify(top_gamma).value,
+        "acceptance_rate": trace.acceptance_rate(),
+        "acceptance_by_move": {mk.value: trace.acceptance_rate(mk) for mk in trace.propose_count},
+        "n_retained": len(trace.samples),
+        "n_visited": len(trace.visited),
+    }
+    rec = scorer.score(top_gamma)
+    if rec.fit is not None and rec.fit.ok:
+        out["top_model_coefficients"] = _coefficients(top_gamma, rec.fit.psi_opt, names)
+    return out
+
+
+def _coefficients(gamma: Gamma, psi, names) -> dict:
+    """Fitted coefficients of one model in both parametrisations."""
+    nu, theta0 = float(psi[0]), float(psi[1])
+    sigma = math.exp(-nu)
+    tc, hc = time_level_columns(gamma), hazard_level_columns(gamma)
+    theta, eta = psi[2:2 + len(tc)], psi[2 + len(tc):]
+    alpha = {names[j]: -sigma * float(th) for j, th in zip(tc, theta)}
+    if classify(gamma) is HazardClass.AFT:
+        beta = dict(alpha)
+    else:
+        beta = {names[j]: -float(e) for j, e in zip(hc, eta)}
+    return {
+        "psi": {"nu": nu, "theta0": theta0,
+                "theta": {names[j]: float(v) for j, v in zip(tc, theta)},
+                "eta": {names[j]: float(v) for j, v in zip(hc, eta)}},
+        "natural": {"mu": theta0 * sigma, "sigma": sigma, "alpha": alpha, "beta": beta},
+    }
 
 
 def probs_frequency(trace: ChainTrace) -> dict:

@@ -842,12 +842,12 @@ class ReferenceTrace:
 
 
 def run_chain_reference(p: int, config, scorer) -> ReferenceTrace:
-    """`sampler.run_chain` from the null model (or `config.init_gamma`) with
-    the step as it was before the path tables: `propose_reference`, and the
-    per-move counts kept in dicts keyed by move."""
+    """`sampler.run_chain` from the null model, with the step as it was
+    before the path tables: `propose_reference`, and the per-move counts kept
+    in dicts keyed by move."""
     trace = ReferenceTrace()
     for chain_idx, rng in enumerate(np.random.default_rng(config.seed).spawn(config.n_chains)):
-        gamma = config.init_gamma if config.init_gamma is not None else Gamma((0,) * p)
+        gamma = Gamma((0,) * p)
         log_ml = scorer.score(gamma).log_ml
         log_prior = log_model_prior(gamma)
         trace.visited[gamma.key] = (log_ml, log_prior)

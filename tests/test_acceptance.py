@@ -236,6 +236,9 @@ class _ConstScorer:
     class Rec:
         log_ml = 0.0
 
+    def __init__(self, data):
+        self.data = data
+
     def score(self, gamma):
         return self.Rec()
 
@@ -247,7 +250,7 @@ def test_criterion_5_sampler_exactness():
                    X=rng_data.standard_normal((20, 2)), names=())
     # (a) prior-only chain
     cfg = ChainConfig(iterations=1_000_000, burn_in=10_000, thin=1, seed=0)
-    trace = run_chain(tiny, Kernel.NORMAL, cfg, scorer=_ConstScorer())
+    trace = run_chain(_ConstScorer(tiny), cfg)
     freq = probs_frequency(trace)
     logw = {g.key: log_model_prior(g) for g in enumerate_models(2)}
     m = max(logw.values())
@@ -274,7 +277,7 @@ def test_criterion_5_sampler_exactness():
         exact = {k: (math.exp(v - m) / z if np.isfinite(v) else 0.0)
                  for k, v in exact_scores.items()}
         ch = ChainConfig(iterations=50_000, burn_in=5_000, thin=1, seed=2)
-        tr = run_chain(data, Kernel.NORMAL, ch, scfg, scorer=scorer)
+        tr = run_chain(scorer, ch)
         fr = probs_frequency(tr)
         rn = probs_renormalized(tr)
         tv_f = 0.5 * sum(abs(fr.get(k, 0.0) - q) for k, q in exact.items())
@@ -312,7 +315,7 @@ def _run_ph_replicate(n, seed):
     cfg = SimConfig(n=n, p=10, truth=truth, alpha=alpha, beta=beta,
                     target_censoring=0.25, seed=seed)
     data, _ = sim_standardized(cfg)
-    trace = run_chain(data, Kernel.NORMAL,
+    trace = run_chain(ModelScorer(data, Kernel.NORMAL, ScorerConfig()),
                       ChainConfig(iterations=20_000, burn_in=10_000, thin=2,
                                   seed=seed))
     renorm = probs_renormalized(trace)

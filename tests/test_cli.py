@@ -19,7 +19,8 @@ from ghsel import cli
 from ghsel.baseline import Kernel
 from ghsel.cli import CliError, main, read_dataset, write_dataset
 from ghsel.ghlik import Dataset, dim_psi
-from ghsel.modelspace import Gamma
+from ghsel.marglik import ModelScorer, ScorerConfig
+from ghsel.modelspace import Gamma, classify
 from ghsel.sampler import ChainConfig, ChainTrace, run_chain
 
 
@@ -76,18 +77,23 @@ def run(args):
 
 
 def test_unusable_inputs_are_load_errors(tmp_path, capsys):
-    """A CSV without covariate columns, a non-finite covariate and a missing
-    data or config file stop `select` with exit code 2 and one error line."""
+    """A CSV without covariate columns, a non-finite covariate, a covariate
+    name given twice and a missing data or config file stop `select` with
+    exit code 2 and one error line."""
     no_x = tmp_path / "no_x.csv"
     write_csv(no_x, [[1.0, 1], [2.0, 1], [3.0, 0]], header=("time", "status"))
     inf_x = tmp_path / "inf_x.csv"
     write_csv(inf_x, [[1.0, 1, 0.5, 1.0], [2.0, 1, float("inf"), 2.0]])
+    dup = tmp_path / "dup.csv"
+    write_csv(dup, FIVE_ROWS, header=("time", "status", "a", "a", "b"))
     with pytest.raises(CliError, match="no covariate columns"):
         read_dataset(str(no_x))
     with pytest.raises(CliError, match=":3: covariates must be finite"):
         read_dataset(str(inf_x))
+    with pytest.raises(CliError, match="dup.csv: duplicate covariate name 'a'"):
+        read_dataset(str(dup))
     out = tmp_path / "out"
-    for argv in ([no_x], [inf_x], [tmp_path / "missing.csv"],
+    for argv in ([no_x], [inf_x], [dup], [tmp_path / "missing.csv"],
                  [inf_x, "--config", tmp_path / "missing.cfg"]):
         assert run(["select", *argv, "--out", out]) == 2
         err = capsys.readouterr().err
@@ -360,7 +366,7 @@ def test_trace_writer_matches_reference_writer(tmp_path):
     rng = np.random.default_rng(0)
     data = Dataset(t=rng.gamma(2, 1, 40), delta=(rng.random(40) < 0.8).astype(float),
                    X=rng.standard_normal((40, 2)), names=("a", "b"))
-    chains = run_chain(data, Kernel.NORMAL,
+    chains = run_chain(ModelScorer(data, Kernel.NORMAL, ScorerConfig()),
                        ChainConfig(iterations=400, burn_in=100, n_chains=2, seed=5))
     failed = ChainTrace(samples=[(0, 10, "00"), (0, 12, "30"), (1, 10, "30"),
                                  (1, 12, "44"), (1, 14, "00")],
@@ -629,10 +635,10 @@ def test_replicate_whose_chain_cannot_start_is_reported(tmp_path, capsys, monkey
     FAILED line names its seed and the impossible start."""
     run_chain = cli.sampler.run_chain
 
-    def failing(data, kernel, config, *args, **kwargs):
+    def failing(scorer, config):
         if config.seed == 1001:
             raise cli.sampler.ImpossibleStartError("initial model 0000 has an impossible score")
-        return run_chain(data, kernel, config, *args, **kwargs)
+        return run_chain(scorer, config)
 
     monkeypatch.setattr(cli.sampler, "run_chain", failing)
     out = tmp_path / "rep.json"
@@ -663,10 +669,10 @@ def test_replicate_report_does_not_depend_on_workers(tmp_path, capsys, monkeypat
     assert serial == pooled and serial[1] == []
     run_chain = cli.sampler.run_chain
 
-    def failing(data, kernel, config, *args, **kwargs):
+    def failing(scorer, config):
         if config.seed == 1001:
             raise ValueError("no chain for seed 1001")
-        return run_chain(data, kernel, config, *args, **kwargs)
+        return run_chain(scorer, config)
 
     monkeypatch.setattr(cli.sampler, "run_chain", failing)  # forked workers inherit it
     serial, pooled = (_replicate_report(tmp_path, capsys, w) for w in (1, 2))
@@ -701,11 +707,25 @@ def test_replicate_default_record_unchanged(tmp_path):
     assert rec["true_class_prob"] == pytest.approx(0.5928748107740648, abs=1e-6)
 
 
-def test_replicate_scoring_matches_score_selection():
-    from ghsel.modelspace import Gamma
-    from ghsel.summarize import score_selection
-    sel, truth = Gamma.from_key("2020"), Gamma.from_key("2200")
-    assert score_selection(sel, truth) == (0.5, 0.5)
+@pytest.mark.parametrize("truth, chain_flags", [("ph", ()),
+                                               ("gh", ("--chains", 2, "--screening-init"))],
+                         ids=["ph", "gh-two-chains-screening"])
+def test_replicate_record_matches_simulate_then_select(tmp_path, truth, chain_flags):
+    """A one-replicate study finds what `simulate` and then `select` with the
+    same seed and flags write: the same top model, the PIPs and the
+    true-class posterior of summary.json, exactly."""
+    sim = ("--n", 150, "--p", 4, "--truth", truth, "--censoring", "0.2")
+    chain = ("--iters", 600, "--burnin", 200, "--seed", 3, *chain_flags)
+    assert run(["replicate", "--reps", 1, *sim, *chain, "--out", tmp_path / "rep.json"]) == 0
+    (rec,) = json.loads((tmp_path / "rep.json").read_text())["replicates"]
+    assert run(["simulate", *sim, "--seed", 3, "--out", tmp_path / "sim.csv"]) == 0
+    assert run(["select", tmp_path / "sim.csv", *chain, "--out", tmp_path / "run"]) == 0
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    truth_gamma = json.loads((tmp_path / "sim.truth.json").read_text())["gamma"]
+    assert rec["top_model"] == summary["top_model"]
+    assert rec["pip"] == list(summary["pip_any"].values())
+    assert rec["true_class_prob"] == summary["hazard_probs"][
+        classify(Gamma.from_key(truth_gamma)).value]
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,8 @@ def test_dataset_validation():
         Dataset(t=[1.0, 2.0], delta=[1, 2], X=np.ones((2, 1)), names=())
     with pytest.raises(DimensionError):
         Dataset(t=[1.0, 2.0], delta=[1.0], X=np.ones((2, 1)), names=())
+    with pytest.raises(ValueError, match="duplicate covariate name 'a'"):
+        Dataset(t=[1.0, 2.0], delta=[1, 1], X=np.ones((2, 3)), names=("a", "a", "b"))
     d = Dataset(t=[1.0, 2.0], delta=[1.0, 0.0], X=np.ones((2, 2)), names=())
     assert d.names == ("x1", "x2")
     assert d.n == 2 and d.p == 2 and d.n_events == 1

@@ -277,9 +277,8 @@ def test_method_alone_selects_the_score():
     """LA with the default coefficient prior scores with the product prior:
     a chain runs to the end with finite scores."""
     data = small_data(seed=7)
-    trace = run_chain(data, Kernel.NORMAL,
-                      ChainConfig(iterations=300, burn_in=100, seed=1),
-                      ScorerConfig(method=MarglikMethod.LA))
+    scorer = ModelScorer(data, Kernel.NORMAL, ScorerConfig(method=MarglikMethod.LA))
+    trace = run_chain(scorer, ChainConfig(iterations=300, burn_in=100, seed=1))
     assert trace.n_steps == 300
     assert all(math.isfinite(log_ml) for log_ml, _ in trace.visited.values())
 
@@ -324,8 +323,8 @@ def test_chain_survives_one_failed_robust_g_quadrature(monkeypatch):
 
     monkeypatch.setattr(ModelScorer, "score", score_failing_target)
     cfg = ScorerConfig(method=ROBUST_G)
-    trace = run_chain(data, Kernel.NORMAL,
-                      ChainConfig(iterations=400, burn_in=100, seed=3), cfg)
+    trace = run_chain(ModelScorer(data, Kernel.NORMAL, cfg),
+                      ChainConfig(iterations=400, burn_in=100, seed=3))
     assert trace.n_steps == 400
     assert trace.visited[target][0] == -math.inf
     assert all(math.isfinite(log_ml) for key, (log_ml, _) in trace.visited.items()

@@ -8,10 +8,11 @@ import oracles
 import proposal_audit
 from ghsel.baseline import Kernel
 from ghsel.ghlik import Dataset
+from ghsel.marglik import ModelScorer, ScorerConfig
 from ghsel.modelspace import (Gamma, HazardClass, classify, enumerate_models,
                               log_model_prior)
 from ghsel.sampler import (ChainConfig, ChainTrace, MoveKind, _BlockReader,
-                           move_distribution, propose, run_chain)
+                           move_distribution, propose, run_chain, screening_init_gamma)
 
 
 class ConstantScorer:
@@ -19,6 +20,9 @@ class ConstantScorer:
 
     class Rec:
         log_ml = 0.0
+
+    def __init__(self, data):
+        self.data = data
 
     def score(self, gamma):
         return self.Rec()
@@ -91,7 +95,7 @@ def test_prior_only_chain_matches_exact_prior():
     normalised model prior (small version of the exactness check)."""
     data = tiny_data()
     cfg = ChainConfig(iterations=120_000, burn_in=5_000, thin=1, seed=2)
-    trace = run_chain(data, Kernel.NORMAL, cfg, scorer=ConstantScorer())
+    trace = run_chain(ConstantScorer(data), cfg)
     counts = {}
     for k in trace.keys:
         counts[k] = counts.get(k, 0) + 1
@@ -106,20 +110,19 @@ def test_prior_only_chain_matches_exact_prior():
 def test_chain_retention_and_determinism():
     data = tiny_data()
     cfg = ChainConfig(iterations=2000, burn_in=1000, thin=2, seed=5)
-    t1 = run_chain(data, Kernel.NORMAL, cfg, scorer=ConstantScorer())
-    t2 = run_chain(data, Kernel.NORMAL, cfg, scorer=ConstantScorer())
+    t1 = run_chain(ConstantScorer(data), cfg)
+    t2 = run_chain(ConstantScorer(data), cfg)
     assert len(t1.samples) == 500
     assert t1.samples == t2.samples
-    t3 = run_chain(data, Kernel.NORMAL,
-                   ChainConfig(iterations=2000, burn_in=1000, thin=2, seed=6),
-                   scorer=ConstantScorer())
+    t3 = run_chain(ConstantScorer(data),
+                   ChainConfig(iterations=2000, burn_in=1000, thin=2, seed=6))
     assert t1.samples != t3.samples
 
 
 def test_multichain_merges_samples():
     data = tiny_data()
     cfg = ChainConfig(iterations=400, burn_in=200, thin=2, n_chains=3, seed=0)
-    t = run_chain(data, Kernel.NORMAL, cfg, scorer=ConstantScorer())
+    t = run_chain(ConstantScorer(data), cfg)
     assert len(t.samples) == 3 * 100
     assert {c for c, _, _ in t.samples} == {0, 1, 2}
 
@@ -134,24 +137,20 @@ def test_chain_config_validation():
 def test_acceptance_bookkeeping():
     data = tiny_data()
     cfg = ChainConfig(iterations=500, burn_in=100, thin=1, seed=1)
-    t = run_chain(data, Kernel.NORMAL, cfg, scorer=ConstantScorer())
+    t = run_chain(ConstantScorer(data), cfg)
     assert sum(t.propose_count.values()) == 500
     assert 0.0 < t.acceptance_rate() <= 1.0
     for mk, cnt in t.accept_count.items():
         assert cnt <= t.propose_count[mk]
 
 
-def test_init_gamma_and_screening():
+def test_screening_init():
     data = tiny_data()
-    init = Gamma((2, 2))
-    cfg = ChainConfig(iterations=50, burn_in=10, thin=1, seed=0,
-                      init_gamma=init)
-    t = run_chain(data, Kernel.NORMAL, cfg, scorer=ConstantScorer())
-    assert init.key in t.visited
-    cfg2 = ChainConfig(iterations=50, burn_in=10, thin=1, seed=0,
-                       screening_init=True)
-    t2 = run_chain(data, Kernel.NORMAL, cfg2)
-    assert len(t2.samples) == 40
+    scorer = ModelScorer(data, Kernel.NORMAL, ScorerConfig())
+    cfg = ChainConfig(iterations=50, burn_in=10, thin=1, seed=0, screening_init=True)
+    t = run_chain(scorer, cfg)
+    assert screening_init_gamma(data, scorer).key in t.visited
+    assert len(t.samples) == 40
 
 
 class KeyScorer:
@@ -162,6 +161,9 @@ class KeyScorer:
         def __init__(self, log_ml):
             self.log_ml = log_ml
 
+    def __init__(self, data):
+        self.data = data
+
     def score(self, gamma):
         code = int(gamma.key, 5)
         if code % 7 == 3:
@@ -171,15 +173,16 @@ class KeyScorer:
 
 @pytest.mark.parametrize("p", [2, 3, 4])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("scorer", [ConstantScorer(), KeyScorer()], ids=["constant", "by-key"])
-def test_chain_matches_reference_chain(p, seed, scorer):
+@pytest.mark.parametrize("make_scorer", [ConstantScorer, KeyScorer], ids=["constant", "by-key"])
+def test_chain_matches_reference_chain(p, seed, make_scorer):
     """The table-driven step retains, visits and counts exactly what the step
     that builds a proposal and its Hastings ratio each time does."""
     rng = np.random.default_rng(seed)
     data = Dataset(t=rng.gamma(2, 1, 10), delta=np.ones(10),
                    X=rng.standard_normal((10, p)), names=())
     cfg = ChainConfig(iterations=5000, burn_in=1000, thin=1, n_chains=2, seed=seed)
-    got = run_chain(data, Kernel.NORMAL, cfg, scorer=scorer)
+    scorer = make_scorer(data)
+    got = run_chain(scorer, cfg)
     ref = oracles.run_chain_reference(p, cfg, scorer)
     assert got.samples == ref.samples
     assert got.visited == ref.visited

@@ -83,6 +83,7 @@ def test_score_selection():
     assert score_selection(Gamma.from_key("2200"), truth) == (1.0, 1.0)
     assert score_selection(Gamma.from_key("2000"), truth) == (0.5, 1.0)
     assert score_selection(Gamma.from_key("2220"), truth) == (1.0, 0.5)
+    assert score_selection(Gamma.from_key("2020"), truth) == (0.5, 0.5)
     # role mismatches still count as inclusion hits
     assert score_selection(Gamma.from_key("1300"), truth) == (1.0, 1.0)
     assert score_selection(Gamma.from_key("0000"), Gamma.from_key("0000")) == (1.0, 1.0)

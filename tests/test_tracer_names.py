@@ -16,7 +16,10 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 def _originals():
     return (marglik.ModelScorer.score, sampler.mh_step, cli._run_replicate,
-            marglik.ila_from_fit, optimize.fit_mle, optimize.fit_map)
+            marglik.ila_from_fit, optimize.fit_mle, optimize.fit_map,
+            # the writers whose spans make up cli.write_s
+            cli._write_json, cli._write_probs_csv, cli._write_pip_csv,
+            cli._write_trace_jsonl)
 
 
 def test_tracer_wraps_the_score_path_and_restores_it(monkeypatch):
@@ -61,7 +64,7 @@ def test_tracer_counts_every_chain_step_and_visited_hit(monkeypatch):
     spans = tracer.Tracer()
     spans.install()
     try:
-        trace = sampler.run_chain(data, Kernel.NORMAL,
+        trace = sampler.run_chain(ModelScorer(data, Kernel.NORMAL, ScorerConfig()),
                                   sampler.ChainConfig(iterations=200, burn_in=50, seed=0))
     finally:
         spans.uninstall()
