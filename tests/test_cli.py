@@ -707,6 +707,22 @@ def test_replicate_default_record_unchanged(tmp_path):
     assert rec["true_class_prob"] == pytest.approx(0.5928748107740648, abs=1e-6)
 
 
+def test_replicate_scoring_matches_score_selection(tmp_path):
+    """Each replicate's sensitivity and specificity are score_selection of its
+    top model against the simulated truth."""
+    from ghsel.summarize import score_selection
+    assert score_selection(Gamma.from_key("2020"), Gamma.from_key("2200")) == (0.5, 0.5)
+    out = tmp_path / "rep.json"
+    assert run(["replicate", "--reps", "3", "--workers", "1", "--n", 60, "--p", 4,
+                "--truth", "gh", "--censoring", "0.3", "--iters", "300",
+                "--burnin", "100", "--seed", 5, "--out", out]) == 0
+    report = json.loads(out.read_text())
+    truth = Gamma.from_key(report["config"]["sim"]["truth"])
+    for rec in report["replicates"]:
+        assert (rec["sensitivity"], rec["specificity"]) == score_selection(
+            Gamma.from_key(rec["top_model"]), truth)
+
+
 @pytest.mark.parametrize("truth, chain_flags", [("ph", ()),
                                                ("gh", ("--chains", 2, "--screening-init"))],
                          ids=["ph", "gh-two-chains-screening"])
