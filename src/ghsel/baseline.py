@@ -1,11 +1,14 @@
 """Numerically stable evaluators for the symmetric log-location-scale baseline kernels.
 
 Each kernel is a symmetric density f on the real line; the censored-data
-likelihood consumes log f, log F(-u) and the five ratio functions
-f/F(-u), f'/f, f''/f, f'/F(-u) built from it.  All functions accept
-scalars or numpy arrays and are safe far into the tails (|u| up to a few
-hundred) without catastrophic cancellation.  `newton_terms` gives the five
-terms a likelihood pass needs in one call, from shared intermediates.
+likelihood consumes log f, log F(-u) and the ratio functions f/F(-u), f'/f
+and f''/f built from it.  Each kernel has one function that computes these
+five terms from shared intermediates, and `newton_terms` returns its tuple
+for a likelihood pass.  The single functions (`log_f`, `log_F_neg`,
+`ratio_f_over_Fneg`, `ratio_fprime_over_f`, `ratio_fsecond_over_f`) are its
+slots, and `ratio_fprime_over_Fneg` is the product of two of them; they
+accept scalars or numpy arrays.  Every term is safe far into the tails
+(|u| up to a few hundred) without catastrophic cancellation.
 
 Everything is NumPy.  The normal kernel rests on one function,
 S(x) = Phi(-x) exp(x^2/2) = erfcx(x/sqrt(2))/2 for x >= 0, evaluated in a
@@ -45,28 +48,28 @@ def _as_array(u):
 
 
 # ---------------------------------------------------------------------------
-# log f
+# the five terms (log f, log F(-u), f/F(-u), f'/f, f''/f) at a 1-d array u,
+# one function per kernel: the Supp-table closed forms, rearranged for stability
 
-def log_f(u, kernel: Kernel):
-    u = _as_array(u)
-    if kernel is Kernel.NORMAL:
-        out = -0.5 * u * u - _HALF_LOG_2PI
-    elif kernel is Kernel.LOGISTIC:
-        a = np.abs(u)
-        out = -a - 2.0 * np.log1p(np.exp(-a))
-    elif kernel is Kernel.SECH:
-        x = np.abs(0.5 * np.pi * u)
-        # log(0.5 sech x) = -x - log1p(exp(-2x))
-        out = -x - np.log1p(np.exp(-2.0 * x))
-    elif kernel is Kernel.STUDENT_T2:
-        out = -1.5 * np.log(u * u + 2.0)
-    else:
-        raise ValueError(f"unknown kernel {kernel}")
-    return out if out.shape else float(out)
+def _normal_terms(u):
+    # one S(|u|) for log F(-u) and f/F(-u)
+    lF, s, e = _normal_sf(u)
+    uu = u * u
+    return uu * -0.5 - _HALF_LOG_2PI, lF, _normal_ratio(u, s, e), -u, uu - 1.0
 
 
-# ---------------------------------------------------------------------------
-# log F(-u)
+def _logistic_terms(u):
+    a = np.abs(u)
+    e = np.exp(-a)
+    log1p_e = np.log1p(e)
+    with np.errstate(over="ignore"):  # cosh(u) = inf beyond |u| ~ 710, where f''/f = 1
+        cosh = np.cosh(u)
+    # log F(-u) = -log(1 + e^u) = -(max(u, 0) + log(1 + e^-|u|)); f/F(-u) is
+    # the logistic function 1/(1 + e^{-u}), from e^{-|u|} on both sides
+    return (-a - 2.0 * log1p_e, -(np.maximum(u, 0.0) + log1p_e),
+            np.where(u >= 0, 1.0, e) / (1.0 + e), -np.tanh(0.5 * u),
+            1.0 - 3.0 / (cosh + 1.0))
+
 
 def _log_arctan_exp_neg(x):
     """log(arctan(exp(-x))) for x >= 0, stable for large x."""
@@ -78,119 +81,83 @@ def _log_arctan_exp_neg(x):
     return np.where(small, series, direct)
 
 
-def log_F_neg(u, kernel: Kernel):
+def _sech_terms(u):
+    x = 0.5 * np.pi * u
+    ax = np.abs(x)
+    # log(0.5 sech x) = -|x| - log1p(exp(-2|x|))
+    lf = -ax - np.log1p(np.exp(-2.0 * ax))
+    right = u >= 0
+    pos = _log_arctan_exp_neg(np.where(right, x, 0.0)) + np.log(2.0 / np.pi)
+    # u < 0: F(-u) = 1 - (2/pi) arctan(exp(x)), x <= 0
+    neg = np.log1p(-(2.0 / np.pi) * np.exp(_log_arctan_exp_neg(np.where(u < 0, -x, 0.0))))
+    lF = np.where(right, pos, neg)
+    # (pi^2/8)(cosh(pi u) - 3) sech^2(pi u / 2) == (pi^2/4)(1 - 2 sech^2(pi u / 2)),
+    # with sech^2 x = 4 e^(-2|x|) / (1 + e^(-2|x|))^2, which cannot overflow
+    e = np.exp(-np.pi * np.abs(u))
+    sech2 = 4.0 * e / (1.0 + e) ** 2
+    return (lf, lF, np.exp(lf - lF), -0.5 * np.pi * np.tanh(x),
+            0.25 * np.pi ** 2 * (1.0 - 2.0 * sech2))
+
+
+def _t2_terms(u):
+    # one sqrt(u^2 + 2) for all five
+    s2 = u * u + 2.0
+    s = np.sqrt(s2)
+    a = np.abs(u)
+    sa = s + a
+    right = u >= 0
+    # F(-u) = (1 - u/s)/2; for u >= 0, 1 - u/s = 2/(s(s+u))
+    lF = np.where(right, -np.log(s * sa), np.log(0.5) + np.log1p(a / s))
+    r1 = np.where(right, sa / s2, 2.0 / (s2 * sa))
+    return (-1.5 * np.log(s2), lF, r1, -3.0 * u / s2,
+            6.0 * (2.0 * u * u - 1.0) / (s2 * s2))
+
+
+_TERMS = {Kernel.NORMAL: _normal_terms, Kernel.LOGISTIC: _logistic_terms,
+          Kernel.SECH: _sech_terms, Kernel.STUDENT_T2: _t2_terms}
+
+
+def newton_terms(u, kernel: Kernel) -> tuple:
+    """(log f, log F(-u), f/F(-u), f'/f, f''/f) at a 1-d array u: the terms
+    a likelihood pass needs, from the kernel's one function."""
+    return _TERMS[kernel](u)
+
+
+def _terms(u, kernel: Kernel):
+    """The kernel's five terms at u of any shape, each reshaped to u's."""
     u = _as_array(u)
-    if kernel is Kernel.NORMAL:
-        out = _normal_sf(u.reshape(-1))[0].reshape(u.shape)
-    elif kernel is Kernel.LOGISTIC:
-        # log F(-u) = -log(1 + e^u) = -(max(u, 0) + log(1 + e^-|u|))
-        out = -(np.maximum(u, 0.0) + np.log1p(np.exp(-np.abs(u))))
-    elif kernel is Kernel.SECH:
-        x = 0.5 * np.pi * u
-        pos = _log_arctan_exp_neg(np.where(u >= 0, x, 0.0)) + np.log(2.0 / np.pi)
-        # u < 0: F(-u) = 1 - (2/pi) arctan(exp(x)), x <= 0
-        neg = np.log1p(-(2.0 / np.pi) * np.exp(_log_arctan_exp_neg(np.where(u < 0, -x, 0.0))))
-        out = np.where(u >= 0, pos, neg)
-    elif kernel is Kernel.STUDENT_T2:
-        s = np.sqrt(u * u + 2.0)
-        # F(-u) = (1 - u/s)/2; for u >= 0 use 1 - u/s = 2/(s(s+u))
-        pos = -np.log(s * (s + np.abs(u)))
-        neg = np.log(0.5) + np.log1p(np.abs(u) / s)
-        out = np.where(u >= 0, pos, neg)
-    else:
-        raise ValueError(f"unknown kernel {kernel}")
+    return tuple(t.reshape(u.shape) for t in _TERMS[kernel](u.reshape(-1)))
+
+
+def _scalar_or_array(out):
     return out if out.shape else float(out)
 
 
-# ---------------------------------------------------------------------------
-# ratio functions (Supp-table closed forms, rearranged for stability)
+def log_f(u, kernel: Kernel):
+    return _scalar_or_array(_terms(u, kernel)[0])
+
+
+def log_F_neg(u, kernel: Kernel):
+    return _scalar_or_array(_terms(u, kernel)[1])
+
 
 def ratio_f_over_Fneg(u, kernel: Kernel):
-    u = _as_array(u)
-    if kernel is Kernel.NORMAL:
-        s = _normal_tail(np.abs(u).reshape(-1)).reshape(u.shape)
-        out = _normal_ratio(u, s, np.exp(-0.5 * u * u))
-    elif kernel is Kernel.LOGISTIC:
-        # the logistic function 1/(1 + e^{-u}), from e^{-|u|} on both sides
-        e = np.exp(-np.abs(u))
-        out = np.where(u >= 0, 1.0, e) / (1.0 + e)
-    elif kernel is Kernel.SECH:
-        out = np.exp(log_f(u, kernel) - log_F_neg(u, kernel))
-    elif kernel is Kernel.STUDENT_T2:
-        s = np.sqrt(u * u + 2.0)
-        out = np.where(u >= 0, (s + u) / (u * u + 2.0), 2.0 / ((u * u + 2.0) * (s + np.abs(u))))
-    else:
-        raise ValueError(f"unknown kernel {kernel}")
-    return out if out.shape else float(out)
+    return _scalar_or_array(_terms(u, kernel)[2])
 
 
 def ratio_fprime_over_f(u, kernel: Kernel):
-    u = _as_array(u)
-    if kernel is Kernel.NORMAL:
-        out = -u
-    elif kernel is Kernel.LOGISTIC:
-        out = -np.tanh(0.5 * u)
-    elif kernel is Kernel.SECH:
-        out = -0.5 * np.pi * np.tanh(0.5 * np.pi * u)
-    elif kernel is Kernel.STUDENT_T2:
-        out = -3.0 * u / (u * u + 2.0)
-    else:
-        raise ValueError(f"unknown kernel {kernel}")
-    return out if out.shape else float(out)
+    return _scalar_or_array(_terms(u, kernel)[3])
 
 
 def ratio_fsecond_over_f(u, kernel: Kernel):
-    u = _as_array(u)
-    if kernel is Kernel.NORMAL:
-        out = u * u - 1.0
-    elif kernel is Kernel.LOGISTIC:
-        out = 1.0 - 3.0 / (np.cosh(u) + 1.0)
-    elif kernel is Kernel.SECH:
-        # (pi^2/8)(cosh(pi u) - 3) sech^2(pi u / 2) == (pi^2/4)(1 - 2 sech^2(pi u / 2)),
-        # with sech^2 x = 4 e^(-2|x|) / (1 + e^(-2|x|))^2, which cannot overflow
-        e = np.exp(-np.pi * np.abs(u))
-        sech2 = 4.0 * e / (1.0 + e) ** 2
-        out = 0.25 * np.pi ** 2 * (1.0 - 2.0 * sech2)
-    elif kernel is Kernel.STUDENT_T2:
-        out = 6.0 * (2.0 * u * u - 1.0) / (u * u + 2.0) ** 2
-    else:
-        raise ValueError(f"unknown kernel {kernel}")
-    return out if out.shape else float(out)
+    return _scalar_or_array(_terms(u, kernel)[4])
 
 
 def ratio_fprime_over_Fneg(u, kernel: Kernel):
     # f'/F(-u) = (f'/f) * (f/F(-u)) for every family; the product of the two
     # stable forms is itself stable.
-    out = _as_array(ratio_fprime_over_f(u, kernel)) * _as_array(ratio_f_over_Fneg(u, kernel))
-    return out if out.shape else float(out)
-
-
-def newton_terms(u, kernel: Kernel) -> tuple:
-    """(log f, log F(-u), f/F(-u), f'/f, f''/f) at a 1-d array u: the terms
-    a likelihood pass needs, equal to those of the single functions above.
-    The normal kernel takes one S(|u|) for log F(-u) and f/F(-u), the t2
-    kernel one sqrt(u^2 + 2) for all five; the logistic and sech kernels
-    compose the single functions."""
-    if kernel is Kernel.NORMAL:
-        lF, s, e = _normal_sf(u)
-        uu = u * u
-        return uu * -0.5 - _HALF_LOG_2PI, lF, _normal_ratio(u, s, e), -u, uu - 1.0
-    if kernel is Kernel.STUDENT_T2:
-        s2 = u * u + 2.0
-        s = np.sqrt(s2)
-        a = np.abs(u)
-        sa = s + a
-        right = u >= 0
-        # F(-u) = (1 - u/s)/2; for u >= 0, 1 - u/s = 2/(s(s+u))
-        lF = np.where(right, -np.log(s * sa), np.log(0.5) + np.log1p(a / s))
-        r1 = np.where(right, sa / s2, 2.0 / (s2 * sa))
-        return (-1.5 * np.log(s2), lF, r1, -3.0 * u / s2,
-                6.0 * (2.0 * u * u - 1.0) / (s2 * s2))
-    lf, lF = log_f(u, kernel), log_F_neg(u, kernel)
-    r1 = np.exp(lf - lF) if kernel is Kernel.SECH else ratio_f_over_Fneg(u, kernel)
-    return (lf, lF, r1, ratio_fprime_over_f(u, kernel),
-            ratio_fsecond_over_f(u, kernel))
-
+    terms = _terms(u, kernel)
+    return _scalar_or_array(terms[3] * terms[2])
 
 # ---------------------------------------------------------------------------
 # quantile

@@ -9,9 +9,9 @@ it is integrated out analytically in `marglik`, so only its scale g has a
 density here.  The product prior places independent Gaussians on the time-level and
 hazard-level blocks with covariances built from the two Gram matrices; tied
 (code-4) models keep only the time-level factor.  `product_prior_gaussian`
-builds that Gaussian once per model, and `map_log_prior` gives the MAP fit's
+builds that Gaussian once per model, and `map_prior` gives the MAP fit's
 whole prior (the common prior plus that Gaussian) with its gradient and
-Hessian in one pass; `map_prior` builds its constant parts once per fit.
+Hessian in one pass, its constant parts built once per fit.
 """
 
 from __future__ import annotations
@@ -94,17 +94,12 @@ def product_prior_gaussian(gamma: Gamma, data: Dataset,
 # ---------------------------------------------------------------------------
 # the MAP fit's prior over packed psi = (nu, theta0, coefficients)
 
-def map_log_prior(psi: np.ndarray, P: np.ndarray, log_norm: float) -> tuple:
-    """Log prior density at psi with its gradient and Hessian: (value, grad,
-    hess).  Gamma(NU_SHAPE, NU_RATE) on exp(nu), N(0, THETA0_VAR) on theta0,
-    and the coefficients' Gaussian with precision P and log normalising
-    constant log_norm, as `product_prior_gaussian` returns them."""
-    return map_prior(P, log_norm)(psi)
-
-
 def map_prior(P: np.ndarray, log_norm: float):
-    """`map_log_prior` for one precision P and constant log_norm, as a
-    function of psi; its constant terms and Hessian are built here, once."""
+    """The log prior density as a function of psi, returning (value, grad,
+    hess): Gamma(NU_SHAPE, NU_RATE) on exp(nu), N(0, THETA0_VAR) on theta0,
+    and the coefficients' Gaussian with precision P and log normalising
+    constant log_norm, as `product_prior_gaussian` returns them.  Its
+    constant terms and Hessian are built here, once."""
     a, b, K = NU_SHAPE, NU_RATE, THETA0_VAR
     a_log_b, lgamma_a = a * math.log(b), math.lgamma(a)
     lp_t0_const = -0.5 * (LOG_2PI + math.log(K))

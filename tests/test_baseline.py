@@ -167,14 +167,15 @@ def test_logistic_closed_forms_are_stable():
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_newton_terms_match_the_single_functions(kernel):
     """One `newton_terms` call gives log f, log F(-u), f/F(-u), f'/f and f''/f
-    as the single functions give them, on a grid of |u| <= 300."""
-    u = np.concatenate((np.linspace(-300.0, 300.0, 6001), np.linspace(-40.0, 40.0, 8001),
-                        [0.0, -0.0, 1e-300, -1e-300, 30.0, 37.5]))
+    exactly as the single functions give them, on a grid of |u| <= 800 (past
+    the overflow of cosh), and a scalar u gives a float equal to its entry."""
+    u = np.concatenate((np.linspace(-800.0, 800.0, 16001), np.linspace(-40.0, 40.0, 8001),
+                        [0.0, -0.0, 1e-300, -1e-300, 30.0, 37.5, 709.9, 710.5, -710.5]))
     singles = (baseline.log_f, baseline.log_F_neg, baseline.ratio_f_over_Fneg,
                baseline.ratio_fprime_over_f, baseline.ratio_fsecond_over_f)
     for got, single in zip(baseline.newton_terms(u, kernel), singles):
-        want = single(u, kernel)
-        assert np.array_equal(np.isfinite(got), np.isfinite(want)), single.__name__
-        finite = np.isfinite(want)
-        np.testing.assert_allclose(got[finite], want[finite], rtol=1e-13, atol=0,
-                                   err_msg=single.__name__)
+        assert np.array_equal(single(u, kernel), got, equal_nan=True), single.__name__
+        for i in (0, 12000, 16000, -9, -8, -7, -6, -1):  # -800, 400, 800, +-0, +-1e-300, -710.5
+            scalar = single(u[i], kernel)
+            assert isinstance(scalar, float), single.__name__
+            assert np.array_equal(scalar, got[i], equal_nan=True), (single.__name__, u[i])

@@ -10,7 +10,7 @@ from ghsel.ghlik import LINPRED_CLAMP, Dataset, design, dim_psi, evaluate
 from ghsel.modelspace import Gamma, enumerate_models
 from ghsel.optimize import (MAX_ITER, FitRecord, FitStatus, default_init,
                             fit_map, fit_mle)
-from ghsel.priors import CoefficientPrior, map_log_prior, product_prior_gaussian
+from ghsel.priors import CoefficientPrior, map_prior, product_prior_gaussian
 from ghsel.simulate import SimConfig, simulate_dataset
 
 
@@ -76,7 +76,7 @@ def test_fit_map_product_prior():
     assert fit.ok
     P, log_norm = product_prior_gaussian(g, data, prior)
     total_grad = (evaluate(design(g, data, Kernel.NORMAL), fit.psi_opt)[1]
-                  + map_log_prior(fit.psi_opt, P, log_norm)[1])
+                  + map_prior(P, log_norm)(fit.psi_opt)[1])
     assert np.max(np.abs(total_grad)) < 1e-5 * (1 + abs(fit.objective))
     # MAP objective includes the prior
     log_prior = oracles.map_prior_reference(g, data, prior)
@@ -118,14 +118,14 @@ PRODUCT = CoefficientPrior()
 def _objective(fitter, gamma, data, kernel):
     """The fitter's objective and gradient as plain functions of psi: the
     MAP objective's prior term is the SciPy reference, its gradient
-    map_log_prior's."""
+    map_prior's."""
     des = design(gamma, data, kernel)
     if fitter == "mle":
         return (lambda x: evaluate(des, x)[0], lambda x: evaluate(des, x)[1])
     log_prior = oracles.map_prior_reference(gamma, data, PRODUCT)
-    P, log_norm = product_prior_gaussian(gamma, data, PRODUCT)
+    prior = map_prior(*product_prior_gaussian(gamma, data, PRODUCT))
     return (lambda x: evaluate(des, x)[0] + log_prior(x),
-            lambda x: evaluate(des, x)[1] + map_log_prior(x, P, log_norm)[1])
+            lambda x: evaluate(des, x)[1] + prior(x)[1])
 
 
 def _fit(fitter, gamma, data, kernel, init=None):
@@ -176,7 +176,7 @@ def test_t2_map_from_indefinite_start_converges():
     x0 = np.array([-1.23, -0.6, -1.45, -4.66, -1.71])
     P, log_norm = product_prior_gaussian(gamma, data, PRODUCT)
     H0 = (evaluate(design(gamma, data, Kernel.STUDENT_T2), x0)[2]
-          + map_log_prior(x0, P, log_norm)[2])
+          + map_prior(P, log_norm)(x0)[2])
     assert np.linalg.eigvalsh(-H0).min() < 0.0
     fit = fit_map(gamma, data, Kernel.STUDENT_T2, PRODUCT, init=x0)
     assert fit.status is FitStatus.CONVERGED

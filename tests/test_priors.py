@@ -9,7 +9,7 @@ from ghsel import priors
 from ghsel.baseline import Kernel
 from ghsel.ghlik import Dataset, dim_psi
 from ghsel.modelspace import Gamma
-from ghsel.priors import (CoefficientPrior, RankDeficiencyError, map_log_prior,
+from ghsel.priors import (CoefficientPrior, RankDeficiencyError, map_prior,
                           product_prior_gaussian, robust_g_logpdf,
                           robust_g_support_bound)
 
@@ -28,8 +28,8 @@ def test_config_validation():
 
 
 def common_log_prior(nu, theta0):
-    """map_log_prior of a model without coefficients."""
-    return map_log_prior(np.array([nu, theta0]), np.zeros((0, 0)), 0.0)[0]
+    """The MAP prior of a model without coefficients."""
+    return map_prior(np.zeros((0, 0)), 0.0)(np.array([nu, theta0]))[0]
 
 
 def test_common_prior_density_normalises(monkeypatch):
@@ -53,7 +53,7 @@ def test_common_prior_derivatives():
     x = np.array([0.4, -1.1])
     fn = oracles.map_prior_reference(Gamma.from_key("000"), make_data(),
                                      CoefficientPrior())
-    _, grad, hess = map_log_prior(x, np.zeros((0, 0)), 0.0)
+    _, grad, hess = map_prior(np.zeros((0, 0)), 0.0)(x)
     assert np.allclose(grad, oracles.fd_grad(fn, x), rtol=1e-6, atol=1e-8)
     assert np.allclose(hess, oracles.fd_hess(fn, x), rtol=1e-4, atol=1e-6)
 
@@ -65,7 +65,7 @@ def test_product_prior_matches_multivariate_normal():
     psi = np.array([0.2, -0.5, 0.3, -0.2, 0.1, 0.4])
     P, log_norm = product_prior_gaussian(g, data, prior)
     ref = oracles.map_prior_reference(g, data, prior)
-    assert map_log_prior(psi, P, log_norm)[0] == pytest.approx(
+    assert map_prior(P, log_norm)(psi)[0] == pytest.approx(
         ref(psi), rel=1e-10)
 
 
@@ -75,7 +75,7 @@ def test_product_prior_derivatives():
     prior = CoefficientPrior(g_ct=1.5, g_ch=0.8)
     psi = np.array([0.2, 0.7, 0.1, -0.4, 0.3, 0.2])
     fn = oracles.map_prior_reference(g, data, prior)
-    _, grad, hess = map_log_prior(psi, *product_prior_gaussian(g, data, prior))
+    _, grad, hess = map_prior(*product_prior_gaussian(g, data, prior))(psi)
     assert np.allclose(grad, oracles.fd_grad(fn, psi), rtol=1e-6, atol=1e-8)
     assert np.allclose(hess, oracles.fd_hess(fn, psi), rtol=1e-4, atol=1e-6)
 
@@ -88,7 +88,7 @@ def test_aft_product_prior_keeps_time_factor_only():
     P, log_norm = product_prior_gaussian(aft, data, prior)
     assert P.shape == (2, 2)
     ref = oracles.map_prior_reference(aft, data, prior)
-    assert map_log_prior(psi, P, log_norm)[0] == pytest.approx(
+    assert map_prior(P, log_norm)(psi)[0] == pytest.approx(
         ref(psi), rel=1e-10)
 
 
