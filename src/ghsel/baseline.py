@@ -10,6 +10,10 @@ slots, and `ratio_fprime_over_Fneg` is the product of two of them; they
 accept scalars or numpy arrays.  Every term is safe far into the tails
 (|u| up to a few hundred) without catastrophic cancellation.
 
+Each kernel's quantile is a (centre, tail) pair of functions tabled beside
+its terms; `quantile(p)` and `quantile_exp(log q)` give the pair the forms of
+q that keep its precision near 0, 1/2 and 1, and where q underflows.
+
 Everything is NumPy.  The normal kernel rests on one function,
 S(x) = Phi(-x) exp(x^2/2) = erfcx(x/sqrt(2))/2 for x >= 0, evaluated in a
 single pass from a table of degree-5 polynomials over 128 pieces of
@@ -18,8 +22,8 @@ table with mpmath; the relative error of S is below 5e-16 on [0, inf)):
 log Phi(-u) is log S(u) - u^2/2 for u > 0 and log1p(-S(|u|) exp(-u^2/2))
 otherwise, and phi(u)/Phi(-u) is 1/(sqrt(2 pi) S(u)) for u >= 0.  The normal
 quantile is found by Newton steps on log Phi(-z) in the tails and on the
-Taylor series of Phi(x) - 1/2 in the centre.  The logistic kernel needs only
-the stable closed forms of the logistic function and its inverse.
+Taylor series of Phi(x) - 1/2 in the centre; the other three kernels'
+quantiles are closed forms.
 """
 
 from __future__ import annotations
@@ -88,8 +92,9 @@ def _sech_terms(u):
     lf = -ax - np.log1p(np.exp(-2.0 * ax))
     right = u >= 0
     pos = _log_arctan_exp_neg(np.where(right, x, 0.0)) + np.log(2.0 / np.pi)
-    # u < 0: F(-u) = 1 - (2/pi) arctan(exp(x)), x <= 0
-    neg = np.log1p(-(2.0 / np.pi) * np.exp(_log_arctan_exp_neg(np.where(u < 0, -x, 0.0))))
+    # u < 0: F(-u) = 1 - (2/pi) arctan(exp(x)), x <= 0; NaN takes this branch
+    # and stays NaN
+    neg = np.log1p(-(2.0 / np.pi) * np.exp(_log_arctan_exp_neg(np.where(right, 0.0, -x))))
     lF = np.where(right, pos, neg)
     # (pi^2/8)(cosh(pi u) - 3) sech^2(pi u / 2) == (pi^2/4)(1 - 2 sech^2(pi u / 2)),
     # with sech^2 x = 4 e^(-2|x|) / (1 + e^(-2|x|))^2, which cannot overflow
@@ -111,10 +116,6 @@ def _t2_terms(u):
     r1 = np.where(right, sa / s2, 2.0 / (s2 * sa))
     return (-1.5 * np.log(s2), lF, r1, -3.0 * u / s2,
             6.0 * (2.0 * u * u - 1.0) / (s2 * s2))
-
-
-_TERMS = {Kernel.NORMAL: _normal_terms, Kernel.LOGISTIC: _logistic_terms,
-          Kernel.SECH: _sech_terms, Kernel.STUDENT_T2: _t2_terms}
 
 
 def newton_terms(u, kernel: Kernel) -> tuple:
@@ -160,26 +161,81 @@ def ratio_fprime_over_Fneg(u, kernel: Kernel):
     return _scalar_or_array(terms[3] * terms[2])
 
 # ---------------------------------------------------------------------------
-# quantile
+# quantile: per kernel, x from c = q - 1/2 in the centre, and in the tails the
+# z >= 0 with log F(-z) = log p, p = min(q, 1 - q) <= 1/4
+
+_CENTRE = 0.25     # |q - 1/2| below which the quantile is solved from q - 1/2
+_LN2_HI, _LN2_LO = 0.6931471805599453, 2.3190468138462996e-17  # ln 2 = hi + lo
+
 
 def quantile(p, kernel: Kernel):
     p = _as_array(p)
     if np.any((p <= 0.0) | (p >= 1.0)):
         raise ValueError("quantile requires 0 < p < 1")
-    if kernel is Kernel.NORMAL:
-        out = _normal_quantile(p - 0.5, np.log(p), np.log1p(-p))
-    elif kernel is Kernel.LOGISTIC:
-        # log(p/(1 - p)); 2 artanh(2p - 1) where 2p - 1 is exact (p >= 1/4)
-        out = np.where(p < 0.25, np.log(p / (1.0 - p)),
-                       2.0 * np.arctanh(2.0 * np.maximum(p, 0.25) - 1.0))
-    elif kernel is Kernel.SECH:
-        out = (2.0 / np.pi) * np.log(np.tan(0.5 * np.pi * p))
-    elif kernel is Kernel.STUDENT_T2:
-        s = 2.0 * p - 1.0
-        out = s * np.sqrt(2.0) / np.sqrt(1.0 - s * s)
-    else:
-        raise ValueError(f"unknown kernel {kernel}")
-    return out if out.shape else float(out)
+    return _scalar_or_array(_quantile(p - 0.5, np.log(p), np.log1p(-p), kernel))
+
+
+def quantile_exp(log_q, kernel: Kernel):
+    """The kernel quantile of q = exp(log_q), accurate for q near 0, 1/2 and 1."""
+    log_q = _as_array(log_q)
+    if np.any(log_q >= 0.0):
+        raise ValueError("quantile_exp requires log_q < 0")
+    # q - 1/2 = (exp(log q + ln 2) - 1)/2, with log q + ln 2 exact near q = 1/2
+    c = 0.5 * np.expm1((log_q + _LN2_HI) + _LN2_LO)
+    return _scalar_or_array(_quantile(c, log_q, np.log(-np.expm1(log_q)), kernel))
+
+
+def _quantile(c, log_q, log_1mq, kernel: Kernel):
+    """The kernel quantile of q, given three equivalent forms of q: c = q - 1/2,
+    log q and log(1 - q).  Each point is solved from the form that carries its
+    precision: c in the centre (|c| < 1/4), log min(q, 1 - q) in the tails."""
+    centre_quantile, tail_quantile = _QUANTILES[kernel]
+    c, log_q, log_1mq = (np.asarray(a, dtype=float) for a in (c, log_q, log_1mq))
+    x = np.empty_like(c)
+    centre = np.abs(c) < _CENTRE
+    x[centre] = centre_quantile(c[centre])
+    tails = ~centre
+    lower = c[tails] < 0.0
+    z = tail_quantile(np.where(lower, log_q[tails], log_1mq[tails]))
+    x[tails] = np.where(lower, -z, z)
+    return x
+
+
+def _logistic_centre_quantile(c):
+    # log(q/(1 - q)) = 2 artanh(2c), with 2c exact
+    return 2.0 * np.arctanh(2.0 * c)
+
+
+def _logistic_tail_quantile(log_p):
+    # F(-z) = 1/(1 + e^z) = p: z = log(1 - p) - log p
+    return np.log1p(-np.exp(log_p)) - log_p
+
+
+def _sech_centre_quantile(c):
+    # F(x) - 1/2 = gd(pi x/2)/pi, and the Gudermannian's inverse is asinh(tan)
+    return (2.0 / np.pi) * np.arcsinh(np.tan(np.pi * c))
+
+
+def _sech_tail_quantile(log_p):
+    # F(-z) = (2/pi) arctan(exp(-pi z/2)) = p: z = -(2/pi) log tan(a), a = pi p/2,
+    # with log tan(a) = log(pi/2) + log p + log(sinc(p/2)/cos(a)), which stays
+    # accurate where p = exp(log p) underflows
+    p = np.exp(log_p)
+    return (-2.0 / np.pi) * (math.log(0.5 * math.pi) + log_p
+                             + np.log(np.sinc(0.5 * p) / np.cos(0.5 * np.pi * p)))
+
+
+def _t2_centre_quantile(c):
+    # F(x) - 1/2 = x/(2 sqrt(x^2 + 2)): x = sqrt(8) c/sqrt((1 - 2c)(1 + 2c))
+    return math.sqrt(8.0) * c / np.sqrt((1.0 - 2.0 * c) * (1.0 + 2.0 * c))
+
+
+def _t2_tail_quantile(log_p):
+    # F(-z) = p: z = (1 - 2p)/sqrt(2p(1 - p)), with p^(-1/2) = exp(-log p/2),
+    # which stays accurate where p underflows; beyond the float range z is inf
+    p = np.exp(log_p)
+    with np.errstate(over="ignore"):
+        return (1.0 - 2.0 * p) / np.sqrt(2.0 * (1.0 - p)) * np.exp(-0.5 * log_p)
 
 
 # ---------------------------------------------------------------------------
@@ -231,38 +287,12 @@ def _normal_ratio(u, s, e):
     return np.where(right, 1.0, e) / (_SQRT_2PI * np.where(right, s, 1.0 - e * s))
 
 
-_CENTRE = 0.25     # |q - 1/2| below which the quantile is solved from q - 1/2
 _NEWTON_STEPS = 60
 # Phi(x) - 1/2 = x/sqrt(2 pi) sum_k (-1/2)^k x^(2k) / (k! (2k + 1))
 _PHI_SERIES = tuple((-0.5) ** k / (math.factorial(k) * (2 * k + 1)) for k in range(16))
 # Hastings' rational approximation to the upper-tail quantile, |error| < 4.5e-4
 _HASTINGS_NUM = (2.515517, 0.802853, 0.010328)
 _HASTINGS_DEN = (1.0, 1.432788, 0.189269, 0.001308)
-_LN2_HI, _LN2_LO = 0.6931471805599453, 2.3190468138462996e-17  # ln 2 = hi + lo
-
-
-def _normal_quantile(c, log_q, log_1mq):
-    """The normal quantile of q, given three equivalent forms of q: c = q - 1/2,
-    log q and log(1 - q).  Each point is solved from the form that carries its
-    precision: c in the centre (|c| < 1/4), log min(q, 1 - q) in the tails."""
-    shape = np.shape(c)
-    c, log_q, log_1mq = (np.asarray(a, dtype=float).reshape(-1) for a in (c, log_q, log_1mq))
-    x = np.empty_like(c)
-    centre = np.abs(c) < _CENTRE
-    x[centre] = _normal_centre_quantile(c[centre])
-    tails = ~centre
-    lower = c[tails] < 0.0
-    z = _normal_tail_quantile(np.where(lower, log_q[tails], log_1mq[tails]))
-    x[tails] = np.where(lower, -z, z)
-    return x.reshape(shape)
-
-
-def _normal_quantile_exp(log_q):
-    """The normal quantile of q = exp(log_q), accurate for q near 0, 1/2 and 1."""
-    log_q = np.asarray(log_q, dtype=float)
-    # q - 1/2 = (exp(log q + ln 2) - 1)/2, with log q + ln 2 exact near q = 1/2
-    c = 0.5 * np.expm1((log_q + _LN2_HI) + _LN2_LO)
-    return _normal_quantile(c, log_q, np.log(-np.expm1(log_q)))
 
 
 def _normal_centre_quantile(c):
@@ -298,3 +328,14 @@ def _normal_tail_quantile(log_p):
         if np.all(np.abs(step) <= 1e-15 * z):
             break
     return z
+
+
+# ---------------------------------------------------------------------------
+# each kernel's five terms, and the (centre, tail) pair of its quantile
+
+_TERMS = {Kernel.NORMAL: _normal_terms, Kernel.LOGISTIC: _logistic_terms,
+          Kernel.SECH: _sech_terms, Kernel.STUDENT_T2: _t2_terms}
+_QUANTILES = {Kernel.NORMAL: (_normal_centre_quantile, _normal_tail_quantile),
+              Kernel.LOGISTIC: (_logistic_centre_quantile, _logistic_tail_quantile),
+              Kernel.SECH: (_sech_centre_quantile, _sech_tail_quantile),
+              Kernel.STUDENT_T2: (_t2_centre_quantile, _t2_tail_quantile)}

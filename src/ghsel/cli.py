@@ -440,10 +440,6 @@ def _run_replicate(rep_args):
 
 def cmd_replicate(args, opts) -> int:
     sim_cfg = _sim_config(args, opts)
-    sim_dict = {"n": sim_cfg.n, "p": sim_cfg.p, "truth": sim_cfg.truth.key,
-                "alpha": sim_cfg.alpha.tolist(), "beta": sim_cfg.beta.tolist(),
-                "baseline": simulate._baseline_dict(sim_cfg.baseline),
-                "rho": sim_cfg.rho, "censoring": sim_cfg.target_censoring}
     jobs = [(opts, sim_cfg, opts["seed"] + 1000 * r) for r in range(args.reps)]
     results, failures = [], []
     with _output_file(args.out) as fh:
@@ -473,7 +469,7 @@ def cmd_replicate(args, opts) -> int:
             "mean_pip": [float(v) for v in np.mean([r["pip"] for r in results], axis=0)],
         }
         if fh is not None:
-            _write_json(fh, {"config": {"sim": sim_dict, "options": opts, "reps": args.reps},
+            _write_json(fh, {"config": {"sim": sim_cfg.record(), "options": opts, "reps": args.reps},
                              "replicates": results, "aggregate": agg})
     print(f"replicates: {agg['reps_completed']} ok, {agg['reps_failed']} failed")
     print(f"modal hazard structure correct: {agg['modal_class_correct']}"

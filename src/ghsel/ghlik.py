@@ -123,46 +123,44 @@ def dim_psi(gamma: Gamma) -> int:
 class Design:
     """One model's view of a dataset, built once per fit.
 
-    `Xt` and `Xh` are contiguous copies of the model's time-level and
-    hazard-level columns; tied-effect (AFT) models use their time-level
-    columns at both levels.  The m rows of Z are log t, 1 and the union of
-    those columns, and the rows of `pairs` the products Z_a Z_b, a <= b,
-    Z's own rows first (Z_0 Z_1, Z_1 Z_1, Z_1 Z_j), so that Z is `pairs[:m]`.
+    `t_cols` and `h_cols` index the model's time-level and hazard-level
+    columns (tied-effect models have no hazard-level ones and use their
+    time-level columns at both levels).  The m rows of Z are log t, 1 and the
+    union of those columns, and the rows of `pairs` the products Z_a Z_b,
+    a <= b, Z's own rows first (Z_0 Z_1, Z_1 Z_1, Z_1 Z_j), so Z is `pairs[:m]`.
     Row i of `jac` holds the gradients of u and lin in Z's basis,
     [d u / d Psi_i | d lin / d Psi_i], without the entries that depend on
     Psi: exp(nu) at (0, 0), exp(-nu) at `theta_idx` and -exp(-nu) theta in
-    row 0 at Xt's columns of the lin block.  `w_index` unpacks the
+    row 0 at the time-level columns of the lin block.  `w_index` unpacks the
     weighted pair sums into [[S_uu, S_ul], [S_ul, S_ll]].
     """
     data: Dataset
     kernel: Kernel
     aft: bool
-    Xt: np.ndarray
-    Xh: np.ndarray
+    t_cols: tuple
+    h_cols: tuple
     has_lin: bool          # False for tied-effect and null models: lin = 0
     pairs: np.ndarray
     w_index: np.ndarray
     jac: np.ndarray
-    t_pos: np.ndarray      # the rows of Z that are Xt's columns
+    t_pos: np.ndarray      # the rows of Z that are the time-level columns
     theta_idx: tuple       # the entries d lin / d theta of jac
 
     @property
     def q(self) -> int:
-        return self.Xt.shape[1]
+        return self.t_pos.size
 
     @property
     def dim(self) -> int:
-        return 2 + self.q + (0 if self.aft else self.Xh.shape[1])
+        return self.jac.shape[0]
 
 
 def design(gamma: Gamma, data: Dataset, kernel: Kernel) -> Design:
     if gamma.p != data.p:
         raise DimensionError(f"model over {gamma.p} variables, data has {data.p}")
     aft = classify(gamma) is HazardClass.AFT
-    t_cols, h_cols = list(time_level_columns(gamma)), list(hazard_level_columns(gamma))
+    t_cols, h_cols = time_level_columns(gamma), hazard_level_columns(gamma)
     cols = sorted(set(t_cols) | set(h_cols))
-    Xt = np.ascontiguousarray(data.X[:, t_cols])
-    Xh = Xt if aft else np.ascontiguousarray(data.X[:, h_cols])
     q, m = len(t_cols), 2 + len(cols)
     has_lin = bool(cols) and not aft
     z_rows = [(0, 1), *((1, j) for j in range(1, m))]
@@ -184,7 +182,7 @@ def design(gamma: Gamma, data: Dataset, kernel: Kernel) -> Design:
     jac[1, 1] = -1.0
     jac[theta_rows, t_pos] = -1.0
     jac[range(2 + q, 2 + q + len(h_cols)), [m + 2 + cols.index(j) for j in h_cols]] = -1.0
-    return Design(data, kernel, aft, Xt, Xh, has_lin, pairs, w_index, jac,
+    return Design(data, kernel, aft, t_cols, h_cols, has_lin, pairs, w_index, jac,
                   t_pos, (theta_rows, m + t_pos))
 
 

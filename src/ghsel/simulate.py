@@ -3,12 +3,11 @@ hazard model by inverse transform, and administrative censoring.
 
 The hazard is h(t|x) = h0(t*exp(x~'a)) * exp(x'b); solving H(t|x) = E with
 E ~ Exp(1) gives t = H0^{-1}(E * exp(x~'a - x'b)) * exp(-x~'a).  Two baseline
-families are supported for generation: log-location-scale (the kernel
-quantile evaluated from log q, so huge cumulative-hazard draws do not
-overflow: in closed form for the logistic, sech and t2 kernels, and by the
-Newton steps of `baseline._normal_quantile_exp` for the normal kernel) and
-the power generalized Weibull, which has a closed-form inverse cumulative
-hazard.
+families are supported for generation, each with a `log_time` method that
+returns log H0^{-1}(w) from log w, so huge cumulative-hazard draws do not
+overflow: log-location-scale, through the kernel quantile
+`baseline.quantile_exp`, and the power generalized Weibull, in closed form.
+Each family also writes its own record.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baseline import Kernel, _normal_quantile_exp
+from .baseline import Kernel, log_F_neg, quantile_exp
 from .ghlik import Dataset
 from .modelspace import Gamma, HazardClass
 
@@ -37,15 +36,20 @@ class LogLocationScaleBaseline:
         if not math.isfinite(self.mu):
             raise ValueError("mu must be finite")
 
-    def inverse_cumhaz(self, w: np.ndarray) -> np.ndarray:
-        # H0(t) = w  <=>  t = exp(mu + sigma * Finv(1 - e^{-w})); by kernel
-        # symmetry Finv(1 - q) = -Finv(q) with log q = -w
-        return np.exp(self.mu - self.sigma * _kernel_quantile_exp(-np.asarray(w), self.kernel))
+    def log_time(self, log_w: np.ndarray) -> np.ndarray:
+        """log t with H0(t) = w, from log w clamped to [-745, 700]: t = exp(mu +
+        sigma Finv(1 - e^-w)) = exp(mu - sigma Finv(e^-w)) by the kernel's
+        symmetry, and log t is inf where it lies beyond the float range."""
+        return self.mu - self.sigma * quantile_exp(-np.exp(np.clip(log_w, -745.0, 700.0)),
+                                                   self.kernel)
 
     def cumhaz(self, t: np.ndarray) -> np.ndarray:
-        from . import baseline
         z = (np.log(t) - self.mu) / self.sigma
-        return -baseline.log_F_neg(z, self.kernel)
+        return -log_F_neg(z, self.kernel)
+
+    def record(self) -> dict:
+        return {"family": "lls", "mu": self.mu, "sigma": self.sigma,
+                "kernel": self.kernel.value}
 
 
 @dataclass(frozen=True)
@@ -69,33 +73,15 @@ class PGWBaseline:
         return (self.s1 / (self.s2 * self.scale) * np.power(t / self.scale, self.s1 - 1.0)
                 * np.power(1.0 + r, 1.0 / self.s2 - 1.0))
 
-    def inverse_cumhaz(self, w: np.ndarray) -> np.ndarray:
-        return self.scale * np.power(np.power(1.0 + np.asarray(w), self.s2) - 1.0,
-                                     1.0 / self.s1)
+    def log_time(self, log_w: np.ndarray) -> np.ndarray:
+        """log t with H0(t) = w, from log w clamped below at -700: (t/scale)^s1
+        = expm1(y), y = s2 log(1 + w), and log expm1(y) = y + log(1 - e^-y)
+        neither overflows for large w nor cancels for small w."""
+        y = self.s2 * np.logaddexp(0.0, np.maximum(log_w, -700.0))
+        return math.log(self.scale) + (y + np.log(-np.expm1(-y))) / self.s1
 
-
-def _kernel_quantile_exp(log_q, kernel: Kernel):
-    """Kernel quantile F^{-1}(q) evaluated from log q, stable for q near 0."""
-    log_q = np.asarray(log_q, dtype=float)
-    if kernel is Kernel.NORMAL:
-        return _normal_quantile_exp(log_q)
-    if kernel is Kernel.LOGISTIC:
-        return log_q - np.log1p(-np.exp(log_q))
-    if kernel is Kernel.SECH:
-        q = np.exp(log_q)
-        small = log_q < -25.0
-        with np.errstate(divide="ignore"):
-            direct = (2.0 / np.pi) * np.log(np.tan(0.5 * np.pi * np.where(small, 0.5, q)))
-        series = (2.0 / np.pi) * (math.log(0.5 * np.pi) + log_q)
-        return np.where(small, series, direct)
-    if kernel is Kernel.STUDENT_T2:
-        q = np.exp(log_q)
-        small = log_q < -25.0
-        safe_q = np.where(small, 0.5, q)
-        direct = (2.0 * safe_q - 1.0) / np.sqrt(2.0 * safe_q * (1.0 - safe_q))
-        series = -np.exp(-0.5 * log_q) / math.sqrt(2.0)
-        return np.where(small, series, direct)
-    raise ValueError(f"unknown kernel {kernel}")
+    def record(self) -> dict:
+        return {"family": "pgw", "scale": self.scale, "s1": self.s1, "s2": self.s2}
 
 
 @dataclass(frozen=True)
@@ -124,6 +110,13 @@ class SimConfig:
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "beta", b)
 
+    def record(self) -> dict:
+        """The settings as the replicate report records them."""
+        return {"n": self.n, "p": self.p, "truth": self.truth.key,
+                "alpha": self.alpha.tolist(), "beta": self.beta.tolist(),
+                "baseline": self.baseline.record(), "rho": self.rho,
+                "censoring": self.target_censoring}
+
 
 def simulate_covariates(n: int, p: int, rho: float,
                         rng: np.random.Generator) -> np.ndarray:
@@ -144,25 +137,14 @@ def simulate_gh_times(X: np.ndarray, alpha: np.ndarray, beta: np.ndarray,
     a = X @ np.asarray(alpha, dtype=float)
     b = X @ np.asarray(beta, dtype=float)
     E = rng.exponential(size=X.shape[0])
-    if isinstance(baseline_spec, LogLocationScaleBaseline):
-        # work directly in log space: log w = log E + a - b
-        log_w = np.log(E) + a - b
-        log_t0 = (baseline_spec.mu
-                  - baseline_spec.sigma * _kernel_quantile_exp(
-                      _neg_w_from_log(log_w), baseline_spec.kernel))
-        # a heavy-tailed kernel can give times beyond the float range: they
-        # are infinite, and administrative censoring cuts them at its cut-off
-        inf = np.maximum(log_t0, log_t0 - a) > LOG_TIME_MAX
-        times = np.exp(np.where(inf, 0.0, log_t0)) * np.exp(-a)
-        times[inf] = np.inf
-        return times
-    w = np.exp(np.clip(np.log(E) + a - b, -700.0, 700.0))
-    return baseline_spec.inverse_cumhaz(w) * np.exp(-a)
-
-
-def _neg_w_from_log(log_w):
-    """log(e^{-w}) = -w given log w, with overflow clamps on both ends."""
-    return -np.exp(np.clip(log_w, -745.0, 700.0))
+    # in log space: log w = log E + a - b, and log t = log H0^{-1}(w) - a
+    log_t0 = baseline_spec.log_time(np.log(E) + a - b)
+    # a heavy-tailed kernel can give times beyond the float range: they
+    # are infinite, and administrative censoring cuts them at its cut-off
+    inf = np.maximum(log_t0, log_t0 - a) > LOG_TIME_MAX
+    times = np.exp(np.where(inf, 0.0, log_t0)) * np.exp(-a)
+    times[inf] = np.inf
+    return times
 
 
 def apply_administrative_censoring(times: np.ndarray, target_rate: float):
@@ -191,28 +173,10 @@ def simulate_dataset(cfg: SimConfig):
         "gamma": cfg.truth.key,
         "alpha": cfg.alpha.tolist(),
         "beta": cfg.beta.tolist(),
-        "baseline": _baseline_dict(cfg.baseline),
+        "baseline": cfg.baseline.record(),
         "c_admin": c,
     }
     return data, truth
-
-
-def _baseline_dict(spec) -> dict:
-    if isinstance(spec, LogLocationScaleBaseline):
-        return {"family": "lls", "mu": spec.mu, "sigma": spec.sigma,
-                "kernel": spec.kernel.value}
-    if isinstance(spec, PGWBaseline):
-        return {"family": "pgw", "scale": spec.scale, "s1": spec.s1, "s2": spec.s2}
-    raise ValueError(f"unknown baseline {spec!r}")
-
-
-def baseline_from_dict(d: dict):
-    if d["family"] == "lls":
-        return LogLocationScaleBaseline(mu=d["mu"], sigma=d["sigma"],
-                                        kernel=Kernel(d["kernel"]))
-    if d["family"] == "pgw":
-        return PGWBaseline(scale=d["scale"], s1=d["s1"], s2=d["s2"])
-    raise ValueError(f"unknown baseline family {d['family']}")
 
 
 # ---------------------------------------------------------------------------

@@ -82,8 +82,19 @@ def mp_log_F_neg(u, kernel):
     return float(mp.log(mp_F(-mp.mpf(u), kernel)))
 
 
-def mp_quantile(p, kernel):
-    return float(mp.findroot(lambda x: mp_F(x, kernel) - mp.mpf(p), mp.mpf(0)))
+def mp_quantile(log_q, kernel):
+    """The logistic, sech or t2 quantile of q given log q (an mpf, or a double
+    taken as exact), in closed form from q and 1 - q, each computed without
+    cancellation; `mp_normal_quantile` gives the normal's."""
+    log_q = mp.mpf(log_q)
+    q, q1 = mp.exp(log_q), -mp.expm1(log_q)
+    if kernel is Kernel.LOGISTIC:
+        return float(log_q - mp.log(q1))
+    if kernel is Kernel.SECH:  # (2/pi) log tan(pi q/2), with cos(pi q/2) = sin(pi (1 - q)/2)
+        return float(2 / mp.pi * (mp.log(mp.sin(mp.pi * q / 2)) - mp.log(mp.sin(mp.pi * q1 / 2))))
+    if kernel is Kernel.STUDENT_T2:
+        return float((q - q1) / mp.sqrt(2 * q * q1))
+    raise ValueError(kernel)
 
 
 def mp_normal_log_sf(u):
@@ -569,7 +580,9 @@ def evaluate_reference(des, psi, order: int = 2):
     psi = np.asarray(psi, dtype=float).reshape(-1)
     if psi.shape[0] != des.dim:
         raise DimensionError(f"psi has length {psi.shape[0]}, model needs {des.dim}")
-    data, kernel, Xt, Xh, q = des.data, des.kernel, des.Xt, des.Xh, des.q
+    data, kernel, q = des.data, des.kernel, des.q
+    Xt = data.X[:, des.t_cols]
+    Xh = Xt if des.aft else data.X[:, des.h_cols]
     delta, lt = data.delta, data.log_t
     nu, theta0, theta = float(psi[0]), float(psi[1]), psi[2:2 + q]
     e_nu, e_mnu = np.exp(nu), np.exp(-nu)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -139,14 +140,37 @@ def test_normal_ratio_f_over_Fneg_matches_mpmath():
     _assert_rel(baseline.ratio_f_over_Fneg(u, Kernel.NORMAL), ref, 1e-12)
 
 
+# p from 1e-300 to 1 - 1e-16, and log q from -700 to -1e-16, each with points
+# within 1e-12 of q = 1/2
+_P_GRID = np.concatenate([np.geomspace(1e-300, 0.5, 121), 1.0 - np.geomspace(1e-16, 0.5, 61),
+                          0.5 + np.geomspace(1e-12, 0.2, 13), 0.5 - np.geomspace(1e-12, 0.2, 13)])
+_LOG_Q_GRID = np.concatenate([-np.geomspace(1e-16, 700.0, 241),
+                              -math.log(2.0) + np.geomspace(1e-12, 0.2, 9),
+                              -math.log(2.0) - np.geomspace(1e-12, 0.2, 9)])
+
+
 def test_normal_quantile_matches_mpmath():
-    """From p = 1e-300 to 1 - 1e-16, including points within 1e-12 of 1/2."""
     import mpmath as mp
-    p = np.concatenate([np.geomspace(1e-300, 0.5, 121), 1.0 - np.geomspace(1e-16, 0.5, 61),
-                        0.5 + np.geomspace(1e-12, 0.2, 13), 0.5 - np.geomspace(1e-12, 0.2, 13)])
-    ref = [oracles.mp_normal_quantile(mp.log(x), special.ndtri(x)) for x in p]
-    _assert_rel(baseline.quantile(p, Kernel.NORMAL), ref, 1e-12)
+    ref = [oracles.mp_normal_quantile(mp.log(x), special.ndtri(x)) for x in _P_GRID]
+    _assert_rel(baseline.quantile(_P_GRID, Kernel.NORMAL), ref, 1e-12)
     assert baseline.quantile(0.5, Kernel.NORMAL) == 0.0
+
+
+@pytest.mark.parametrize("kernel", [Kernel.LOGISTIC, Kernel.SECH, Kernel.STUDENT_T2])
+def test_closed_form_quantiles_match_mpmath(kernel):
+    """`quantile` on the p grid and `quantile_exp` on the log q grid, without
+    a warning; the normal kernel's are checked by Newton steps in mpmath."""
+    import mpmath as mp
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_rel(baseline.quantile(_P_GRID, kernel),
+                    [oracles.mp_quantile(mp.log(x), kernel) for x in _P_GRID], 1e-12)
+        _assert_rel(baseline.quantile_exp(_LOG_Q_GRID, kernel),
+                    [oracles.mp_quantile(x, kernel) for x in _LOG_Q_GRID], 1e-12)
+        assert baseline.quantile(0.5, kernel) == 0.0
+        assert isinstance(baseline.quantile_exp(-1.0, kernel), float)
+    with pytest.raises(ValueError):
+        baseline.quantile_exp(0.0, kernel)
 
 
 def test_logistic_log_F_neg_matches_mpmath_on_dense_grid():
@@ -168,14 +192,17 @@ def test_logistic_closed_forms_are_stable():
 def test_newton_terms_match_the_single_functions(kernel):
     """One `newton_terms` call gives log f, log F(-u), f/F(-u), f'/f and f''/f
     exactly as the single functions give them, on a grid of |u| <= 800 (past
-    the overflow of cosh), and a scalar u gives a float equal to its entry."""
+    the overflow of cosh), and a scalar u gives a float equal to its entry.
+    Every term is NaN at u = NaN."""
     u = np.concatenate((np.linspace(-800.0, 800.0, 16001), np.linspace(-40.0, 40.0, 8001),
-                        [0.0, -0.0, 1e-300, -1e-300, 30.0, 37.5, 709.9, 710.5, -710.5]))
+                        [0.0, -0.0, 1e-300, -1e-300, 30.0, 37.5, 709.9, 710.5, -710.5, np.nan]))
     singles = (baseline.log_f, baseline.log_F_neg, baseline.ratio_f_over_Fneg,
                baseline.ratio_fprime_over_f, baseline.ratio_fsecond_over_f)
     for got, single in zip(baseline.newton_terms(u, kernel), singles):
+        assert np.isnan(got[-1]), single.__name__
         assert np.array_equal(single(u, kernel), got, equal_nan=True), single.__name__
-        for i in (0, 12000, 16000, -9, -8, -7, -6, -1):  # -800, 400, 800, +-0, +-1e-300, -710.5
+        # -800, 400, 800, +-0, +-1e-300, -710.5 and NaN
+        for i in (0, 12000, 16000, -10, -9, -8, -7, -2, -1):
             scalar = single(u[i], kernel)
             assert isinstance(scalar, float), single.__name__
             assert np.array_equal(scalar, got[i], equal_nan=True), (single.__name__, u[i])

@@ -166,7 +166,7 @@ def test_evaluate_matches_reference_pass_where_lin_is_clipped(kernel):
     data = make_data(seed=13, n=60)
     des = design(Gamma.from_key("330"), data, kernel)
     psi = np.array([-6.0, 0.2, 1.5, -1.5, 0.5, 0.5])
-    lin = np.exp(-psi[0]) * (des.Xt @ psi[2:4]) - des.Xh @ psi[4:]
+    lin = np.exp(-psi[0]) * (data.X[:, des.t_cols] @ psi[2:4]) - data.X[:, des.h_cols] @ psi[4:]
     assert np.any(lin > LINPRED_CLAMP) and np.any(lin < -LINPRED_CLAMP)
     assert np.any(np.abs(lin) < LINPRED_CLAMP)
     _assert_pass_matches_reference(des, psi)

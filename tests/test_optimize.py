@@ -193,7 +193,7 @@ def test_derivatives_where_the_linear_predictor_is_clipped():
     x = np.array([-15.0, 0.0, 8.0, -8.0, 8.0])
     with np.errstate(over="ignore"):
         theta, eta = x[2:3], x[3:]
-        lin = np.exp(-x[0]) * (des.Xt @ theta) - des.Xh @ eta
+        lin = np.exp(-x[0]) * (data.X[:, des.t_cols] @ theta) - data.X[:, des.h_cols] @ eta
         assert np.all(np.abs(lin) > LINPRED_CLAMP)
         _, g, H = evaluate(des, x)
         value = lambda z: evaluate(des, z)[0]

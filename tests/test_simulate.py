@@ -6,11 +6,10 @@ import pytest
 from scipy import stats
 
 import oracles
-from ghsel.baseline import Kernel
+from ghsel.baseline import Kernel, quantile_exp
 from ghsel.modelspace import Gamma, HazardClass
 from ghsel.simulate import (LogLocationScaleBaseline, PGWBaseline, SimConfig,
-                            _kernel_quantile_exp, apply_administrative_censoring,
-                            baseline_from_dict, _baseline_dict, protocol_truth,
+                            apply_administrative_censoring, protocol_truth,
                             simulate_covariates, simulate_dataset,
                             simulate_gh_times)
 
@@ -32,42 +31,69 @@ def test_normal_quantile_exp_matches_mpmath():
                             -math.log(2.0) + np.geomspace(1e-12, 0.2, 9),
                             -math.log(2.0) - np.geomspace(1e-12, 0.2, 9)])
     ref = [oracles.mp_normal_quantile(x, special.ndtri_exp(x)) for x in log_q]
-    got = _kernel_quantile_exp(log_q, Kernel.NORMAL)
+    got = quantile_exp(log_q, Kernel.NORMAL)
     assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
 
 
-@pytest.mark.parametrize("kernel", list(Kernel))
-def test_kernel_quantile_exp_matches_quantile(kernel):
-    from ghsel import baseline
-    for q in (0.9, 0.5, 0.1, 1e-3, 1e-8):
-        got = float(_kernel_quantile_exp(math.log(q), kernel))
-        if q >= 1e-3:
-            assert got == pytest.approx(baseline.quantile(q, kernel), rel=1e-9)
-        else:
-            # deep tail: invert via the CDF instead
-            back = math.exp(baseline.log_F_neg(-got, kernel))
-            assert back == pytest.approx(q, rel=1e-6)
-    # extreme log-q must stay finite
-    assert np.isfinite(_kernel_quantile_exp(-700.0, kernel))
+_W = np.geomspace(1e-12, 1e12, 97)
+
+
+def _log_time_no_warning(family, w):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return family.log_time(np.log(w))
 
 
 def test_lls_baseline_cumhaz_inverse_roundtrip():
-    b = LogLocationScaleBaseline(mu=1.2, sigma=0.5, kernel=Kernel.LOGISTIC)
-    w = np.array([1e-6, 0.1, 1.0, 10.0, 300.0])
-    t = b.inverse_cumhaz(w)
-    assert np.allclose(b.cumhaz(t), w, rtol=1e-9)
+    """H0(exp(log_time(log w))) = w within 1e-12 for w from 1e-12 to 1e12,
+    with H0 in mpmath, for each kernel; the t2 kernel's log time is inf
+    where it lies beyond the float range (w above about 1420)."""
+    import mpmath as mp
+    for kernel in Kernel:
+        b = LogLocationScaleBaseline(mu=1.2, sigma=0.5, kernel=kernel)
+        log_t = _log_time_no_warning(b, _W)
+        finite = np.isfinite(log_t)
+        assert np.array_equal(~finite, (_W > 1500.0) & (kernel is Kernel.STUDENT_T2))
+        assert np.all(log_t[~finite] == np.inf)
+        with mp.workdps(700):  # F(-u) of the t2 kernel cancels in 2 log10(u) digits
+            u = [(mp.mpf(x) - b.mu) / b.sigma for x in log_t[finite]]
+            back = [float(-mp.log(oracles.mp_F(-x, kernel))) for x in u]
+        assert np.all(np.abs(back - _W[finite]) <= 1e-12 * _W[finite]), kernel
 
 
 def test_pgw_baseline_self_consistency():
+    import mpmath as mp
     b = PGWBaseline(scale=1.3, s1=0.8, s2=2.5)
     t = np.linspace(0.05, 8.0, 200)
     # h0 = dH0/dt by finite differences
     h = 1e-6
     fd = (b.cumhaz(t + h) - b.cumhaz(t - h)) / (2 * h)
     assert np.allclose(b.hazard(t), fd, rtol=1e-6)
-    w = b.cumhaz(t)
-    assert np.allclose(b.inverse_cumhaz(w), t, rtol=1e-9)
+    assert np.allclose(np.exp(b.log_time(np.log(b.cumhaz(t)))), t, rtol=1e-9)
     assert PGWBaseline(1.0, 1.0, 2.0).cumhaz(3.0) == pytest.approx(1.0)
+    assert b.record() == {"family": "pgw", "scale": 1.3, "s1": 0.8, "s2": 2.5}
+    # H0(exp(log_time(log w))) = w within 1e-12 for w from 1e-12 to 1e12, with H0 in mpmath
+    log_t = _log_time_no_warning(b, _W)
+    back = [float((1 + (mp.exp(x) / b.scale) ** mp.mpf(b.s1)) ** (1 / mp.mpf(b.s2)) - 1)
+            for x in log_t]
+    assert np.all(np.abs(back - _W) <= 1e-12 * _W)
+
+
+@pytest.mark.parametrize("baseline", [*(LogLocationScaleBaseline(kernel=k) for k in Kernel),
+                                      PGWBaseline()], ids=[*(k.value for k in Kernel), "pgw"])
+def test_simulation_raises_no_warning(baseline):
+    """Each kernel and the PGW baseline simulate the protocol truth of every
+    class at n = 2000, p = 10 (seeds 0-4) without a RuntimeWarning, although
+    under the t2 kernel up to a tenth of the times lie beyond the float range."""
+    for cls in (HazardClass.AH, HazardClass.PH, HazardClass.AFT, HazardClass.GH):
+        truth, alpha, beta = protocol_truth(10, cls)
+        for seed in range(5):
+            cfg = SimConfig(n=2000, p=10, truth=truth, alpha=alpha, beta=beta,
+                            baseline=baseline, target_censoring=0.25, seed=seed)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                data, _ = simulate_dataset(cfg)
+            assert np.all(np.isfinite(data.t) & (data.t > 0.0)), (cls, seed)
 
 
 def test_null_model_times_follow_baseline():
@@ -157,6 +183,10 @@ def test_simulate_dataset_deterministic():
     assert np.array_equal(d1.X, d2.X)
     assert truth1 == truth2
     assert truth1["gamma"] == "0202"
+    assert truth1["baseline"] == {"family": "lls", "mu": 1.55, "sigma": 0.7, "kernel": "normal"}
+    assert cfg.record() == {"n": 100, "p": 4, "truth": "0202", "alpha": [0.0] * 4,
+                            "beta": [0.0, 1.0, 0.0, -1.0], "baseline": truth1["baseline"],
+                            "rho": 0.7, "censoring": 0.3}
     assert d1.n_events == 70
 
 
@@ -170,13 +200,6 @@ def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(n=10, p=2, truth=Gamma.from_key("20"), alpha=np.zeros(2),
                   beta=np.zeros(2), target_censoring=1.0)
-
-
-def test_baseline_dict_roundtrip():
-    b = LogLocationScaleBaseline(1.1, 0.9, Kernel.SECH)
-    assert baseline_from_dict(_baseline_dict(b)) == b
-    g = PGWBaseline(2.0, 1.5, 3.0)
-    assert baseline_from_dict(_baseline_dict(g)) == g
 
 
 def test_protocol_truth():

@@ -14,7 +14,10 @@ the truths and flags of `bench/workloads.py`):
   --baseline t2 --iters 50000 --burnin 5000`, and `enumerate --prior product
   --baseline t2` with and without `--no-standardize`;
 - `replicate` with the `replicate-ah-w2` flags (16 replicates, seed 300),
-  with `--workers 1` and `--workers 2`.
+  with `--workers 1` and `--workers 2`;
+- `simulate --n 2000 --p 10 --truth gh --seed 2` under each of the four
+  kernels and with `--pgw`, which covers every path of the simulator (at
+  the t2 kernel some of its times lie beyond the float range).
 
 Each command runs as its own process with PYTHONHASHSEED=0 against the
 `src/` of the checkout this file is in, and writes only to a temporary
@@ -46,6 +49,9 @@ AFT_DATASETS = ((20, 0), (5, 1), (71, 0))
 EXTRA_SELECT = {("gh-n5000-p4-robustg", (5, 0)): (("--chains", "2", "--screening-init"),)}
 EXTRA_ENUMERATE = {("gh-n5000-p4-robustg", (71, 0)): ((),)}
 REPLICATE_SEED = 300
+SIMULATE_FLAGS = ("--n", 2000, "--p", 10, "--truth", "gh", "--seed", 2)
+SIMULATE_BASELINES = (*(("--baseline", k) for k in ("normal", "logistic", "sech", "t2")),
+                      ("--pgw",))
 
 
 def _commands(tmp: Path):
@@ -77,6 +83,12 @@ def _commands(tmp: Path):
                ["replicate", "--reps", wl.reps, "--seed", REPLICATE_SEED,
                 "--workers", workers, "--out", report, *wl.flags],
                [report])
+    for baseline in SIMULATE_BASELINES:
+        # a path relative to the command's working directory keeps stdout free of tmp
+        table = f"simulate-{baseline[-1].lstrip('-')}.csv"
+        yield (f"simulate {' '.join(baseline)}",
+               ["simulate", "--out", table, *SIMULATE_FLAGS, *baseline],
+               [tmp / table, (tmp / table).with_suffix(".truth.json")])
 
 
 def main() -> int:
