@@ -3,12 +3,11 @@
 Each kernel is a symmetric density f on the real line; the censored-data
 likelihood consumes log f, log F(-u) and the ratio functions f/F(-u), f'/f
 and f''/f built from it.  Each kernel has one function that computes these
-five terms from shared intermediates, and `newton_terms` returns its tuple
-for a likelihood pass.  The single functions (`log_f`, `log_F_neg`,
-`ratio_f_over_Fneg`, `ratio_fprime_over_f`, `ratio_fsecond_over_f`) are its
-slots, and `ratio_fprime_over_Fneg` is the product of two of them; they
-accept scalars or numpy arrays.  Every term is safe far into the tails
-(|u| up to a few hundred) without catastrophic cancellation.
+five terms from shared intermediates, and `newton_terms`, the one way to
+them, returns its tuple at a 1-d array u.  Every term is safe far into the
+tails (|u| up to a few hundred) without catastrophic cancellation, and no u
+up to the float maximum raises a warning: where a closed form overflows, the
+term takes its limit.
 
 Each kernel's quantile is a (centre, tail) pair of functions tabled beside
 its terms; `quantile(p)` and `quantile_exp(log q)` give the pair the forms of
@@ -18,8 +17,9 @@ Everything is NumPy.  The normal kernel rests on one function,
 S(x) = Phi(-x) exp(x^2/2) = erfcx(x/sqrt(2))/2 for x >= 0, evaluated in a
 single pass from a table of degree-5 polynomials over 128 pieces of
 t = (x - 3)/(x + 3) (see `tools/normal_tail_table.py`, which derives the
-table with mpmath; the relative error of S is below 5e-16 on [0, inf)):
-log Phi(-u) is log S(u) - u^2/2 for u > 0 and log1p(-S(|u|) exp(-u^2/2))
+table with mpmath; the relative error of S is below 5e-16 on [0, inf)).  Its
+one terms function computes S(|u|), -u^2/2 and Phi(-|u|) = S(|u|) exp(-u^2/2)
+once each: log Phi(-u) is log S(u) - u^2/2 for u > 0 and log1p(-Phi(-|u|))
 otherwise, and phi(u)/Phi(-u) is 1/(sqrt(2 pi) S(u)) for u >= 0.  The normal
 quantile is found by Newton steps on log Phi(-z) in the tails and on the
 Taylor series of Phi(x) - 1/2 in the centre; the other three kernels'
@@ -55,11 +55,30 @@ def _as_array(u):
 # the five terms (log f, log F(-u), f/F(-u), f'/f, f''/f) at a 1-d array u,
 # one function per kernel: the Supp-table closed forms, rearranged for stability
 
-def _normal_terms(u):
-    # one S(|u|) for log F(-u) and f/F(-u)
-    lF, s, e = _normal_sf(u)
-    uu = u * u
-    return uu * -0.5 - _HALF_LOG_2PI, lF, _normal_ratio(u, s, e), -u, uu - 1.0
+_FAR = 1e77  # |u| beyond which a kernel's closed forms may overflow
+
+
+def _normal_terms(u, a):
+    # s = S(|u|); h = -u^2/2 gives log f, f''/f and e = exp(-u^2/2), and
+    # tail = s e = Phi(-|u|) gives log F(-u) and f/F(-u) for u < 0
+    s = _normal_tail(a)
+    h = -0.5 * u * u
+    e = np.exp(h)
+    tail = e * s
+    with np.errstate(divide="ignore"):  # S(inf) = 0
+        pos = np.log(s)
+    pos += h  # log F(-u): log S(u) - u^2/2 for u > 0, log(1 - tail) otherwise
+    # f/F(-u): 1/(sqrt(2 pi) s) for u >= 0, e/(sqrt(2 pi) (1 - tail)) for u < 0
+    right = u >= 0
+    return (h - _HALF_LOG_2PI, np.where(u > 0, pos, np.log1p(-tail)),
+            np.where(right, 1.0, e) / (_SQRT_2PI * np.where(right, s, 1.0 - tail)),
+            -u, h * -2.0 - 1.0)
+
+
+def _normal_far(u, a, lf, lF, r1, rp, rs):
+    # where u^2 overflows, phi(u)/Phi(-u) = u + 1/u - ... rounds to u, while
+    # 1/(sqrt(2 pi) S(u)) overflows at the float maximum
+    return lf, lF, np.where((u > 0) & np.isinf(u * u), u, r1), rp, rs
 
 
 def _logistic_terms(u):
@@ -85,11 +104,12 @@ def _log_arctan_exp_neg(x):
     return np.where(small, series, direct)
 
 
-def _sech_terms(u):
+def _sech_terms(u, a):
     x = 0.5 * np.pi * u
-    ax = np.abs(x)
-    # log(0.5 sech x) = -|x| - log1p(exp(-2|x|))
-    lf = -ax - np.log1p(np.exp(-2.0 * ax))
+    ax = 0.5 * np.pi * a
+    # e^(-2|x|) = e^(-pi |u|); log(0.5 sech x) = -|x| - log1p(e^(-2|x|))
+    e = np.exp(-2.0 * ax)
+    lf = -ax - np.log1p(e)
     right = u >= 0
     pos = _log_arctan_exp_neg(np.where(right, x, 0.0)) + np.log(2.0 / np.pi)
     # u < 0: F(-u) = 1 - (2/pi) arctan(exp(x)), x <= 0; NaN takes this branch
@@ -98,17 +118,21 @@ def _sech_terms(u):
     lF = np.where(right, pos, neg)
     # (pi^2/8)(cosh(pi u) - 3) sech^2(pi u / 2) == (pi^2/4)(1 - 2 sech^2(pi u / 2)),
     # with sech^2 x = 4 e^(-2|x|) / (1 + e^(-2|x|))^2, which cannot overflow
-    e = np.exp(-np.pi * np.abs(u))
     sech2 = 4.0 * e / (1.0 + e) ** 2
     return (lf, lF, np.exp(lf - lF), -0.5 * np.pi * np.tanh(x),
             0.25 * np.pi ** 2 * (1.0 - 2.0 * sech2))
 
 
-def _t2_terms(u):
+def _sech_far(u, a, lf, lF, r1, rp, rs):
+    # where pi u/2 overflows, log f = log F(-u) = -inf, and f/F(-u) takes its
+    # limit pi/2
+    return lf, lF, np.where((u > 0) & np.isinf(0.5 * np.pi * u), 0.5 * np.pi, r1), rp, rs
+
+
+def _t2_terms(u, a):
     # one sqrt(u^2 + 2) for all five
     s2 = u * u + 2.0
     s = np.sqrt(s2)
-    a = np.abs(u)
     sa = s + a
     right = u >= 0
     # F(-u) = (1 - u/s)/2; for u >= 0, 1 - u/s = 2/(s(s+u))
@@ -118,47 +142,40 @@ def _t2_terms(u):
             6.0 * (2.0 * u * u - 1.0) / (s2 * s2))
 
 
+def _t2_far(u, a, lf, lF, r1, rp, rs):
+    # where (u^2 + 2)^2 overflows (|u| > 1.2e77), f''/f takes its leading order
+    # 12/u^2, and where u^2 does too (|u| > 1.3e154), so do the other four
+    # terms, in r = 1/|u|; each is exact to rounding there
+    s2 = u * u + 2.0
+    r = 1.0 / a
+    huge = np.isinf(s2)
+    right = u >= 0
+    return (np.where(huge, -3.0 * np.log(a), lf),
+            np.where(huge, np.where(right, -(2.0 * np.log(a) + math.log(2.0)), -0.5 * r * r), lF),
+            np.where(huge, np.where(right, 2.0 * r, r * r * r), r1),
+            np.where(huge, -3.0 / u, rp),
+            np.where(np.isinf(s2 * s2), 12.0 * r * r, rs))
+
+
+def _far_safe(terms, far):
+    """A kernel's five terms from `terms(u, |u|)`, whose closed forms may
+    overflow beyond |u| = 1e77: an array with such a u (or a NaN) is computed
+    without warnings, and `far` puts each overflowed term's limit in its place."""
+    def far_safe_terms(u):
+        a = np.abs(u)
+        if a.max(initial=0.0) <= _FAR:
+            return terms(u, a)
+        with np.errstate(all="ignore"):
+            return far(u, a, *terms(u, a))
+    return far_safe_terms
+
+
 def newton_terms(u, kernel: Kernel) -> tuple:
     """(log f, log F(-u), f/F(-u), f'/f, f''/f) at a 1-d array u: the terms
-    a likelihood pass needs, from the kernel's one function."""
+    a likelihood pass needs, from the kernel's one function, without a
+    warning for any u."""
     return _TERMS[kernel](u)
 
-
-def _terms(u, kernel: Kernel):
-    """The kernel's five terms at u of any shape, each reshaped to u's."""
-    u = _as_array(u)
-    return tuple(t.reshape(u.shape) for t in _TERMS[kernel](u.reshape(-1)))
-
-
-def _scalar_or_array(out):
-    return out if out.shape else float(out)
-
-
-def log_f(u, kernel: Kernel):
-    return _scalar_or_array(_terms(u, kernel)[0])
-
-
-def log_F_neg(u, kernel: Kernel):
-    return _scalar_or_array(_terms(u, kernel)[1])
-
-
-def ratio_f_over_Fneg(u, kernel: Kernel):
-    return _scalar_or_array(_terms(u, kernel)[2])
-
-
-def ratio_fprime_over_f(u, kernel: Kernel):
-    return _scalar_or_array(_terms(u, kernel)[3])
-
-
-def ratio_fsecond_over_f(u, kernel: Kernel):
-    return _scalar_or_array(_terms(u, kernel)[4])
-
-
-def ratio_fprime_over_Fneg(u, kernel: Kernel):
-    # f'/F(-u) = (f'/f) * (f/F(-u)) for every family; the product of the two
-    # stable forms is itself stable.
-    terms = _terms(u, kernel)
-    return _scalar_or_array(terms[3] * terms[2])
 
 # ---------------------------------------------------------------------------
 # quantile: per kernel, x from c = q - 1/2 in the centre, and in the tails the
@@ -166,6 +183,10 @@ def ratio_fprime_over_Fneg(u, kernel: Kernel):
 
 _CENTRE = 0.25     # |q - 1/2| below which the quantile is solved from q - 1/2
 _LN2_HI, _LN2_LO = 0.6931471805599453, 2.3190468138462996e-17  # ln 2 = hi + lo
+
+
+def _scalar_or_array(out):
+    return out if out.shape else float(out)
 
 
 def quantile(p, kernel: Kernel):
@@ -259,32 +280,14 @@ def _normal_tail(x):
     np.floor(i, out=i)
     s -= i
     i = i.astype(np.intp)
-    out = _TAIL_COEF[-1].take(i)
-    for coef in _TAIL_COEF[-2::-1]:
+    coef = _TAIL_COEF.take(i, axis=1)  # (degree + 1, n), freed on return
+    out = coef[-1] * s
+    out += coef[-2]
+    for c in coef[-3::-1]:
         out *= s
-        out += coef.take(i)
+        out += c
     out /= den
     return out
-
-
-def _normal_sf(u):
-    """log Phi(-u) for a 1-d array u, with the S(|u|) and exp(-u^2/2) it is
-    computed from."""
-    s = _normal_tail(np.abs(u))
-    h = -0.5 * u * u
-    with np.errstate(divide="ignore"):  # S(inf) = 0
-        pos = np.log(s)
-    pos += h  # u > 0: log S(u) - u^2/2
-    e = np.exp(h)
-    # u <= 0: log(1 - Phi(u)), with Phi(u) = S(|u|) exp(-u^2/2)
-    return np.where(u > 0, pos, np.log1p(-(e * s))), s, e
-
-
-def _normal_ratio(u, s, e):
-    """phi(u)/Phi(-u) from s = S(|u|) and e = exp(-u^2/2): 1/(sqrt(2 pi) S(u))
-    for u >= 0, and phi(u)/(1 - Phi(u)) with Phi(u) = S(|u|) e for u < 0."""
-    right = u >= 0
-    return np.where(right, 1.0, e) / (_SQRT_2PI * np.where(right, s, 1.0 - e * s))
 
 
 _NEWTON_STEPS = 60
@@ -333,8 +336,10 @@ def _normal_tail_quantile(log_p):
 # ---------------------------------------------------------------------------
 # each kernel's five terms, and the (centre, tail) pair of its quantile
 
-_TERMS = {Kernel.NORMAL: _normal_terms, Kernel.LOGISTIC: _logistic_terms,
-          Kernel.SECH: _sech_terms, Kernel.STUDENT_T2: _t2_terms}
+_TERMS = {Kernel.NORMAL: _far_safe(_normal_terms, _normal_far),
+          Kernel.LOGISTIC: _logistic_terms,
+          Kernel.SECH: _far_safe(_sech_terms, _sech_far),
+          Kernel.STUDENT_T2: _far_safe(_t2_terms, _t2_far)}
 _QUANTILES = {Kernel.NORMAL: (_normal_centre_quantile, _normal_tail_quantile),
               Kernel.LOGISTIC: (_logistic_centre_quantile, _logistic_tail_quantile),
               Kernel.SECH: (_sech_centre_quantile, _sech_tail_quantile),

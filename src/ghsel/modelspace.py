@@ -118,11 +118,6 @@ def classify(gamma: Gamma) -> HazardClass:
     return gamma.hazard_class
 
 
-def effect_count(gamma: Gamma) -> int:
-    """Number of effects: included variables plus one extra per code-3 variable."""
-    return gamma.n_active + gamma.count(3)
-
-
 def log_model_prior(gamma: Gamma) -> float:
     """Unnormalised log prior of a model, in closed form: Beta-Binomial(1, 1)
     inclusion (each size k of the active set equally likely, and each set of

@@ -373,10 +373,6 @@ class ChainTrace:
     def propose_count(self) -> dict:
         return {mk: n for mk, n in zip(_MOVE_ORDER, self.proposed) if n}
 
-    @property
-    def accept_count(self) -> dict:
-        return {mk: n for mk, n in zip(_MOVE_ORDER, self.accepted) if n}
-
     def acceptance_rate(self, move: MoveKind | None = None) -> float:
         if move is None:
             acc = sum(self.accepted)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baseline import Kernel, log_F_neg, quantile_exp
+from .baseline import Kernel, quantile_exp
 from .ghlik import Dataset
 from .modelspace import Gamma, HazardClass
 
@@ -43,10 +43,6 @@ class LogLocationScaleBaseline:
         return self.mu - self.sigma * quantile_exp(-np.exp(np.clip(log_w, -745.0, 700.0)),
                                                    self.kernel)
 
-    def cumhaz(self, t: np.ndarray) -> np.ndarray:
-        z = (np.log(t) - self.mu) / self.sigma
-        return -log_F_neg(z, self.kernel)
-
     def record(self) -> dict:
         return {"family": "lls", "mu": self.mu, "sigma": self.sigma,
                 "kernel": self.kernel.value}
@@ -62,16 +58,6 @@ class PGWBaseline:
     def __post_init__(self):
         if min(self.scale, self.s1, self.s2) <= 0:
             raise ValueError("PGW parameters must be positive")
-
-    def cumhaz(self, t: np.ndarray) -> np.ndarray:
-        return np.power(1.0 + np.power(np.asarray(t) / self.scale, self.s1),
-                        1.0 / self.s2) - 1.0
-
-    def hazard(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t)
-        r = np.power(t / self.scale, self.s1)
-        return (self.s1 / (self.s2 * self.scale) * np.power(t / self.scale, self.s1 - 1.0)
-                * np.power(1.0 + r, 1.0 / self.s2 - 1.0))
 
     def log_time(self, log_w: np.ndarray) -> np.ndarray:
         """log t with H0(t) = w, from log w clamped below at -700: (t/scale)^s1

@@ -6,8 +6,10 @@ Gauss-Hermite quadrature) and deliberately shares no code with the package
 internals.  The exceptions are the helpers over the packed coefficient vector
 (`Psi`, `project_init`, `observed_fisher`, `lcm_prior_cov`), which reuse the
 package's column bookkeeping, `write_trace_jsonl`, the reference for the
-CLI's trace file, and `robust_g_quad_reference`, the robust hyper-g score by
-adaptive quadrature over the package's own fit and closed form: only tests
+CLI's trace file, `robust_g_quad_reference`, the robust hyper-g score by
+adaptive quadrature over the package's own fit and closed form, and
+`kernel_terms` and `baseline_cumhaz`, which read the package's kernel terms
+by name and give the simulation families' cumulative hazards: only tests
 need them.  `evaluate_reference`, `propose_reference` and
 `run_chain_reference` keep the package's earlier likelihood pass (generic
 coordinates and hand-expanded Hessian blocks) and MH step (a proposal built
@@ -40,6 +42,7 @@ from ghsel.ghlik import (LINPRED_CLAMP, DimensionError, dim_coef, dim_psi,
 from ghsel.marglik import ILAFactor, MarglikRecord, ila_from_fit
 from ghsel.modelspace import Gamma, HazardClass, classify, get_valid_idx, log_model_prior
 from ghsel.sampler import _MOVE_ORDER, MoveKind, Proposal, move_distribution
+from ghsel.simulate import PGWBaseline
 from ghsel.priors import RankDeficiencyError
 
 mp.mp.dps = 50
@@ -114,6 +117,33 @@ def mp_normal_quantile(log_q, start):
         return 0.0
     z = mp.findroot(lambda z: mp.log(mp.ncdf(-z)) - target, mp.mpf(-start if lower else start))
     return float(-z if lower else z)
+
+
+TERMS = ("log_f", "log_F_neg", "ratio_f_over_Fneg", "ratio_fprime_over_f", "ratio_fsecond_over_f")
+
+
+def kernel_terms(u, kernel: Kernel) -> dict:
+    """The kernel's five terms at u of any shape by name, from one
+    `baseline.newton_terms` call, with f'/F(-u) as the product
+    `ratio_fprime_over_f * ratio_f_over_Fneg`; each has u's shape, and is a
+    float for a scalar u."""
+    u = np.asarray(u, dtype=float)
+    terms = dict(zip(TERMS, (t.reshape(u.shape) for t in baseline.newton_terms(u.reshape(-1), kernel))))
+    # the normal f'/F(-u) = -u^2 overflows beyond |u| = 1.3e154, and is inf * 0 at -inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms["ratio_fprime_over_Fneg"] = terms["ratio_fprime_over_f"] * terms["ratio_f_over_Fneg"]
+    return {name: t if u.shape else float(t) for name, t in terms.items()}
+
+
+def baseline_cumhaz(family, t):
+    """H0(t) of a simulation baseline family from its formula: -log F(-z) at
+    z = (log t - mu)/sigma for a log-location-scale family, and
+    (1 + (t/scale)^s1)^(1/s2) - 1 = expm1(log1p((t/scale)^s1)/s2) for the
+    power generalized Weibull, which keeps its digits for small t."""
+    t = np.asarray(t, dtype=float)
+    if isinstance(family, PGWBaseline):
+        return np.expm1(np.log1p((t / family.scale) ** family.s1) / family.s2)
+    return -kernel_terms((np.log(t) - family.mu) / family.sigma, family.kernel)["log_F_neg"]
 
 
 def mp_dlogf(u, kernel):
@@ -592,8 +622,7 @@ def evaluate_reference(des, psi, order: int = 2):
     lin_raw = e_mnu * a - Xh @ eta
     lin = np.clip(lin_raw, -LINPRED_CLAMP, LINPRED_CLAMP)
     v = np.exp(lin)
-    lf = baseline.log_f(u, kernel)
-    lF = baseline.log_F_neg(u, kernel)
+    lf, lF, r1_direct, rp, rs = baseline.newton_terms(u, kernel)
     vd = v - delta
     n_events = data.n_events
     val = (n_events * nu - float(delta @ lt) + float(delta @ lin)
@@ -605,11 +634,7 @@ def evaluate_reference(des, psi, order: int = 2):
 
     # f/F(-u) from the two logs the value needed; far in the right tail both
     # logs are large and nearly equal, so there the ratio is evaluated directly
-    r1 = np.exp(lf - lF)
-    tail = u > 30.0
-    if tail.any():
-        r1[tail] = baseline.ratio_f_over_Fneg(u[tail], kernel)
-    rp = baseline.ratio_fprime_over_f(u, kernel)
+    r1 = np.where(u > 30.0, r1_direct, np.exp(lf - lF))
     # where the clip is active lin is constant, so every term through lin
     # (delta_lin, lFv and r1v below) is zero there
     live = lin == lin_raw
@@ -624,7 +649,6 @@ def evaluate_reference(des, psi, order: int = 2):
     if order == 1:
         return val, (_aft_jacobian(nu, theta).T @ g if des.aft else g), None
 
-    rs = baseline.ratio_fsecond_over_f(u, kernel)
     D2 = rs - rp * rp
     E2 = rp * r1 + r1 * r1  # f'/F(-u) + (f/F(-u))^2
     r1v = r1 * v * live

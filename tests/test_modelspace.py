@@ -12,8 +12,7 @@ import pytest
 import ghsel
 import oracles
 from ghsel.modelspace import (Gamma, HazardClass, InvalidGammaError, classify,
-                              effect_count, enumerate_models, get_valid_idx,
-                              log_model_prior)
+                              enumerate_models, get_valid_idx, log_model_prior)
 
 
 def test_gamma_validation():
@@ -53,13 +52,6 @@ def test_enumeration_cap():
         list(enumerate_models(0))
 
 
-def test_effect_count():
-    assert effect_count(Gamma((0, 0))) == 0
-    assert effect_count(Gamma((1, 2, 0))) == 2
-    assert effect_count(Gamma((3, 3, 0))) == 4
-    assert effect_count(Gamma((4, 4))) == 2
-
-
 def test_prior_equal_class_mass_per_size():
     """With default hyperparameters the four hazard classes carry equal total
     mass at each active-set size, and GH effect counts carry equal mass at
@@ -83,8 +75,8 @@ def test_prior_equal_class_mass_per_size():
             omega_mass = {}
             for g in models:
                 if g.n_active == size and classify(g) is HazardClass.GH:
-                    omega_mass.setdefault(effect_count(g), 0.0)
-                    omega_mass[effect_count(g)] += probs[g.key]
+                    effects = g.n_active + g.count(3)
+                    omega_mass[effects] = omega_mass.get(effects, 0.0) + probs[g.key]
             vals = list(omega_mass.values())
             assert len(vals) == size + 1
             for v in vals[1:]:

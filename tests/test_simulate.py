@@ -65,18 +65,19 @@ def test_pgw_baseline_self_consistency():
     import mpmath as mp
     b = PGWBaseline(scale=1.3, s1=0.8, s2=2.5)
     t = np.linspace(0.05, 8.0, 200)
-    # h0 = dH0/dt by finite differences
-    h = 1e-6
-    fd = (b.cumhaz(t + h) - b.cumhaz(t - h)) / (2 * h)
-    assert np.allclose(b.hazard(t), fd, rtol=1e-6)
-    assert np.allclose(np.exp(b.log_time(np.log(b.cumhaz(t)))), t, rtol=1e-9)
-    assert PGWBaseline(1.0, 1.0, 2.0).cumhaz(3.0) == pytest.approx(1.0)
+    assert np.allclose(np.exp(b.log_time(np.log(oracles.baseline_cumhaz(b, t)))), t, rtol=1e-9)
+    assert oracles.baseline_cumhaz(PGWBaseline(1.0, 1.0, 2.0), 3.0) == pytest.approx(1.0)
     assert b.record() == {"family": "pgw", "scale": 1.3, "s1": 0.8, "s2": 2.5}
     # H0(exp(log_time(log w))) = w within 1e-12 for w from 1e-12 to 1e12, with H0 in mpmath
     log_t = _log_time_no_warning(b, _W)
     back = [float((1 + (mp.exp(x) / b.scale) ** mp.mpf(b.s1)) ** (1 / mp.mpf(b.s2)) - 1)
             for x in log_t]
     assert np.all(np.abs(back - _W) <= 1e-12 * _W)
+    # and within 1e-13 through the closed form H0, for small w too
+    w = np.array([1e-12, 1e-8, 1e-4])
+    for family in (b, PGWBaseline()):
+        back = oracles.baseline_cumhaz(family, np.exp(_log_time_no_warning(family, w)))
+        assert np.all(np.abs(back - w) <= 1e-13 * w), family
 
 
 @pytest.mark.parametrize("baseline", [*(LogLocationScaleBaseline(kernel=k) for k in Kernel),
@@ -116,7 +117,7 @@ def test_gh_times_have_unit_exponential_cumhaz():
     b = LogLocationScaleBaseline(1.0, 0.6, Kernel.LOGISTIC)
     t = simulate_gh_times(X, alpha, beta, b, rng)
     a = X @ alpha
-    H = b.cumhaz(t * np.exp(a)) * np.exp(X @ beta - a)
+    H = oracles.baseline_cumhaz(b, t * np.exp(a)) * np.exp(X @ beta - a)
     ks = stats.kstest(H, "expon")
     assert ks.pvalue > 0.01
 
